@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const std::uint64_t phases = flags.get("phases", std::uint64_t{400});
   const std::uint64_t grain_ns = flags.get("grain_ns", std::uint64_t{5000});
   const std::size_t threads = flags.get("threads", std::uint64_t{2});
+  flags.reject_unused();
 
   std::printf("A1: executor ablation on the same workload\n");
   std::printf("%s\n", trace::machine_summary().c_str());

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "support/cli.hpp"
 
 namespace df::bench {
 
@@ -38,13 +39,12 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
 };
 
 /// Drop-in replacement for BENCHMARK_MAIN() that runs with the JSON-line
-/// reporter.
+/// reporter. google-benchmark consumes its own --benchmark_* flags; any
+/// flag left over is rejected like in every other bench binary.
 inline int run_benchmarks_with_json(int argc, char** argv,
                                     const char* bench) {
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
+  support::CliFlags(argc, argv).reject_unused();
   JsonLineReporter reporter{std::string(bench)};
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

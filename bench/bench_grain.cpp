@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const std::uint64_t phases = flags.get("phases", std::uint64_t{120});
   const std::uint64_t max_threads =
       flags.get("max_threads", std::uint64_t{4});
+  flags.reject_unused();
 
   std::printf("T2: speedup vs per-vertex grain (paper section 4 prediction)\n");
   std::printf("%s\n", trace::machine_summary().c_str());

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const std::uint64_t phases = flags.get("phases", std::uint64_t{200});
   const std::uint64_t cost_ns =
       flags.get("vertex_cost_ns", std::uint64_t{100000});
+  flags.reject_unused();
 
   std::printf("E4: simulated graph partitioning across machines "
               "(paper section 6)\n");

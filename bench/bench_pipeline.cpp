@@ -23,24 +23,7 @@ int main(int argc, char** argv) {
   const std::uint64_t phases = flags.get("phases", std::uint64_t{2000});
   const std::uint64_t grain_ns = flags.get("grain_ns", std::uint64_t{2000});
   const std::size_t threads = flags.get("threads", std::uint64_t{2});
-  // staged=0 forces the PR 1 lock-per-pair path; 1 (default) stages
-  // finished pairs in per-worker rings and applies them in batches.
-  const bool staged = flags.get("staged", std::uint64_t{1}) != 0;
-  // shards=1 (default) runs the flat scheduler; >1 opts in to the
-  // partition-aligned sharded scheduler with the apply/collect drain.
-  const std::size_t shards = flags.get("shards", std::uint64_t{1});
-  // dispatch=central (default) routes ready pairs through the shared
-  // blocking queue; dispatch=steal through per-worker deques (PR 9).
-  const std::string dispatch_name =
-      flags.get("dispatch", std::string{"central"});
-  if (dispatch_name != "central" && dispatch_name != "steal") {
-    std::fprintf(stderr, "--dispatch must be 'central' or 'steal', got %s\n",
-                 dispatch_name.c_str());
-    return 2;
-  }
-  const auto dispatch = dispatch_name == "steal"
-                            ? core::EngineOptions::Dispatch::kWorkStealing
-                            : core::EngineOptions::Dispatch::kCentral;
+  flags.reject_unused();
 
   std::printf("F1: cross-phase pipelining on the paper's 10-node graph\n");
   std::printf("%s\n", trace::machine_summary().c_str());
@@ -58,9 +41,6 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.max_inflight_phases = window;
     options.sample_inflight = true;
-    options.staged_deliveries = staged;
-    options.scheduler_shards = shards;
-    options.dispatch = dispatch;
     core::Engine engine(program, options);
     engine.run(phases, nullptr);
     const auto stats = engine.stats();
@@ -76,9 +56,6 @@ int main(int argc, char** argv) {
         .config("phases", phases)
         .config("grain_ns", grain_ns)
         .config("threads", static_cast<std::uint64_t>(threads))
-        .config("staged", static_cast<std::uint64_t>(staged ? 1 : 0))
-        .config("shards", static_cast<std::uint64_t>(shards))
-        .config("dispatch", dispatch_name)
         .config("hw_concurrency",
                 static_cast<std::uint64_t>(
                     std::thread::hardware_concurrency()))
@@ -91,9 +68,6 @@ int main(int argc, char** argv) {
         .metric("pairs_per_sec", stats.pairs_per_second())
         .metric("phases_per_sec", stats.phases_per_second())
         .metric("mean_inflight", stats.mean_inflight_phases)
-        .metric("steals_ok", stats.steals_ok)
-        .metric("steals_empty", stats.steals_empty)
-        .metric("parks", stats.parks)
         .emit();
   }
   std::printf("%s", table.render().c_str());
@@ -108,17 +82,12 @@ int main(int argc, char** argv) {
       .config("phases", phases)
       .config("grain_ns", grain_ns)
       .config("threads", static_cast<std::uint64_t>(threads))
-      .config("shards", static_cast<std::uint64_t>(shards))
-      .config("dispatch", dispatch_name)
       .config("hw_concurrency",
               static_cast<std::uint64_t>(
                   std::thread::hardware_concurrency()))
       .metric("wall_ms", ls.wall_seconds * 1e3)
       .metric("pairs_per_sec", ls.pairs_per_second())
       .metric("phases_per_sec", ls.phases_per_second())
-      .metric("steals_ok", ls.steals_ok)
-      .metric("steals_empty", ls.steals_empty)
-      .metric("parks", ls.parks)
       .emit();
   std::printf(
       "paper Figure 1: with a deep window, ~5 phases in flight on the "
@@ -129,9 +98,6 @@ int main(int argc, char** argv) {
   core::EngineOptions depth5;
   depth5.threads = threads;
   depth5.max_inflight_phases = 5;
-  depth5.staged_deliveries = staged;
-  depth5.scheduler_shards = shards;
-  depth5.dispatch = dispatch;
   depth5.sample_inflight = true;
   core::Engine engine5(program, depth5);
   engine5.run(phases, nullptr);

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   // Total spin budget per phase is constant; grain adapts to vertex count.
   const std::uint64_t budget_ns =
       flags.get("budget_ns", std::uint64_t{64000});
+  flags.reject_unused();
 
   std::printf("A3: topology sensitivity at a fixed per-phase work budget\n");
   std::printf("%s\n", trace::machine_summary().c_str());

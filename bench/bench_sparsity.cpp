@@ -42,6 +42,7 @@ core::Program anomaly_chain(double rate, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const support::CliFlags flags(argc, argv);
   const std::uint64_t phases = flags.get("phases", std::uint64_t{100000});
+  flags.reject_unused();
 
   std::printf("T3: delta vs eager traffic as anomaly rate falls "
               "(paper section 1)\n");

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const std::uint64_t max_threads =
       flags.get("max_threads", std::uint64_t{8});
   const std::uint64_t repeats = flags.get("repeats", std::uint64_t{3});
+  flags.reject_unused();
 
   std::printf("T1: speedup vs computation threads (paper section 4)\n");
   std::printf("%s\n", trace::machine_summary().c_str());

@@ -14,10 +14,12 @@
 #include "model/sources.hpp"
 #include "model/synthetic.hpp"
 #include "spec/builder.hpp"
+#include "support/cli.hpp"
 #include "trace/tracer.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace df;
+  support::CliFlags(argc, argv).reject_unused();  // takes no flags
 
   std::printf("F3: execution trace of the paper's Figure 3 example\n");
   std::printf("legend:  v = no set, <v> = partial, (v) = full, "

@@ -14,10 +14,10 @@
 // the `transport` label, so every CI configuration (including TSan)
 // executes real socket traffic.
 //
-// --engine-threads=K and --shards=K configure the per-block engines (two-
-// level parallelism: machines x engine_threads workers in total); both are
-// recorded in every JSON row alongside hw_concurrency so a single-core CI
-// box's rows are not mistaken for a multicore measurement.
+// --engine-threads=K configures the per-block engines (two-level
+// parallelism: machines x engine_threads workers in total); it is recorded
+// in every JSON row alongside hw_concurrency so a single-core CI box's rows
+// are not mistaken for a multicore measurement.
 #include <cstdio>
 #include <thread>
 
@@ -42,33 +42,17 @@ int main(int argc, char** argv) {
   const std::uint64_t width = flags.get("width", std::uint64_t{4});
   const std::size_t engine_threads =
       flags.get("engine-threads", std::uint64_t{1});
-  const std::size_t shards = flags.get("shards", std::uint64_t{1});
-  if (engine_threads == 0 || shards == 0) {
-    std::printf("--engine-threads and --shards must be >= 1\n");
+  if (engine_threads == 0) {
+    std::printf("--engine-threads must be >= 1\n");
     return 2;
   }
-  // Third axis of the per-block engine knob matrix: ready-pair dispatch.
-  const std::string dispatch_name =
-      flags.get("dispatch", std::string{"central"});
-  if (dispatch_name != "central" && dispatch_name != "steal") {
-    std::printf("--dispatch must be 'central' or 'steal', got %s\n",
-                dispatch_name.c_str());
-    return 2;
-  }
-  const auto dispatch = dispatch_name == "steal"
-                            ? core::EngineOptions::Dispatch::kWorkStealing
-                            : core::EngineOptions::Dispatch::kCentral;
   // Fault-tolerance overhead axis: checkpoint every K completed phases
   // (0 = off, the default). A non-zero K prices quiesce + snapshot +
   // egress retention on the same rows as the plain run, so the overhead
   // is a column, not a separate benchmark.
   const std::size_t checkpoint_every =
       flags.get("checkpoint-every", std::uint64_t{0});
-  if (checkpoint_every > 0 && shards > 1) {
-    std::printf("--checkpoint-every requires --shards=1 "
-                "(snapshots need the flat scheduler)\n");
-    return 2;
-  }
+  flags.reject_unused();
   const std::uint64_t hw_concurrency =
       static_cast<std::uint64_t>(std::thread::hardware_concurrency());
 
@@ -108,8 +92,6 @@ int main(int argc, char** argv) {
       options.machines = machines;
       options.channel = kind;
       options.engine_threads = engine_threads;
-      options.scheduler_shards = shards;
-      options.dispatch = dispatch;
       options.checkpoint_every = checkpoint_every;
       distrib::TransportEngine transport(program, options);
       transport.run(phases, nullptr);
@@ -139,8 +121,6 @@ int main(int argc, char** argv) {
                                   program.numbering.size()))
           .config("engine_threads",
                   static_cast<std::uint64_t>(engine_threads))
-          .config("shards", static_cast<std::uint64_t>(shards))
-          .config("dispatch", dispatch_name)
           .config("checkpoint_every",
                   static_cast<std::uint64_t>(checkpoint_every))
           .config("hw_concurrency", hw_concurrency)
@@ -160,9 +140,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(phases))
           .metric("remote_messages", tstats.remote_messages)
           .metric("remote_frac", remote_frac)
-          .metric("steals_ok", stats.steals_ok)
-          .metric("steals_empty", stats.steals_empty)
-          .metric("parks", stats.parks)
           .metric("checkpoints_taken", tstats.checkpoints_taken)
           .metric("checkpoint_bytes", tstats.checkpoint_bytes)
           .emit();

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const support::CliFlags flags(argc, argv);
   const std::uint64_t events = flags.get("events", std::uint64_t{20000});
   const double mean_delay = flags.get("mean_delay", 8.0);
+  flags.reject_unused();
 
   std::printf("E5: watermark wait vs event loss under random delays "
               "(paper section 6)\n");

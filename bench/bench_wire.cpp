@@ -1,11 +1,9 @@
 // Wire-path micro-bench: what one cross-partition delivery costs in
-// encode time, decode time, and bytes, for each wire generation:
+// encode time, decode time, and bytes, for each framing of wire v2:
 //
-//   * v1_single — the original one-frame-per-delivery format (kept as a
-//     decode-compat fixture): 21-byte header plus fixed-width value
-//     encoding, decoded through the Frame-level decoder;
-//   * v2_single — wire v2 framing with dense value encoding (varint ints,
-//     u8-length short strings) but still one delivery per frame;
+//   * v2_single — dense value encoding (varint ints, u8-length short
+//     strings) but one delivery per frame behind a 21-byte header, decoded
+//     through the Frame-level decoder;
 //   * v2_batch — the transport's real send path: kDeliveryBatch frames
 //     coalescing `batch` deliveries behind a single header with
 //     varint-delta addressing, decoded via the streaming BatchReader
@@ -15,10 +13,10 @@
 // The corpus mirrors typical cross-partition traffic: mostly small ints
 // and doubles, some short strings and small vectors, destination indices
 // in a working set so the batch deltas stay small. Rows are emitted via
-// bench_json.hpp for the BENCH_seed_vs_flat.json trajectory; the v1-vs-v2
-// bytes_per_delivery and decode ratios are the numbers ISSUE acceptance
-// tracks. Runs in well under a second by default, so it doubles as the
-// `smoke_bench_wire` ctest entry (transport label).
+// bench_json.hpp for the BENCH_seed_vs_flat.json trajectory; the
+// single-vs-batch bytes_per_delivery and decode ratios are the numbers the
+// trajectory tracks. Runs in well under a second by default, so it doubles
+// as the `smoke_bench_wire` ctest entry (transport label).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -93,8 +91,8 @@ struct Row {
 };
 
 // Checksum over decoded deliveries so the decode loops cannot be dead-code
-// eliminated, compared across rows so all three paths provably decoded the
-// same corpus.
+// eliminated, compared across rows so both paths provably decoded the same
+// corpus.
 std::uint64_t fold(std::uint64_t acc, const core::Delivery& d) {
   return acc * 31 + d.to_index + d.to_port;
 }
@@ -109,50 +107,15 @@ int main(int argc, char** argv) {
                                     : std::uint64_t{200000});
   const std::uint64_t reps = flags.get("reps", std::uint64_t{5});
   const std::uint64_t batch = flags.get("batch", std::uint64_t{64});
+  flags.reject_unused();
 
-  std::printf("wire-path micro-bench: per-delivery cost, v1 vs v2\n");
+  std::printf("wire-path micro-bench: per-delivery cost, single vs batch\n");
   std::printf("%s\n", trace::machine_summary().c_str());
 
   const std::vector<core::Delivery> corpus = make_corpus(count, 71);
   const std::uint64_t ops = count * reps;
   std::vector<Row> rows;
   std::vector<std::uint64_t> checksums;
-
-  // --- v1_single: one frame per delivery, fixed-width values ---------------
-  {
-    Row row{"v1_single"};
-    std::vector<std::vector<std::uint8_t>> frames(corpus.size());
-    auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      for (std::size_t i = 0; i < corpus.size(); ++i) {
-        distrib::wire::encode_delivery_v1(i, 3, corpus[i], frames[i]);
-      }
-    }
-    row.encode_ns = ns_since(start, ops);
-    std::uint64_t bytes = 0;
-    for (const auto& f : frames) {
-      bytes += f.size();
-    }
-    row.bytes_per_delivery =
-        static_cast<double>(bytes) / static_cast<double>(count);
-    row.frames = count;
-
-    std::uint64_t checksum = 0;
-    distrib::wire::Frame decoded;
-    start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      checksum = 0;
-      for (const auto& f : frames) {
-        DF_CHECK(distrib::wire::decode_frame_v1(f, decoded) ==
-                     DecodeStatus::kOk,
-                 "v1 decode failed");
-        checksum = fold(checksum, decoded.delivery);
-      }
-    }
-    row.decode_ns = ns_since(start, ops);
-    checksums.push_back(checksum);
-    rows.push_back(row);
-  }
 
   // --- v2_single: one frame per delivery, dense values ---------------------
   {
@@ -251,7 +214,7 @@ int main(int argc, char** argv) {
 
   support::Table table({"path", "encode_ns", "decode_ns", "bytes/delivery",
                         "frames"});
-  const double v1_bytes = rows.front().bytes_per_delivery;
+  const double single_bytes = rows.front().bytes_per_delivery;
   for (const Row& row : rows) {
     table.add_row({row.name, support::Table::num(row.encode_ns, 1),
                    support::Table::num(row.decode_ns, 1),
@@ -268,13 +231,12 @@ int main(int argc, char** argv) {
         .metric("decode_ns_per_delivery", row.decode_ns)
         .metric("bytes_per_delivery", row.bytes_per_delivery)
         .metric("frames", row.frames)
-        .metric("bytes_vs_v1", row.bytes_per_delivery / v1_bytes)
+        .metric("bytes_vs_single", row.bytes_per_delivery / single_bytes)
         .emit();
   }
   std::printf("%s", table.render().c_str());
   std::printf(
-      "expected shape: v2_single already shrinks bytes/delivery via dense "
-      "value tags; v2_batch amortizes the 21-byte header and the length "
+      "expected shape: v2_batch amortizes the 21-byte header and the length "
       "prefix over the whole batch and decodes through the streaming "
       "reader, so it should win both axes — that per-delivery delta times "
       "remote traffic is exactly the wire overhead bench_transport "

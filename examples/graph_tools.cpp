@@ -21,6 +21,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const auto machines = static_cast<std::size_t>(
+      flags.get("machines", std::uint64_t{2}));
+  const bool dot = flags.get("dot", false);
+  flags.reject_unused();
+
   const spec::ComputationSpec computation =
       spec::load_spec_file(flags.positional()[0]);
   const core::Program program = computation.to_program();
@@ -44,8 +49,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  const auto machines = static_cast<std::size_t>(
-      flags.get("machines", std::uint64_t{2}));
   if (machines > 1 && machines <= dag.vertex_count()) {
     const auto balanced = graph::partition_balanced(numbering, machines);
     const auto min_cut =
@@ -59,7 +62,7 @@ int main(int argc, char** argv) {
         mc.edge_cut, support::Table::num(mc.imbalance, 2).c_str());
   }
 
-  if (flags.get("dot", false)) {
+  if (dot) {
     std::printf("%s", graph::to_dot(dag, numbering).c_str());
   }
   return 0;

@@ -4,14 +4,13 @@
 //
 // Usage:
 //   run_spec <spec.xml> [--executor=engine|sequential|lockstep|eager|
-//            transport] [--phases=N] [--threads=K] [--shards=K]
-//            [--dispatch=central|steal] [--machines=K]
+//            transport] [--phases=N] [--threads=K] [--machines=K]
 //            [--channel=inproc|socket] [--verify] [--events=file.csv]
 //
-// --threads and --shards configure the worker pool: for --executor=engine
-// the single engine's thread count and scheduler shards, for
-// --executor=transport the per-partition engines' (two-level parallelism:
-// machines x threads workers in total).
+// --threads configures the worker pool: for --executor=engine the single
+// engine's thread count, for --executor=transport the per-partition
+// engines' (two-level parallelism: machines x threads workers in total).
+// Unknown flags are rejected with exit status 2.
 //
 // With --verify, the run is repeated on the sequential reference and the
 // sink streams are compared (serializability check). With --events, the
@@ -39,8 +38,8 @@ int main(int argc, char** argv) {
   if (flags.positional().empty()) {
     std::printf("usage: run_spec <spec.xml> [--executor=engine|sequential|"
                 "lockstep|eager|transport] [--phases=N] [--threads=K] "
-                "[--shards=K] [--dispatch=central|steal] [--machines=K] "
-                "[--channel=inproc|socket] [--verify]\n");
+                "[--machines=K] [--channel=inproc|socket] [--verify] "
+                "[--events=file.csv]\n");
     return 2;
   }
 
@@ -48,49 +47,37 @@ int main(int argc, char** argv) {
       spec::load_spec_file(flags.positional()[0]);
   const core::Program program = computation.to_program();
 
-  std::vector<std::vector<event::ExternalEvent>> batches;
   const std::string events_path = flags.get("events", std::string());
-  if (!events_path.empty()) {
-    batches = spec::assemble_batches(
-        spec::load_event_csv_file(events_path, program.dag));
-  }
-  const event::PhaseId phases =
-      !batches.empty()
-          ? batches.size()
-          : flags.get("phases", computation.simulation.timesteps);
   const std::size_t threads =
       flags.get("threads",
                 static_cast<std::uint64_t>(computation.simulation.threads));
-  const std::size_t shards = flags.get("shards", std::uint64_t{1});
   const std::string executor_name =
       flags.get("executor", std::string("engine"));
+  const std::size_t machines = flags.get(
+      "machines", static_cast<std::uint64_t>(computation.simulation.machines));
+  const std::string channel = flags.get("channel", std::string("inproc"));
+  const bool verify = flags.get("verify", false);
+  const event::PhaseId phases_flag =
+      flags.get("phases", computation.simulation.timesteps);
+  flags.reject_unused();
   // Reject nonsense parallelism up front rather than silently falling back
   // to a default: a benchmark script passing --threads=0 should fail loud.
   if (threads == 0) {
     std::printf("--threads must be >= 1\n");
     return 2;
   }
-  if (shards == 0) {
-    std::printf("--shards must be >= 1\n");
-    return 2;
+
+  std::vector<std::vector<event::ExternalEvent>> batches;
+  if (!events_path.empty()) {
+    batches = spec::assemble_batches(
+        spec::load_event_csv_file(events_path, program.dag));
   }
-  const std::string dispatch_name =
-      flags.get("dispatch", std::string("central"));
-  if (dispatch_name != "central" && dispatch_name != "steal") {
-    std::printf("unknown dispatch '%s' (expected central|steal)\n",
-                dispatch_name.c_str());
-    return 2;
-  }
-  const auto dispatch = dispatch_name == "steal"
-                            ? core::EngineOptions::Dispatch::kWorkStealing
-                            : core::EngineOptions::Dispatch::kCentral;
+  const event::PhaseId phases = !batches.empty() ? batches.size() : phases_flag;
 
   std::unique_ptr<core::Executor> executor;
   if (executor_name == "engine") {
     core::EngineOptions options;
     options.threads = threads;
-    options.scheduler_shards = shards;
-    options.dispatch = dispatch;
     options.max_inflight_phases = computation.simulation.max_inflight_phases;
     executor = std::make_unique<core::Engine>(program, options);
   } else if (executor_name == "sequential") {
@@ -101,16 +88,11 @@ int main(int argc, char** argv) {
     executor = std::make_unique<baseline::EagerExecutor>(program);
   } else if (executor_name == "transport") {
     distrib::TransportOptions options;
-    options.machines = flags.get(
-        "machines",
-        static_cast<std::uint64_t>(computation.simulation.machines));
+    options.machines = machines;
     // Two-level parallelism: every partition block runs the full worker
-    // pool, so --threads/--shards configure each per-block engine.
+    // pool, so --threads configures each per-block engine.
     options.engine_threads = threads;
-    options.scheduler_shards = shards;
-    options.dispatch = dispatch;
     options.max_inflight_phases = computation.simulation.max_inflight_phases;
-    const std::string channel = flags.get("channel", std::string("inproc"));
     if (channel == "socket") {
       options.channel = distrib::ChannelKind::kSocket;
     } else if (channel == "inproc") {
@@ -143,7 +125,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n",
               trace::render_stats(executor_name, executor->stats()).c_str());
 
-  if (flags.get("verify", false)) {
+  if (verify) {
     baseline::SequentialExecutor reference(program);
     core::VectorFeed reference_feed(batches);
     reference.run(phases, batches.empty() ? nullptr : &reference_feed);

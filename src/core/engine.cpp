@@ -64,24 +64,6 @@ Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
                      ? options_.block->sinks
                      : &sinks_;
   DF_CHECK(options_.threads >= 1, "engine needs at least one worker thread");
-  DF_CHECK(options_.scheduler_shards >= 1,
-           "engine needs at least one scheduler shard");
-  // Sharded scheduler opt-in (see EngineOptions::scheduler_shards). An
-  // observer needs one snapshot per transition, which only the flat
-  // per-pair path provides. In block mode the shards sub-partition the
-  // block's local index range, not the whole program.
-  const std::size_t shards =
-      std::min<std::size_t>(options_.scheduler_shards, scheduler_.n());
-  if (shards > 1 && options_.observer == nullptr) {
-    sharded_window_ = options_.max_inflight_phases == 0
-                          ? 64
-                          : options_.max_inflight_phases;
-    sharded_ = std::make_unique<ShardedScheduler>(
-        plan.m,
-        graph::make_shard_map(graph::partition_balanced_range(
-            static_cast<std::uint32_t>(scheduler_.n()), shards)),
-        sharded_window_, plan.signal_sources);
-  }
 }
 
 Engine::~Engine() {
@@ -103,14 +85,6 @@ Engine::~Engine() {
     // finishes left in the rings are simply destroyed with the engine.
     abandoning_.store(true, std::memory_order_release);
     run_queue_.close();
-    if (steal_ != nullptr) {
-      // Same ordering contract as the central close: the abandoning_ store
-      // above precedes the dispatch's closed/inbox-closed stores, so any
-      // worker that observes a rejected push also observes abandoning_.
-      // Ready pairs stranded in inboxes are destroyed with the engine,
-      // like the staged finishes left in the rings.
-      steal_->close();
-    }
     for (auto& worker : workers_) {
       worker.join();
     }
@@ -122,30 +96,6 @@ void Engine::start() {
     return;
   }
   started_ = true;
-  if (options_.dispatch == EngineOptions::Dispatch::kWorkStealing) {
-    // Work-stealing dispatch (PR 9): per-worker deques replace the central
-    // run queue for both scheduler paths (flat staged rings and sharded).
-    // Constructed before any worker exists, so workers only ever see a
-    // fully-built lane array.
-    steal_ = std::make_unique<StealDispatch<Scheduler::ReadyPair>>(
-        options_.threads, options_.steal_deque_capacity,
-        options_.dispatch_chunk);
-  }
-  if (sharded_ != nullptr) {
-    // Sharded mode: per-shard locks replace the global-lock staging
-    // protocol, so the flat scheduler and the staging rings stay unused.
-    sharded_->reserve_steady_state(
-        std::min<std::size_t>(2 * sharded_->n(), 65536));
-    drain_batch_target_ =
-        options_.drain_batch_target != 0
-            ? options_.drain_batch_target
-            : std::min<std::size_t>(16, 2 * options_.threads);
-    workers_.reserve(options_.threads);
-    for (std::size_t i = 0; i < options_.threads; ++i) {
-      workers_.emplace_back([this, i] { worker_main_sharded(i); });
-    }
-    return;
-  }
   // Warm the scheduler's flat structures to the run's expected footprint so
   // the locked bookkeeping path is allocation-free from the first phase
   // (unbounded windows get a representative depth; the structures still
@@ -164,14 +114,8 @@ void Engine::start() {
   // Staging pays off by amortizing lock traffic across workers; with a
   // single worker there is nothing to contend with, and a per-transition
   // observer needs the per-pair path for its snapshots.
-  use_staging_ = options_.staged_deliveries && options_.threads > 1 &&
-                 options_.observer == nullptr;
-  // Default batch target: a couple of pairs per worker, capped so drain
-  // latency stays small relative to the window's refill rate.
-  drain_batch_target_ =
-      options_.drain_batch_target != 0
-          ? options_.drain_batch_target
-          : std::min<std::size_t>(16, 2 * options_.threads);
+  use_staging_ = options_.threads > 1 && options_.observer == nullptr;
+  drain_threshold_ = std::min<std::size_t>(16, 2 * options_.threads);
   if (use_staging_) {
     const std::size_t capacity = std::bit_ceil(
         std::max<std::size_t>(2, options_.staging_ring_capacity));
@@ -271,46 +215,18 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
   // Starting a phase can also *complete* it (block mode: an empty block,
   // or a phase whose in-block work is finished by the injected deliveries
   // alone — e.g. sink-only blocks with no local sources). Both scheduler
-  // overloads then retire inside the start call, so this is a completion
-  // site like the apply paths: notify under the lock, fire the completion
-  // hook after releasing it.
+  // overloads then retire inside the start call, so this is a retire site
+  // like the apply paths.
   event::PhaseId completed_now = 0;
-  if (sharded_ != nullptr) {
-    {
-      conc::UniqueLock lock(mutex_);
-      // Backpressure: collectors notify progress_cv_ under mutex_ whenever
-      // a retirement shrinks the window (active_phase_count is an atomic
-      // updated before that notify, so the predicate cannot miss it). The
-      // lambda reads no mutex_-guarded fields, so it is analysis-safe.
-      progress_cv_.wait(lock, [this] {
-        return sharded_->active_phase_count() < sharded_window_;
-      });
-      const event::PhaseId p = sharded_->pmax() + 1;
-      if (sharded_->start_phase(p, std::span<event::InputBundle>(bundles),
-                                injected, env_ready_)) {
-        completed_now = sharded_->completed_through();
-        progress_cv_.notify_all();
-      }
-      max_inflight_ = std::max<std::uint64_t>(
-          max_inflight_, sharded_->active_phase_count());
-    }
-    // Feed the workers before the completion hook: the hook may block on a
-    // channel send and must not starve the pool of the pairs just issued.
-    enqueue_ready(env_ready_, kEnvProducer);
-    if (completed_now != 0 && options_.on_phase_complete) {
-      options_.on_phase_complete(completed_now);
-    }
-    return;
-  }
   {
     conc::UniqueLock lock(mutex_);
     // Backpressure wait. Every transition that shrinks the window is a
     // phase retirement inside retire_completed(), which always advances
-    // completed_through — and both apply paths (per-pair and batched
-    // drain) notify progress_cv_ exactly when that happens, so this wait
-    // cannot miss a shrink even with max_inflight_phases == 1. Written as
-    // an explicit loop (not a wait-with-predicate lambda) because the
-    // predicate reads the mutex_-guarded scheduler_.
+    // completed_through — and retire() notifies progress_cv_ exactly when
+    // that happens, so this wait cannot miss a shrink even with
+    // max_inflight_phases == 1. Written as an explicit loop (not a
+    // wait-with-predicate lambda) because the predicate reads the
+    // mutex_-guarded scheduler_.
     while (!(options_.max_inflight_phases == 0 ||
              scheduler_.active_phase_count() < options_.max_inflight_phases)) {
       progress_cv_.wait(lock);
@@ -321,7 +237,6 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
                            env_ready_);
     if (scheduler_.completed_through() != completed_before) {
       completed_now = scheduler_.completed_through();
-      progress_cv_.notify_all();
     }
     max_inflight_ = std::max<std::uint64_t>(max_inflight_,
                                             scheduler_.active_phase_count());
@@ -331,10 +246,7 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
           scheduler_.snapshot());
     }
   }
-  enqueue_ready(env_ready_, kEnvProducer);
-  if (completed_now != 0 && options_.on_phase_complete) {
-    options_.on_phase_complete(completed_now);
-  }
+  retire(env_ready_, completed_now);
 }
 
 void Engine::finish() {
@@ -344,19 +256,12 @@ void Engine::finish() {
   }
   {
     conc::UniqueLock lock(mutex_);
-    // Explicit loop: the flat-path predicate reads the guarded scheduler_.
-    while (!(sharded_ != nullptr ? sharded_->all_started_phases_complete()
-                                 : scheduler_.all_started_phases_complete())) {
+    // Explicit loop: the predicate reads the guarded scheduler_.
+    while (!scheduler_.all_started_phases_complete()) {
       progress_cv_.wait(lock);
     }
   }
   run_queue_.close();
-  if (steal_ != nullptr) {
-    // Every started phase has completed, so no ready pair exists anywhere
-    // (an issued-but-unfinished pair keeps its phase active) and no worker
-    // can be mid-push — closing cannot reject live work here.
-    steal_->close();
-  }
   for (auto& worker : workers_) {
     worker.join();
   }
@@ -394,19 +299,16 @@ constexpr std::uint32_t kEngineImageVersion = 1;
 void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
   conc::UniqueLock lock(mutex_);
-  // Explicit loop: the flat-path predicate reads the guarded scheduler_.
-  // Workers apply everything staged before blocking on an empty dispatcher
-  // (the pre-block hook), so completion of the last started phase is always
+  // Explicit loop: the predicate reads the guarded scheduler_. Workers
+  // apply everything staged before blocking on an empty run queue (the
+  // pre-block hook), so completion of the last started phase is always
   // reached and notified without caller involvement.
-  while (!(sharded_ != nullptr ? sharded_->all_started_phases_complete()
-                               : scheduler_.all_started_phases_complete())) {
+  while (!scheduler_.all_started_phases_complete()) {
     progress_cv_.wait(lock);
   }
 }
 
 std::vector<std::uint8_t> Engine::snapshot_state() {
-  DF_CHECK(sharded_ == nullptr,
-           "snapshot_state supports the flat scheduler only");
   DF_CHECK(started_ && !finished_, "snapshot_state outside start()/finish()");
   auto ar = support::StateArchive::saver();
   std::uint32_t magic = kEngineImageMagic;
@@ -440,8 +342,6 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
 }
 
 void Engine::restore_state(const std::vector<std::uint8_t>& image) {
-  DF_CHECK(sharded_ == nullptr,
-           "restore_state supports the flat scheduler only");
   DF_CHECK(started_ && !finished_,
            "restore_state requires a started engine (before any phase)");
   auto ar = support::StateArchive::loader(open_image(image, "engine"));
@@ -481,71 +381,74 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
 }
 
 event::PhaseId Engine::completed_phases() const {
-  if (sharded_ != nullptr) {
-    return sharded_->completed_through();
-  }
   conc::MutexLock lock(mutex_);
   return scheduler_.completed_through();
 }
 
-void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
-                           std::size_t producer) {
+void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready) {
   if (ready.empty()) {
     return;
   }
-  // Central: one lock acquisition and a bounded number of wakeups for the
-  // whole batch, instead of a push per pair. Stealing: the producing
-  // worker keeps its first chunk in its own deque (no lock, cache-warm)
-  // and the rest goes round-robin into other lanes, one targeted unpark
-  // per chunk.
-  const bool accepted = steal_ != nullptr
-                            ? steal_->push_batch(ready, producer)
-                            : run_queue_.push_all(ready);
+  // One lock acquisition and a bounded number of wakeups for the whole
+  // batch, instead of a push per pair.
+  const bool accepted = run_queue_.push_all(ready);
   DF_CHECK(accepted || abandoning_.load(std::memory_order_acquire),
            "run queue closed while work was outstanding");
   ready.clear();
 }
 
-void Engine::apply_finish_locked(Scheduler::StagedFinish& staged,
-                                 std::vector<Scheduler::ReadyPair>& ready) {
-  event::PhaseId completed_now = 0;
-  {
-    conc::MutexLock lock(mutex_);
-    const event::PhaseId completed_before = scheduler_.completed_through();
-    scheduler_.finish_execution(
-        staged.vertex, staged.phase,
-        std::span<Scheduler::Delivery>(staged.deliveries),
-        std::move(staged.recycled), ready);
-    if (options_.sample_inflight) {
-      const std::uint64_t active = scheduler_.active_phase_count();
-      inflight_.add(active);
-      inflight_sum_ += active;
-      ++inflight_samples_;
-    }
-    if (options_.observer != nullptr) {
-      options_.observer->on_transition(
-          SchedulerObserver::Transition::kPairFinished, staged.vertex,
-          staged.phase, scheduler_.snapshot());
-    }
-    if (scheduler_.completed_through() != completed_before) {
-      // Phase retirement is the only transition that shrinks the in-flight
-      // window (retire_completed always advances completed_through when it
-      // drops a slot), so this one notify covers both waiters on
-      // progress_cv_: finish() waiting for all phases and start_phase
-      // waiting for window room — including the max_inflight_phases == 1
-      // case, where every retirement must wake the environment.
-      progress_cv_.notify_all();
-      completed_now = scheduler_.completed_through();
-    }
+void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
+                    event::PhaseId completed_now) {
+  if (completed_now != 0) {
+    // Phase retirement is the only transition that shrinks the in-flight
+    // window (retire_completed always advances completed_through when it
+    // drops a slot), so this one notify covers every progress_cv_ waiter:
+    // finish()/quiesce() waiting for all phases and start_phase waiting
+    // for window room — including the max_inflight_phases == 1 case, where
+    // every retirement must wake the environment. Notifying after the
+    // transition's lock release cannot lose the wakeup: the waiters test
+    // their predicates under mutex_, and the transition changed the state
+    // under mutex_ before this call.
+    progress_cv_.notify_all();
   }
-  // Completion hook outside the lock: it may block (channel send), and it
-  // must never be able to deadlock against engine-internal waiters.
+  enqueue_ready(ready);
+  // Completion hook outside every engine lock: it may block (channel send),
+  // and it must never be able to deadlock against engine-internal waiters.
+  // A drainer still holds draining_ here, so a blocking hook stalls
+  // threshold-1 drain volunteers in their yield loop — a bounded stall,
+  // not a deadlock: the hook's channel send completes once the downstream
+  // machine drains its ingress, which needs no progress from this engine
+  // (see DESIGN.md, "Two-level parallelism").
   if (completed_now != 0 && options_.on_phase_complete) {
     options_.on_phase_complete(completed_now);
   }
 }
 
-std::size_t Engine::drain_staged(std::size_t worker) {
+event::PhaseId Engine::apply_finish_locked(
+    Scheduler::StagedFinish& staged, std::vector<Scheduler::ReadyPair>& ready) {
+  conc::MutexLock lock(mutex_);
+  const event::PhaseId completed_before = scheduler_.completed_through();
+  scheduler_.finish_execution(
+      staged.vertex, staged.phase,
+      std::span<Scheduler::Delivery>(staged.deliveries),
+      std::move(staged.recycled), ready);
+  if (options_.sample_inflight) {
+    const std::uint64_t active = scheduler_.active_phase_count();
+    inflight_.add(active);
+    inflight_sum_ += active;
+    ++inflight_samples_;
+  }
+  if (options_.observer != nullptr) {
+    options_.observer->on_transition(
+        SchedulerObserver::Transition::kPairFinished, staged.vertex,
+        staged.phase, scheduler_.snapshot());
+  }
+  return scheduler_.completed_through() != completed_before
+             ? scheduler_.completed_through()
+             : 0;
+}
+
+std::size_t Engine::drain_staged() {
   // Ring consumption happens outside the global lock (we are the exclusive
   // consumer while holding draining_); only the batch application below
   // takes it, and the moved-from staged shells are destroyed after release.
@@ -579,26 +482,16 @@ std::size_t Engine::drain_staged(std::size_t worker) {
       inflight_samples_ += drain_batch_.size();
     }
     if (scheduler_.completed_through() != completed_before) {
-      progress_cv_.notify_all();  // window shrank and/or finish() satisfied
       completed_now = scheduler_.completed_through();
     }
   }
   const std::size_t drained = drain_batch_.size();
   staged_pending_.fetch_sub(drained);
-  enqueue_ready(drain_ready_, worker);
-  // Completion hook after the pairs are enqueued, outside mutex_. We still
-  // hold draining_ here, so a blocking hook stalls threshold-1 drain
-  // volunteers in their yield loop — a bounded stall, not a deadlock: the
-  // hook's channel send completes once the downstream machine drains its
-  // ingress, which needs no progress from this engine (see DESIGN.md,
-  // "Two-level parallelism").
-  if (completed_now != 0 && options_.on_phase_complete) {
-    options_.on_phase_complete(completed_now);
-  }
+  retire(drain_ready_, completed_now);
   return drained;
 }
 
-void Engine::maybe_drain(std::size_t threshold, std::size_t worker) {
+void Engine::maybe_drain(std::size_t threshold) {
   for (;;) {
     if (staged_pending_.load() < threshold) {
       return;
@@ -621,7 +514,7 @@ void Engine::maybe_drain(std::size_t threshold, std::size_t worker) {
     // We hold the drain. An entry counted in staged_pending_ may not be
     // ring-visible for a moment (the producer increments before pushing);
     // the outer loop simply tries again until the counter agrees.
-    const std::size_t drained = drain_staged(worker);
+    const std::size_t drained = drain_staged();
     draining_.store(false);
     // Re-check after release: an entry staged after our ring sweep whose
     // owner lost the exchange above must not be stranded.
@@ -669,21 +562,20 @@ void Engine::worker_main(std::size_t worker_index) {
   std::vector<Scheduler::ReadyPair> ready;
   conc::SpscRing<Scheduler::StagedFinish>* ring =
       use_staging_ ? staging_[worker_index].get() : nullptr;
-  // Pre-block hook, shared by both dispatch modes: about to block (or
-  // park), apply everything pending first (threshold 1), so no staged
-  // finish — possibly the one that completes a phase or readies the only
-  // runnable pair — waits on a batch that will never fill. This is what
-  // makes the lazy batch target below safe. The drain may enqueue fresh
-  // ready pairs; both dispatchers re-check for work after the hook.
-  const auto pre_block = [this, ring, worker_index] {
+  // Pre-block hook: about to block, apply everything pending first
+  // (threshold 1), so no staged finish — possibly the one that completes a
+  // phase or readies the only runnable pair — waits on a batch that will
+  // never fill. This is what makes the lazy batch target below safe. The
+  // drain may enqueue fresh ready pairs; the queue re-checks for work
+  // after the hook.
+  const auto pre_block = [this, ring] {
     if (ring != nullptr) {
-      maybe_drain(1, worker_index);
+      maybe_drain(1);
     }
   };
   for (;;) {
     std::optional<Scheduler::ReadyPair> item =
-        steal_ != nullptr ? steal_->acquire(worker_index, pre_block)
-                          : run_queue_.pop_with_preblock(pre_block);
+        run_queue_.pop_with_preblock(pre_block);
     if (!item.has_value()) {
       break;  // closed and drained
     }
@@ -722,163 +614,22 @@ void Engine::worker_main(std::size_t worker_index) {
     Scheduler::StagedFinish staged{item->vertex, item->phase,
                                    std::move(result.deliveries),
                                    std::move(item->bundle)};
+    bool staged_ok = false;
     if (ring != nullptr) {
       // Count first, push second: a drainer that sees the count but not
       // yet the entry spins, whereas the reverse order could let a drain
       // consume an uncounted entry and underflow the counter.
       staged_pending_.fetch_add(1);
-      if (ring->try_push(staged)) {
-        maybe_drain(drain_batch_target_, worker_index);
-      } else {
-        // Ring full: roll the count back and apply this one directly.
-        staged_pending_.fetch_sub(1);
-        ready.clear();
-        apply_finish_locked(staged, ready);
-        enqueue_ready(ready, worker_index);
+      staged_ok = ring->try_push(staged);
+      if (!staged_ok) {
+        staged_pending_.fetch_sub(1);  // ring full: apply this one directly
       }
+    }
+    if (staged_ok) {
+      maybe_drain(drain_threshold_);
     } else {
       ready.clear();
-      apply_finish_locked(staged, ready);
-      enqueue_ready(ready, worker_index);
-    }
-    bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
-    executed_pairs_.add(1);
-  }
-}
-
-void Engine::flush_applies(std::vector<Scheduler::StagedFinish>& local) {
-  if (local.empty()) {
-    return;
-  }
-  sharded_->apply_finish_batch(std::span<Scheduler::StagedFinish>(local));
-  const std::size_t applied = local.size();
-  local.clear();
-  // Count only after the apply completed: a collector that reads the
-  // counter and then collects is guaranteed to cover every counted finish
-  // (the shard locks order the apply before the collect's scan).
-  apply_dirty_.fetch_add(applied);
-}
-
-void Engine::maybe_collect(std::size_t threshold,
-                           std::size_t worker) {
-  for (;;) {
-    if (apply_dirty_.load() < threshold) {
-      return;
-    }
-    if (collecting_.exchange(true)) {
-      // Someone else is collecting. A lazy (batch-target) caller can
-      // leave: the holder re-checks apply_dirty_ after releasing, and our
-      // increment is ordered before this failed exchange. A must-collect
-      // caller (threshold 1, about to block on the run queue) waits for
-      // the flag and mops up the residue itself, exactly like
-      // maybe_drain's threshold-1 discipline.
-      if (threshold > 1) {
-        return;
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    const std::size_t observed = apply_dirty_.load();
-    collect_ready_.clear();
-    const bool retired = sharded_->collect(collect_ready_);
-    const event::PhaseId completed_now =
-        retired ? sharded_->completed_through() : 0;
-    if (options_.sample_inflight || retired) {
-      conc::MutexLock lock(mutex_);
-      if (options_.sample_inflight) {
-        // One sample per covered finish, at the post-collect state (same
-        // weighting as the staged drain path).
-        const std::uint64_t active = sharded_->active_phase_count();
-        for (std::size_t i = 0; i < observed; ++i) {
-          inflight_.add(active);
-          inflight_sum_ += active;
-        }
-        inflight_samples_ += observed;
-      }
-      if (retired) {
-        // Retirement shrinks the window and may satisfy finish(); taking
-        // mutex_ around the notify pairs with both waiters' predicate
-        // checks so the wakeup cannot be lost.
-        progress_cv_.notify_all();
-      }
-    }
-    apply_dirty_.fetch_sub(observed);
-    enqueue_ready(collect_ready_, worker);
-    collecting_.store(false);
-    // Completion hook after releasing collecting_, so a blocking hook
-    // never stalls other collect volunteers. Concurrent collectors may
-    // therefore fire out of order (the options_ doc warns consumers);
-    // completed_through itself is monotone.
-    if (completed_now != 0 && options_.on_phase_complete) {
-      options_.on_phase_complete(completed_now);
-    }
-    // Loop: re-check for applies that landed after our scan whose owners
-    // lost the exchange above.
-  }
-}
-
-void Engine::worker_main_sharded(std::size_t worker_index) {
-  // Sharded drain protocol (DESIGN.md, "Sharded scheduler"): execute
-  // outside every lock, batch the finish records locally, apply them
-  // under per-shard locks (stage 1 — parallel across disjoint graph
-  // regions), and volunteer to collect (stage 2 — one collector at a
-  // time composes the frontier and issues ready pairs). Before blocking
-  // on an empty run queue a worker must flush its private batch and run a
-  // threshold-1 collect, so no finish — possibly the one completing a
-  // phase — waits on a batch that never fills.
-  //
-  // The execute/record section deliberately mirrors worker_main rather
-  // than sharing a helper: the shards=1 configuration must keep the PR 3
-  // flat code paths exactly as they are, so changes to the shared-looking
-  // middle (error capture, sink recording, stats) must be made in both
-  // loops knowingly.
-  std::vector<Scheduler::StagedFinish> local;
-  local.reserve(drain_batch_target_);
-  // Pre-block hook (see worker_main): flush the private batch and run a
-  // threshold-1 collect before the dispatcher may put this worker to
-  // sleep; the collect can enqueue fresh ready pairs, which both
-  // dispatchers re-check for after the hook.
-  const auto pre_block = [this, &local, worker_index] {
-    flush_applies(local);
-    maybe_collect(1, worker_index);
-  };
-  for (;;) {
-    std::optional<Scheduler::ReadyPair> item =
-        steal_ != nullptr ? steal_->acquire(worker_index, pre_block)
-                          : run_queue_.pop_with_preblock(pre_block);
-    if (!item.has_value()) {
-      break;  // closed and drained
-    }
-    support::Stopwatch compute_timer;
-    ExecutionResult result;
-    try {
-      // Global-index execution against the local-index scheduler, exactly
-      // as in worker_main above.
-      result = execute_vertex(instance_, item->vertex + offset_, item->phase,
-                              item->bundle);
-    } catch (...) {
-      conc::MutexLock lock(mutex_);
-      if (first_error_ == nullptr) {
-        first_error_ = std::current_exception();
-      }
-      result = ExecutionResult{};
-    }
-    compute_ns_.add(compute_timer.elapsed_ns());
-
-    if (!result.sink_records.empty()) {
-      sink_records_.add(result.sink_records.size());
-      sink_target_->record_batch(std::move(result.sink_records));
-    }
-    messages_delivered_.add(result.deliveries.size());
-
-    support::Stopwatch bookkeeping_timer;
-    route_deliveries(result.deliveries, item->phase);
-    local.push_back(Scheduler::StagedFinish{item->vertex, item->phase,
-                                            std::move(result.deliveries),
-                                            std::move(item->bundle)});
-    if (local.size() >= drain_batch_target_) {
-      flush_applies(local);
-      maybe_collect(drain_batch_target_, worker_index);
+      retire(ready, apply_finish_locked(staged, ready));
     }
     bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
     executed_pairs_.add(1);
@@ -893,17 +644,9 @@ ExecStats Engine::stats() const {
   stats.compute_ns = compute_ns_.value();
   stats.bookkeeping_ns = bookkeeping_ns_.value();
   stats.wall_seconds = wall_seconds_;
-  if (steal_ != nullptr) {
-    const auto counters = steal_->counters();
-    stats.steals_ok = counters.steals_ok;
-    stats.steals_empty = counters.steals_empty;
-    stats.parks = counters.parks;
-  }
   {
     conc::MutexLock lock(mutex_);
-    stats.phases_completed = sharded_ != nullptr
-                                 ? sharded_->completed_through()
-                                 : scheduler_.completed_through();
+    stats.phases_completed = scheduler_.completed_through();
     stats.max_inflight_phases = max_inflight_;
     stats.mean_inflight_phases =
         inflight_samples_ == 0

@@ -26,7 +26,9 @@
 //     staging ring and one drainer at a time (whoever wins the `draining_`
 //     flag) applies whole batches with a single frontier/promotion/collect
 //     pass, shrinking both the number of lock acquisitions and the work
-//     done per acquisition (DESIGN.md, "Staged delivery rings").
+//     done per acquisition (DESIGN.md, "Staged delivery rings"). A single
+//     worker, a per-transition observer, and a full staging ring use the
+//     Listing 1 per-pair apply instead; the engine picks it on its own.
 #pragma once
 
 #include <atomic>
@@ -42,12 +44,10 @@
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
 #include "concurrency/spsc_ring.hpp"
-#include "core/dispatch.hpp"
 #include "core/executor.hpp"
 #include "core/observer.hpp"
 #include "core/program.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "core/sink_store.hpp"
 #include "support/histogram.hpp"
 
@@ -65,70 +65,19 @@ struct EngineOptions {
   /// When true, records a histogram of in-flight phase counts sampled at
   /// every pair completion (the Figure 1 pipelining measurement).
   bool sample_inflight = false;
-  /// When true (default) and more than one worker runs, finished pairs are
-  /// staged in per-worker SPSC rings and applied to the scheduler in
-  /// batches by a single drainer; false forces the lock-per-pair path. An
-  /// observer also forces the per-pair path (it needs a snapshot per
-  /// transition).
-  bool staged_deliveries = true;
   /// Per-worker staging-ring capacity; rounded up to a power of two. A
   /// full ring never blocks a worker — it falls back to applying that pair
   /// directly under the lock.
   std::size_t staging_ring_capacity = 256;
-  /// Staged finishes accumulate until this many are pending before anyone
-  /// volunteers to drain, so each drain amortizes its lock acquisition and
-  /// frontier pass over a real batch. Liveness does not depend on the
-  /// target: a worker always drains everything pending before it would
-  /// block on an empty run queue. 0 picks a default from the thread count.
-  /// In sharded mode the same target paces both the local apply flush and
-  /// the collect volunteer threshold.
-  std::size_t drain_batch_target = 0;
-  /// Number of partition-aligned scheduler shards. 1 (default) keeps the
-  /// flat scheduler with the PR 3 staged-ring drain — the exact legacy
-  /// code paths, byte-for-byte. Values > 1 opt in to the sharded
-  /// scheduler (core/sharded_scheduler.hpp): finished pairs are applied
-  /// under per-shard locks (stage 1, parallel across disjoint graph
-  /// regions) and one collector at a time composes the frontier and
-  /// issues ready pairs (stage 2). Clamped to the vertex count. A
-  /// per-transition observer forces the flat path (it needs a snapshot
-  /// per transition). With max_inflight_phases == 0 the sharded
-  /// scheduler's finite slot ring bounds the window at 64.
-  std::size_t scheduler_shards = 1;
-
-  /// Run-queue dispatch mode. kCentral (default) keeps the single blocking
-  /// MPMC run queue — one mutex+condvar shared by every worker.
-  /// kWorkStealing replaces it with per-worker bounded Chase–Lev deques:
-  /// ready batches are distributed round-robin in chunks (the producing
-  /// worker keeps its first chunk — cache-warm pairs stay local), idle
-  /// workers steal from the top of other workers' deques, overflow spills
-  /// to a shared injector, and an idle worker spins adaptively before
-  /// parking on a per-worker parker that producers wake individually
-  /// (DESIGN.md, "Work-stealing dispatch"). Central stays the default
-  /// until the multicore crossover is recorded — the same opt-in playbook
-  /// as scheduler_shards. Composes with both the flat (staged rings) and
-  /// sharded scheduler paths; the observer and threads=1 configurations
-  /// are unaffected by the default.
-  enum class Dispatch { kCentral, kWorkStealing };
-  Dispatch dispatch = Dispatch::kCentral;
-  /// Stealing mode: per-worker deque capacity, rounded up to a power of
-  /// two. A full deque never blocks or drops — the remainder of the batch
-  /// spills to the mutex-protected global injector.
-  std::size_t steal_deque_capacity = 256;
-  /// Stealing mode: chunk size for distributing one ready batch over the
-  /// worker deques. 0 (default) picks ceil(batch / threads), so one batch
-  /// wakes at most min(batch, threads) workers — never more wakeups than
-  /// items.
-  std::size_t dispatch_chunk = 0;
 
   /// Restricts the engine to one contiguous block [begin, end] of the
   /// program's satisfactory numbering (the transport's two-level mode: a
   /// full worker pool inside every partition block). The engine still
   /// instantiates the complete ProgramInstance — module state and rng
   /// streams fork by *global* internal index, bit-identical to the
-  /// sequential reference — but schedules only the block: its Scheduler /
-  /// ShardedScheduler tables, bitsets and FIFOs are sized and indexed to
-  /// local indices 1..B (B = end - begin + 1) via graph::block_local_m,
-  /// and scheduler_shards sub-partition the *block*, not the program.
+  /// sequential reference — but schedules only the block: its Scheduler
+  /// tables, bitsets and FIFOs are sized and indexed to local indices
+  /// 1..B (B = end - begin + 1) via graph::block_local_m.
   ///
   /// Seam contracts:
   ///  * deliveries an executed pair addresses beyond `end` are handed to
@@ -200,8 +149,7 @@ class Engine final : public Executor {
   event::PhaseId completed_phases() const;
 
   // Checkpointing (crash-restart recovery; DESIGN.md "Crash-restart
-  // recovery"). Flat-scheduler path only — the sharded scheduler
-  // DF_CHECK-rejects.
+  // recovery").
   /// Blocks until every started phase has completed and every staged finish
   /// has been applied (workers drain their rings before blocking, so this
   /// needs no help from the caller). The engine stays running; this is the
@@ -234,25 +182,13 @@ class Engine final : public Executor {
 
  private:
   void worker_main(std::size_t worker_index);
-  /// Worker loop for sharded mode (scheduler_shards > 1): execute, batch
-  /// finishes locally, apply under shard locks, volunteer to collect.
-  void worker_main_sharded(std::size_t worker_index);
-  /// Applies the worker's local batch to the sharded scheduler (stage 1)
-  /// and publishes the count for collect pacing. Clears `local`.
-  void flush_applies(std::vector<Scheduler::StagedFinish>& local);
-  /// Stage 2 volunteer: run a collect whenever at least `threshold`
-  /// applied finishes await one and nobody else holds the collecting
-  /// flag. Same liveness/stranding discipline as maybe_drain: threshold 1
-  /// callers (about to block) wait for the flag and mop up the residue;
-  /// the post-release re-check covers applies that landed after the
-  /// collector's pass. `worker` is the calling worker's dispatch lane
-  /// (ready pairs a collect issues are enqueued on its behalf).
-  void maybe_collect(std::size_t threshold, std::size_t worker);
-  /// Applies one finished pair under the global lock — the paper's
-  /// Listing 1 tail and the PR 1 hot path; still used when staging is off,
-  /// when a staging ring overflows, and for per-transition observers.
-  void apply_finish_locked(Scheduler::StagedFinish& staged,
-                           std::vector<Scheduler::ReadyPair>& ready);
+  /// Applies one finished pair under the global lock and appends the pairs
+  /// it readied to `ready` — the paper's Listing 1 tail. Used with a single
+  /// worker, with a per-transition observer, and when a staging ring is
+  /// full. Returns the transition's completed-through value for retire()
+  /// (0 if no phase retired).
+  event::PhaseId apply_finish_locked(Scheduler::StagedFinish& staged,
+                                     std::vector<Scheduler::ReadyPair>& ready);
   /// Staged path: drain whatever is visible in the staging rings whenever
   /// at least `threshold` entries are pending and nobody else holds the
   /// drain flag. The post-release re-check closes the classic stranding
@@ -260,22 +196,27 @@ class Engine final : public Executor {
   /// its ring and then lost the flag race is covered by the drainer's next
   /// staged_pending_ check. Threshold 1 = drain everything (the mandatory
   /// pre-block call); the batch target trades a little latency for one
-  /// frontier pass per batch. `worker` is the calling worker's dispatch
-  /// lane.
-  void maybe_drain(std::size_t threshold, std::size_t worker);
+  /// frontier pass per batch.
+  void maybe_drain(std::size_t threshold);
   /// One drain pass: pops every visible staged finish (ring consumer side,
   /// exclusive via draining_), applies the whole batch to the scheduler
-  /// under one short lock acquisition, then enqueues the issued pairs.
-  /// Returns the number of entries applied. Caller holds draining_.
-  std::size_t drain_staged(std::size_t worker);
-  /// Hands every pair to the dispatch layer and clears `ready` so the
-  /// caller can reuse the buffer. Central: one run-queue lock acquisition
-  /// for the whole batch. Stealing: chunks go round-robin into worker
-  /// lanes with one targeted unpark each, and the producing worker
-  /// (`producer` — kEnvProducer for the environment thread) keeps its
-  /// first chunk in its own deque.
-  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
-                     std::size_t producer);
+  /// under one short lock acquisition, then retires. Returns the number of
+  /// entries applied. Caller holds draining_.
+  std::size_t drain_staged();
+  /// The single phase-retire site, called outside every engine lock after
+  /// each scheduler transition (phase start, per-pair apply, batched
+  /// drain). `completed_now` is the transition's new completed-through
+  /// value, or 0 if it retired no phase. On a retirement it wakes the
+  /// progress_cv_ waiters (start_phase waiting for window room, finish()
+  /// and quiesce() waiting for completion); then it hands `ready` to the
+  /// workers and, last, fires on_phase_complete — after the enqueue, so a
+  /// hook blocked on a channel send never starves the pool of the pairs
+  /// just issued.
+  void retire(std::vector<Scheduler::ReadyPair>& ready,
+              event::PhaseId completed_now);
+  /// Hands every pair to the run queue with one lock acquisition and
+  /// clears `ready` so the caller can reuse the buffer.
+  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready);
   /// Shared tail of the start_phase overloads: `bundles` holds one
   /// pre-reserved bundle per signal source; `injected` carries block-mode
   /// remote deliveries already translated to local indices.
@@ -287,12 +228,12 @@ class Engine final : public Executor {
   /// (translated global -> local in place, compacted to the vector front)
   /// and egress ones (handed to the BlockScope::egress hook with their
   /// global index). No-op pass-through when no block scope is set. Called
-  /// from both worker loops outside any engine lock.
+  /// from the worker loop outside any engine lock.
   void route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
                         event::PhaseId phase);
 
   /// Scheduling geometry resolved from options before member construction:
-  /// the m-vector the schedulers index by (global or block-local), how many
+  /// the m-vector the scheduler indexes by (global or block-local), how many
   /// leading local indices are environment-signalled sources, and the
   /// local<->global index translation.
   struct BlockPlan {
@@ -307,26 +248,13 @@ class Engine final : public Executor {
 
   ProgramInstance instance_;
   EngineOptions options_;
-  /// The flat scheduler is passive: every call happens under mutex_ (the
-  /// paper's single global lock), which the annotation now enforces.
+  /// The scheduler is passive: every call happens under mutex_ (the
+  /// paper's single global lock), which the annotation enforces.
   Scheduler scheduler_ DF_GUARDED_BY(mutex_);
   SinkStore sinks_;
   std::uint32_t offset_ = 0;     // block mode: global == local + offset_
   std::uint32_t block_end_ = 0;  // block mode: last owned global index
   SinkStore* sink_target_ = nullptr;  // where workers record (usually own)
-
-  // Sharded mode (PR 4 tentpole; DESIGN.md "Sharded scheduler"). Non-null
-  // iff scheduler_shards > 1 resolved to the sharded path; the flat
-  // scheduler_ above then stays unused so the shards=1 configuration is
-  // untouched. apply_dirty_ counts finishes applied under shard locks but
-  // not yet covered by a collect; collecting_ serializes collectors the
-  // way draining_ serializes drainers. collect_ready_ is owned by the
-  // collecting_ holder.
-  std::unique_ptr<ShardedScheduler> sharded_;
-  std::size_t sharded_window_ = 0;  // backpressure bound == slot capacity
-  std::atomic<std::size_t> apply_dirty_{0};
-  std::atomic<bool> collecting_{false};
-  std::vector<Scheduler::ReadyPair> collect_ready_;
 
   // Environment-thread scratch (start_phase is called by one thread only):
   // reused across phases so steady-state phase starts stay allocation-light.
@@ -338,19 +266,6 @@ class Engine final : public Executor {
   mutable conc::Mutex mutex_;  // the paper's single global lock
   conc::CondVar progress_cv_;
   conc::BlockingQueue<Scheduler::ReadyPair> run_queue_;
-  /// Work-stealing dispatch (PR 9 tentpole; DESIGN.md "Work-stealing
-  /// dispatch"). Non-null iff options_.dispatch == kWorkStealing, resolved
-  /// in start(); run_queue_ then carries no traffic. Closed at exactly the
-  /// two sites that close run_queue_ (finish() and the abandoning
-  /// destructor), after the abandoning_ store — the same release/acquire
-  /// teardown argument applies: a worker observes a rejected push only
-  /// after an acquire of the dispatch's closed flag (or the inbox mutex),
-  /// which the closer's preceding abandoning_ store is ordered before.
-  std::unique_ptr<StealDispatch<Scheduler::ReadyPair>> steal_;
-  /// Producer id for enqueue_ready calls from the environment thread (it
-  /// owns no dispatch lane; every chunk it issues goes through inboxes).
-  static constexpr std::size_t kEnvProducer =
-      StealDispatch<Scheduler::ReadyPair>::kExternalProducer;
   std::vector<std::thread> workers_;
   bool started_ = false;
   bool finished_ = false;
@@ -363,16 +278,23 @@ class Engine final : public Executor {
   std::atomic<bool> abandoning_{false};
   std::exception_ptr first_error_ DF_GUARDED_BY(mutex_);
 
-  // Staged delivery rings (tentpole of PR 3; DESIGN.md "Staged delivery
-  // rings"). Worker i is the only producer of staging_[i]; the consumer
-  // side of every ring belongs to whoever holds draining_ (the flag
-  // exchange is the acquire/release handoff SpscRing requires).
+  // Staged delivery rings (DESIGN.md "Staged delivery rings"). Worker i is
+  // the only producer of staging_[i]; the consumer side of every ring
+  // belongs to whoever holds draining_ (the flag exchange is the
+  // acquire/release handoff SpscRing requires).
   // staged_pending_ counts entries staged but not yet applied; it is
   // incremented *before* the ring push so a drainer's pending check can
   // never miss an entry it might also fail to see in the ring (it spins
   // through the sub-nanosecond publication window instead of exiting).
-  bool use_staging_ = false;  // resolved from options in start()
-  std::size_t drain_batch_target_ = 1;  // resolved from options in start()
+  //
+  // Staged finishes accumulate until drain_threshold_ are pending before
+  // anyone volunteers to drain, so each drain amortizes its lock
+  // acquisition and frontier pass over a real batch: a couple of pairs per
+  // worker, capped so drain latency stays small relative to the window's
+  // refill rate. Liveness does not depend on it — a worker always drains
+  // everything pending before it would block on an empty run queue.
+  bool use_staging_ = false;         // resolved in start()
+  std::size_t drain_threshold_ = 1;  // resolved in start()
   std::vector<std::unique_ptr<conc::SpscRing<Scheduler::StagedFinish>>>
       staging_;
   std::atomic<std::size_t> staged_pending_{0};

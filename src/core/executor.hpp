@@ -76,11 +76,11 @@ struct ExecStats {
   std::uint64_t max_inflight_phases = 0;
   double mean_inflight_phases = 0.0;
   double wall_seconds = 0.0;
-  // Work-stealing dispatch counters (core::Engine with dispatch =
-  // kWorkStealing; all zero on the central path and other executors).
-  std::uint64_t steals_ok = 0;     // pairs taken from another worker's deque
-  std::uint64_t steals_empty = 0;  // full steal sweeps that found nothing
-  std::uint64_t parks = 0;         // times a worker slept after spinning
+  // Always 0: no executor steals or parks workers. Kept only because the
+  // benchmark of record (benchmark/suite.cpp) still reads both fields for
+  // its core.dispatch.* rows.
+  std::uint64_t steals_ok = 0;
+  std::uint64_t parks = 0;
 
   double pairs_per_second() const {
     return wall_seconds <= 0.0

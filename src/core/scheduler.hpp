@@ -207,8 +207,7 @@ class Scheduler {
 
  private:
   // BundlePool, VertexSchedState, the bundle-table sentinel and the bitset
-  // helpers are shared with the sharded scheduler; see
-  // core/scheduler_state.hpp for their documentation.
+  // helpers live in core/scheduler_state.hpp with their documentation.
 
   /// Per active phase state, flat. `pending` is partial ∪ full ∪ ready
   /// (vertices not yet finished for this phase) as a bitset; it drives the

@@ -1,9 +1,7 @@
-// State building blocks shared by the flat scheduler (core/scheduler.hpp)
-// and the partition-aligned sharded scheduler (core/sharded_scheduler.hpp):
-// the pooled InputBundle storage, the per-vertex full-phase FIFO, and the
-// bitset helpers. Extracted verbatim from the PR 1 flat scheduler so both
-// schedulers share one implementation of the allocation-free steady state
-// (see DESIGN.md, "Flat scheduler state").
+// State building blocks of the flat scheduler (core/scheduler.hpp): the
+// pooled InputBundle storage, the per-vertex full-phase FIFO, and the
+// bitset helpers behind its allocation-free steady state (see DESIGN.md,
+// "Flat scheduler state").
 #pragma once
 
 #include <cstdint>

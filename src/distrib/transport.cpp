@@ -743,9 +743,6 @@ void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
       std::max(total.phases_completed, gen.phases_completed);
   total.max_inflight_phases =
       std::max(total.max_inflight_phases, gen.max_inflight_phases);
-  total.steals_ok += gen.steals_ok;
-  total.steals_empty += gen.steals_empty;
-  total.parks += gen.parks;
 }
 
 }  // namespace
@@ -802,12 +799,8 @@ TransportEngine::TransportEngine(const core::Program& program,
   DF_CHECK(options_.machines >= 1, "transport needs at least one machine");
   DF_CHECK(options_.engine_threads >= 1,
            "transport needs at least one engine thread per block");
-  DF_CHECK(options_.scheduler_shards >= 1,
-           "transport needs at least one scheduler shard per block");
   DF_CHECK(options_.max_inflight_phases >= 1,
            "transport block engines need a finite phase window");
-  DF_CHECK(options_.checkpoint_every == 0 || options_.scheduler_shards == 1,
-           "checkpointing requires the flat scheduler (scheduler_shards = 1)");
   DF_CHECK(!options_.crash_hook || options_.checkpoint_every > 0,
            "crash_hook requires checkpoint_every > 0 (recovery replays from "
            "retained frames)");
@@ -914,8 +907,6 @@ void TransportEngine::engine_main(EngineState& state,
     // applied — from whichever worker applied it.
     core::EngineOptions eopts;
     eopts.threads = options_.engine_threads;
-    eopts.scheduler_shards = options_.scheduler_shards;
-    eopts.dispatch = options_.dispatch;
     eopts.max_inflight_phases = options_.max_inflight_phases;
     core::EngineOptions::BlockScope scope;
     scope.begin = state.begin;
@@ -1389,9 +1380,6 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
         std::min(stats_.phases_completed, state.stats.phases_completed);
     stats_.max_inflight_phases =
         std::max(stats_.max_inflight_phases, state.stats.max_inflight_phases);
-    stats_.steals_ok += state.stats.steals_ok;
-    stats_.steals_empty += state.stats.steals_empty;
-    stats_.parks += state.stats.parks;
     transport_stats_.frames_sent += state.tstats.frames_sent;
     transport_stats_.frames_received += state.tstats.frames_received;
     transport_stats_.bytes_sent += state.tstats.bytes_sent;

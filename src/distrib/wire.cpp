@@ -12,8 +12,8 @@ namespace {
 
 constexpr std::uint8_t kMagic[3] = {'D', 'F', 'W'};
 
-// Dense value tags appended (never reordered) after the Value::Kind range;
-// version 2 frames only. See the header comment for the layout contract.
+// Dense value tags appended (never reordered) after the Value::Kind range.
+// See the header comment for the layout contract.
 constexpr std::uint8_t kTagIntVarint = 6;     // zigzag varint int64
 constexpr std::uint8_t kTagShortString = 7;   // u8 length + bytes
 constexpr std::uint8_t kTagVectorVarint = 8;  // varint count + doubles
@@ -167,11 +167,10 @@ class Reader {
   std::size_t cursor_ = 0;
 };
 
-/// Decodes one value. `v2` admits the dense tags; `out == nullptr` walks
-/// the exact same validation without materializing anything (the
-/// no-allocation path validate_frame is built on) and returns the exact
-/// status a materializing decode would.
-DecodeStatus decode_value_at(Reader& reader, event::Value* out, bool v2) {
+/// Decodes one value. `out == nullptr` walks the exact same validation
+/// without materializing anything (the no-allocation path validate_frame
+/// is built on) and returns the exact status a materializing decode would.
+DecodeStatus decode_value_at(Reader& reader, event::Value* out) {
   std::uint8_t tag = 0;
   if (!reader.read_u8(tag)) {
     return DecodeStatus::kTruncated;
@@ -255,9 +254,6 @@ DecodeStatus decode_value_at(Reader& reader, event::Value* out, bool v2) {
       return DecodeStatus::kOk;
     }
     case kTagIntVarint: {
-      if (!v2) {
-        return DecodeStatus::kBadValueTag;
-      }
       std::uint64_t encoded = 0;
       const DecodeStatus status = reader.read_varint(encoded);
       if (status != DecodeStatus::kOk) {
@@ -269,9 +265,6 @@ DecodeStatus decode_value_at(Reader& reader, event::Value* out, bool v2) {
       return DecodeStatus::kOk;
     }
     case kTagShortString: {
-      if (!v2) {
-        return DecodeStatus::kBadValueTag;
-      }
       std::uint8_t length = 0;
       if (!reader.read_u8(length)) {
         return DecodeStatus::kTruncated;
@@ -287,9 +280,6 @@ DecodeStatus decode_value_at(Reader& reader, event::Value* out, bool v2) {
       return DecodeStatus::kOk;
     }
     case kTagVectorVarint: {
-      if (!v2) {
-        return DecodeStatus::kBadValueTag;
-      }
       std::uint64_t count = 0;
       const DecodeStatus status = reader.read_varint(count);
       if (status != DecodeStatus::kOk) {
@@ -317,13 +307,47 @@ DecodeStatus decode_value_at(Reader& reader, event::Value* out, bool v2) {
   }
 }
 
+/// The fixed-width form of every Value::Kind (tags 0..5): the fallback of
+/// encode_value_dense for kinds or magnitudes the dense tags do not cover.
+void encode_value_fixed(const event::Value& value,
+                        std::vector<std::uint8_t>& out) {
+  put_u8(out, static_cast<std::uint8_t>(value.kind()));
+  switch (value.kind()) {
+    case event::Value::Kind::kEmpty:
+      break;
+    case event::Value::Kind::kBool:
+      put_u8(out, value.as_bool() ? 1 : 0);
+      break;
+    case event::Value::Kind::kInt:
+      put_u64(out, static_cast<std::uint64_t>(value.as_int()));
+      break;
+    case event::Value::Kind::kDouble:
+      put_u64(out, std::bit_cast<std::uint64_t>(value.as_double()));
+      break;
+    case event::Value::Kind::kString: {
+      const std::string& text = value.as_string();
+      put_u32(out, static_cast<std::uint32_t>(text.size()));
+      out.insert(out.end(), text.begin(), text.end());
+      break;
+    }
+    case event::Value::Kind::kVector: {
+      const std::vector<double>& values = value.as_vector();
+      put_u32(out, static_cast<std::uint32_t>(values.size()));
+      for (const double v : values) {
+        put_u64(out, std::bit_cast<std::uint64_t>(v));
+      }
+      break;
+    }
+  }
+}
+
 void encode_value_dense(const event::Value& value,
                         std::vector<std::uint8_t>& out) {
   switch (value.kind()) {
     case event::Value::Kind::kInt: {
       const std::uint64_t encoded = zigzag(value.as_int());
       // The zigzag varint beats the fixed u64 form up to 8 payload bytes;
-      // huge magnitudes (rare) keep the v1 form.
+      // huge magnitudes (rare) keep the fixed-width form.
       if (varint_size(encoded) <= 8) {
         put_u8(out, kTagIntVarint);
         put_varint(out, encoded);
@@ -356,18 +380,18 @@ void encode_value_dense(const event::Value& value,
       break;
     }
     default:
-      encode_value_v1(value, out);
+      encode_value_fixed(value, out);
       break;
   }
 }
 
 void encode_header(FrameType type, std::uint64_t seq, event::PhaseId phase,
-                   std::vector<std::uint8_t>& out, std::uint8_t version) {
+                   std::vector<std::uint8_t>& out) {
   out.clear();
   out.push_back(kMagic[0]);
   out.push_back(kMagic[1]);
   out.push_back(kMagic[2]);
-  put_u8(out, version);
+  put_u8(out, kVersion);
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u64(out, seq);
   put_u64(out, phase);
@@ -376,8 +400,7 @@ void encode_header(FrameType type, std::uint64_t seq, event::PhaseId phase,
 /// Header checks shared by every decode entry point; on kOk the reader is
 /// positioned at the first payload byte.
 DecodeStatus decode_header_at(std::span<const std::uint8_t> bytes,
-                              Reader& reader, FrameHeader& out,
-                              std::uint8_t version) {
+                              Reader& reader, FrameHeader& out) {
   if (bytes.size() > kMaxFrameBytes) {
     return DecodeStatus::kOversized;
   }
@@ -388,11 +411,11 @@ DecodeStatus decode_header_at(std::span<const std::uint8_t> bytes,
     return DecodeStatus::kBadMagic;
   }
   reader.seek(sizeof kMagic);
-  std::uint8_t got_version = 0;
+  std::uint8_t version = 0;
   std::uint8_t type = 0;
-  reader.read_u8(got_version);
+  reader.read_u8(version);
   reader.read_u8(type);
-  if (got_version != version) {
+  if (version != kVersion) {
     return DecodeStatus::kBadVersion;
   }
   std::uint64_t phase = 0;
@@ -402,11 +425,7 @@ DecodeStatus decode_header_at(std::span<const std::uint8_t> bytes,
   switch (static_cast<FrameType>(type)) {
     case FrameType::kDelivery:
     case FrameType::kWatermark:
-      break;
     case FrameType::kDeliveryBatch:
-      if (version == kVersion1) {
-        return DecodeStatus::kBadFrameType;  // batches exist only in v2
-      }
       break;
     default:
       return DecodeStatus::kBadFrameType;
@@ -460,68 +479,9 @@ DecodeStatus decode_batch_delivery(Reader& reader, std::uint32_t& prev_index,
   if (materialize) {
     out->to_index = prev_index;
     out->to_port = static_cast<graph::Port>(port);
-    return decode_value_at(reader, &out->value, /*v2=*/true);
+    return decode_value_at(reader, &out->value);
   }
-  return decode_value_at(reader, nullptr, /*v2=*/true);
-}
-
-DecodeStatus decode_frame_impl(std::span<const std::uint8_t> bytes,
-                               Frame& out, std::uint8_t version) {
-  Reader reader(bytes);
-  FrameHeader header;
-  DecodeStatus status = decode_header_at(bytes, reader, header, version);
-  if (status != DecodeStatus::kOk) {
-    return status;
-  }
-  out.type = header.type;
-  out.seq = header.seq;
-  out.phase = header.phase;
-  out.delivery = core::Delivery{};
-  out.batch.clear();
-  const bool v2 = version != kVersion1;
-
-  switch (header.type) {
-    case FrameType::kWatermark:
-      break;
-    case FrameType::kDelivery: {
-      if (!reader.read_u32(out.delivery.to_index)) {
-        return DecodeStatus::kTruncated;
-      }
-      std::uint16_t port = 0;
-      if (!reader.read_u16(port)) {
-        return DecodeStatus::kTruncated;
-      }
-      out.delivery.to_port = port;
-      status = decode_value_at(reader, &out.delivery.value, v2);
-      if (status != DecodeStatus::kOk) {
-        return status;
-      }
-      break;
-    }
-    case FrameType::kDeliveryBatch: {
-      std::uint32_t count = 0;
-      status = read_batch_count(reader, count);
-      if (status != DecodeStatus::kOk) {
-        return status;
-      }
-      out.batch.reserve(count);
-      std::uint32_t prev_index = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        core::Delivery delivery;
-        status = decode_batch_delivery(reader, prev_index, &delivery,
-                                       /*materialize=*/true);
-        if (status != DecodeStatus::kOk) {
-          return status;
-        }
-        out.batch.push_back(std::move(delivery));
-      }
-      break;
-    }
-  }
-  if (reader.remaining() != 0) {
-    return DecodeStatus::kTrailingBytes;
-  }
-  return DecodeStatus::kOk;
+  return decode_value_at(reader, nullptr);
 }
 
 }  // namespace
@@ -550,7 +510,7 @@ const char* to_string(DecodeStatus status) {
   return "unknown status";
 }
 
-// --- version 2 entry points -------------------------------------------------
+// --- entry points ----------------------------------------------------------
 
 void encode_value(const event::Value& value, std::vector<std::uint8_t>& out) {
   encode_value_dense(value, out);
@@ -560,7 +520,7 @@ DecodeStatus decode_value(std::span<const std::uint8_t> bytes,
                           std::size_t& cursor, event::Value& out) {
   Reader reader(bytes);
   reader.seek(cursor);
-  const DecodeStatus status = decode_value_at(reader, &out, /*v2=*/true);
+  const DecodeStatus status = decode_value_at(reader, &out);
   if (status == DecodeStatus::kOk) {
     cursor = reader.cursor();
   }
@@ -570,7 +530,7 @@ DecodeStatus decode_value(std::span<const std::uint8_t> bytes,
 void encode_delivery(std::uint64_t seq, event::PhaseId phase,
                      const core::Delivery& delivery,
                      std::vector<std::uint8_t>& out) {
-  encode_header(FrameType::kDelivery, seq, phase, out, kVersion);
+  encode_header(FrameType::kDelivery, seq, phase, out);
   put_u32(out, delivery.to_index);
   put_u16(out, delivery.to_port);
   encode_value_dense(delivery.value, out);
@@ -578,7 +538,7 @@ void encode_delivery(std::uint64_t seq, event::PhaseId phase,
 
 void encode_watermark(std::uint64_t seq, event::PhaseId phase,
                       std::vector<std::uint8_t>& out) {
-  encode_header(FrameType::kWatermark, seq, phase, out, kVersion);
+  encode_header(FrameType::kWatermark, seq, phase, out);
 }
 
 void patch_seq(std::span<std::uint8_t> frame, std::uint64_t seq) {
@@ -614,7 +574,7 @@ void BatchEncoder::add(const core::Delivery& delivery) {
 
 void BatchEncoder::finish(std::uint64_t seq, event::PhaseId phase,
                           std::vector<std::uint8_t>& out) {
-  encode_header(FrameType::kDeliveryBatch, seq, phase, out, kVersion);
+  encode_header(FrameType::kDeliveryBatch, seq, phase, out);
   put_varint(out, count_);
   out.insert(out.end(), payload_.begin(), payload_.end());
   payload_.clear();
@@ -625,13 +585,13 @@ void BatchEncoder::finish(std::uint64_t seq, event::PhaseId phase,
 DecodeStatus decode_header(std::span<const std::uint8_t> bytes,
                            FrameHeader& out) {
   Reader reader(bytes);
-  return decode_header_at(bytes, reader, out, kVersion);
+  return decode_header_at(bytes, reader, out);
 }
 
 DecodeStatus validate_frame(std::span<const std::uint8_t> bytes) {
   Reader reader(bytes);
   FrameHeader header;
-  DecodeStatus status = decode_header_at(bytes, reader, header, kVersion);
+  DecodeStatus status = decode_header_at(bytes, reader, header);
   if (status != DecodeStatus::kOk) {
     return status;
   }
@@ -642,7 +602,7 @@ DecodeStatus validate_frame(std::span<const std::uint8_t> bytes) {
       if (!reader.skip(4 + 2)) {  // to_index + to_port
         return DecodeStatus::kTruncated;
       }
-      status = decode_value_at(reader, nullptr, /*v2=*/true);
+      status = decode_value_at(reader, nullptr);
       if (status != DecodeStatus::kOk) {
         return status;
       }
@@ -672,13 +632,66 @@ DecodeStatus validate_frame(std::span<const std::uint8_t> bytes) {
 }
 
 DecodeStatus decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
-  return decode_frame_impl(bytes, out, kVersion);
+  Reader reader(bytes);
+  FrameHeader header;
+  DecodeStatus status = decode_header_at(bytes, reader, header);
+  if (status != DecodeStatus::kOk) {
+    return status;
+  }
+  out.type = header.type;
+  out.seq = header.seq;
+  out.phase = header.phase;
+  out.delivery = core::Delivery{};
+  out.batch.clear();
+
+  switch (header.type) {
+    case FrameType::kWatermark:
+      break;
+    case FrameType::kDelivery: {
+      if (!reader.read_u32(out.delivery.to_index)) {
+        return DecodeStatus::kTruncated;
+      }
+      std::uint16_t port = 0;
+      if (!reader.read_u16(port)) {
+        return DecodeStatus::kTruncated;
+      }
+      out.delivery.to_port = port;
+      status = decode_value_at(reader, &out.delivery.value);
+      if (status != DecodeStatus::kOk) {
+        return status;
+      }
+      break;
+    }
+    case FrameType::kDeliveryBatch: {
+      std::uint32_t count = 0;
+      status = read_batch_count(reader, count);
+      if (status != DecodeStatus::kOk) {
+        return status;
+      }
+      out.batch.reserve(count);
+      std::uint32_t prev_index = 0;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        core::Delivery delivery;
+        status = decode_batch_delivery(reader, prev_index, &delivery,
+                                       /*materialize=*/true);
+        if (status != DecodeStatus::kOk) {
+          return status;
+        }
+        out.batch.push_back(std::move(delivery));
+      }
+      break;
+    }
+  }
+  if (reader.remaining() != 0) {
+    return DecodeStatus::kTrailingBytes;
+  }
+  return DecodeStatus::kOk;
 }
 
 DecodeStatus BatchReader::open(std::span<const std::uint8_t> bytes) {
   bytes_ = bytes;
   Reader reader(bytes_);
-  DecodeStatus status = decode_header_at(bytes_, reader, header_, kVersion);
+  DecodeStatus status = decode_header_at(bytes_, reader, header_);
   if (status != DecodeStatus::kOk) {
     return status;
   }
@@ -708,70 +721,6 @@ DecodeStatus BatchReader::next(core::Delivery& out) {
     return DecodeStatus::kTrailingBytes;
   }
   return DecodeStatus::kOk;
-}
-
-// --- version 1 (decode-compat fixture) --------------------------------------
-
-void encode_value_v1(const event::Value& value,
-                     std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(value.kind()));
-  switch (value.kind()) {
-    case event::Value::Kind::kEmpty:
-      break;
-    case event::Value::Kind::kBool:
-      put_u8(out, value.as_bool() ? 1 : 0);
-      break;
-    case event::Value::Kind::kInt:
-      put_u64(out, static_cast<std::uint64_t>(value.as_int()));
-      break;
-    case event::Value::Kind::kDouble:
-      put_u64(out, std::bit_cast<std::uint64_t>(value.as_double()));
-      break;
-    case event::Value::Kind::kString: {
-      const std::string& text = value.as_string();
-      put_u32(out, static_cast<std::uint32_t>(text.size()));
-      out.insert(out.end(), text.begin(), text.end());
-      break;
-    }
-    case event::Value::Kind::kVector: {
-      const std::vector<double>& values = value.as_vector();
-      put_u32(out, static_cast<std::uint32_t>(values.size()));
-      for (const double v : values) {
-        put_u64(out, std::bit_cast<std::uint64_t>(v));
-      }
-      break;
-    }
-  }
-}
-
-DecodeStatus decode_value_v1(std::span<const std::uint8_t> bytes,
-                             std::size_t& cursor, event::Value& out) {
-  Reader reader(bytes);
-  reader.seek(cursor);
-  const DecodeStatus status = decode_value_at(reader, &out, /*v2=*/false);
-  if (status == DecodeStatus::kOk) {
-    cursor = reader.cursor();
-  }
-  return status;
-}
-
-void encode_delivery_v1(std::uint64_t seq, event::PhaseId phase,
-                        const core::Delivery& delivery,
-                        std::vector<std::uint8_t>& out) {
-  encode_header(FrameType::kDelivery, seq, phase, out, kVersion1);
-  put_u32(out, delivery.to_index);
-  put_u16(out, delivery.to_port);
-  encode_value_v1(delivery.value, out);
-}
-
-void encode_watermark_v1(std::uint64_t seq, event::PhaseId phase,
-                         std::vector<std::uint8_t>& out) {
-  encode_header(FrameType::kWatermark, seq, phase, out, kVersion1);
-}
-
-DecodeStatus decode_frame_v1(std::span<const std::uint8_t> bytes,
-                             Frame& out) {
-  return decode_frame_impl(bytes, out, kVersion1);
 }
 
 }  // namespace df::distrib::wire

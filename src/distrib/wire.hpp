@@ -34,12 +34,9 @@
 // complement (int), u64 bit pattern (double), u32 length + raw bytes
 // (string), u32 count + count doubles (vector). Version 2 appends dense
 // tags for the common small kinds: 6 = zigzag-varint int, 7 = short string
-// (u8 length), 8 = vector with varint count. The v2 encoder picks whichever
-// form is smaller; the v2 decoder accepts all nine tags. Version 1 frames
-// (single-delivery only, tags 0..5 only) are kept as a decode-compat
-// fixture: decode_frame_v1 still speaks them, the fuzz suite still covers
-// them, and each version's decoder rejects the other version's frames with
-// a clean kBadVersion.
+// (u8 length), 8 = vector with varint count. The encoder picks whichever
+// form is smaller; the decoder accepts all nine tags. Frames of any other
+// version (including the retired version 1) are rejected with kBadVersion.
 //
 // Decoding is total: every read is bounds-checked, length/count fields are
 // validated against the remaining bytes *before* any allocation, and
@@ -59,20 +56,19 @@
 namespace df::distrib::wire {
 
 inline constexpr std::uint8_t kVersion = 2;
-inline constexpr std::uint8_t kVersion1 = 1;
 
 /// Sanity bound on a single frame; anything larger is rejected both by the
 /// decoder and by the socket channel's length-prefix reader (a corrupted
 /// length field must not trigger a giant allocation).
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 22;
 
-/// Fixed header size shared by every frame type and version.
+/// Fixed header size shared by every frame type.
 inline constexpr std::size_t kHeaderBytes = 3 + 1 + 1 + 8 + 8;
 
 enum class FrameType : std::uint8_t {
   kDelivery = 1,
   kWatermark = 2,
-  kDeliveryBatch = 3,  // v2 only
+  kDeliveryBatch = 3,
 };
 
 enum class DecodeStatus : std::uint8_t {
@@ -106,7 +102,7 @@ struct Frame {
   std::vector<core::Delivery> batch;
 };
 
-// --- encode (version 2) -----------------------------------------------------
+// --- encode ----------------------------------------------------------------
 
 /// Replaces `out` with the encoded frame.
 void encode_delivery(std::uint64_t seq, event::PhaseId phase,
@@ -149,7 +145,7 @@ class BatchEncoder {
   std::uint32_t prev_index_ = 0;
 };
 
-// --- decode (version 2) -----------------------------------------------------
+// --- decode ----------------------------------------------------------------
 
 /// Decodes the fixed header only (magic/version/type checked). The payload
 /// is not examined.
@@ -192,24 +188,10 @@ class BatchReader {
 };
 
 // Value-level encode/append and decode, exposed for the round-trip fuzz
-// tests; decode_value advances `cursor` past the consumed bytes. The v2
-// forms use the dense tags where smaller; the v1 forms speak tags 0..5
-// only (the decode-compat fixture).
+// tests; decode_value advances `cursor` past the consumed bytes. The
+// encoder uses the dense tags where smaller.
 void encode_value(const event::Value& value, std::vector<std::uint8_t>& out);
 DecodeStatus decode_value(std::span<const std::uint8_t> bytes,
                           std::size_t& cursor, event::Value& out);
-
-// --- version 1 (decode-compat fixture; see test_wire.cpp) -------------------
-
-void encode_delivery_v1(std::uint64_t seq, event::PhaseId phase,
-                        const core::Delivery& delivery,
-                        std::vector<std::uint8_t>& out);
-void encode_watermark_v1(std::uint64_t seq, event::PhaseId phase,
-                         std::vector<std::uint8_t>& out);
-DecodeStatus decode_frame_v1(std::span<const std::uint8_t> bytes, Frame& out);
-void encode_value_v1(const event::Value& value,
-                     std::vector<std::uint8_t>& out);
-DecodeStatus decode_value_v1(std::span<const std::uint8_t> bytes,
-                             std::size_t& cursor, event::Value& out);
 
 }  // namespace df::distrib::wire

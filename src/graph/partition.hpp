@@ -37,12 +37,6 @@ struct Partitioning {
 Partitioning partition_balanced(const Numbering& numbering,
                                 std::size_t blocks);
 
-/// Count-based form of partition_balanced: splits 1..n (any contiguous
-/// index range rebased to 1) into `blocks` near-equal ranges. Used for
-/// block-local sub-partitions (a transport block's scheduler shards cover
-/// local indices 1..B, which have no Numbering of their own).
-Partitioning partition_balanced_range(std::uint32_t n, std::size_t blocks);
-
 /// The m-vector of the numbering *restricted to* the block of global
 /// internal indices [begin, end], in block-local indexing (local index
 /// y == global index begin + y - 1; size end - begin + 2, i.e. m[0..B]).
@@ -87,28 +81,6 @@ Partitioning partition_min_cut(const Dag& dag, const Numbering& numbering,
 /// bounds are not.
 void validate_partition_cut(const Partitioning& partitioning, std::uint32_t n,
                             std::size_t expected_blocks);
-
-/// A Partitioning flattened for O(1) vertex->shard lookup on hot paths.
-/// The sharded scheduler (core/sharded_scheduler.hpp) aligns its state
-/// segments and locks with these blocks: because the numbering sends every
-/// edge to a higher index, all cross-shard message traffic flows from
-/// lower-numbered shards to higher-numbered ones, never backward.
-struct ShardMap {
-  /// Same encoding as Partitioning::bounds: shard k covers
-  /// (bounds[k], bounds[k+1]]; bounds.front() == 0, bounds.back() == N.
-  std::vector<std::uint32_t> bounds;
-  /// shard_of[v] for internal index v in 1..N (slot 0 unused).
-  std::vector<std::uint32_t> shard_of;
-
-  std::size_t shard_count() const { return bounds.size() - 1; }
-  std::uint32_t vertex_count() const { return bounds.back(); }
-  /// First / last internal index owned by shard k (inclusive).
-  std::uint32_t begin(std::size_t k) const { return bounds[k] + 1; }
-  std::uint32_t end(std::size_t k) const { return bounds[k + 1]; }
-};
-
-/// Materializes the lookup table for a partitioning.
-ShardMap make_shard_map(const Partitioning& partitioning);
 
 /// Quality metrics for a partitioning.
 struct PartitionMetrics {

@@ -1,5 +1,8 @@
 #include "support/cli.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "support/check.hpp"
 #include "support/strings.hpp"
 
@@ -97,6 +100,17 @@ std::vector<std::string> CliFlags::unused() const {
     }
   }
   return names;
+}
+
+void CliFlags::reject_unused() const {
+  const std::vector<std::string> names = unused();
+  if (names.empty()) {
+    return;
+  }
+  for (const std::string& name : names) {
+    std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+  }
+  std::exit(2);
 }
 
 }  // namespace df::support

@@ -2,9 +2,9 @@
 //
 // Flags take the form --name=value; bare --name sets a boolean flag to
 // true (the ambiguous "--name value" form is deliberately not supported so
-// booleans and positionals cannot swallow each other). Unknown flags can be
-// detected via unused(), so typos in sweep scripts fail loudly instead of
-// silently using defaults.
+// booleans and positionals cannot swallow each other). Every binary calls
+// reject_unused() once it has read its flags, so a typo or a retired flag
+// in a sweep script fails loudly instead of silently using defaults.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,11 @@ class CliFlags {
 
   /// Names that were provided but never read; used to reject typos.
   std::vector<std::string> unused() const;
+
+  /// Prints every provided-but-unread flag to stderr and exits with status
+  /// 2 if there is one; returns normally otherwise. Call after the last
+  /// get()/has() and before doing any work.
+  void reject_unused() const;
 
  private:
   std::map<std::string, std::string> values_;

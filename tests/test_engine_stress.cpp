@@ -1,7 +1,7 @@
 // Long-run stress and cross-configuration equivalence for the engine:
 // beyond matching the sequential reference, every engine configuration
-// (thread count x in-flight window) must produce *identical* sink streams,
-// since the computation is deterministic and serializable.
+// (thread count x in-flight window x apply path) must produce *identical*
+// sink streams, since the computation is deterministic and serializable.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
@@ -9,6 +9,7 @@
 #include "model/detectors.hpp"
 #include "model/sources.hpp"
 #include "model/stats_models.hpp"
+#include "random_program.hpp"
 #include "spec/builder.hpp"
 #include "support/rng.hpp"
 #include "trace/serializability.hpp"
@@ -46,6 +47,35 @@ Program stress_program(std::uint64_t seed) {
   return std::move(b).build(seed);
 }
 
+/// An observer that only counts transitions. Installing any observer makes
+/// the engine apply every finished pair under the lock one at a time (the
+/// per-pair path), whatever the thread count.
+class CountingObserver final : public SchedulerObserver {
+ public:
+  void on_transition(Transition, std::uint32_t, event::PhaseId,
+                     const Scheduler::Snapshot&) override {
+    ++transitions;
+  }
+  std::uint64_t transitions = 0;
+};
+
+/// The three ways finished pairs reach the scheduler with several workers:
+/// batched drains of the staging rings, the per-pair path an observer
+/// forces, and staging rings so small that most pairs overflow to the
+/// per-pair fallback.
+enum class ApplyPath { kStaged, kPerPair, kTinyRing };
+constexpr ApplyPath kApplyPaths[] = {ApplyPath::kStaged, ApplyPath::kPerPair,
+                                     ApplyPath::kTinyRing};
+
+void select_apply_path(ApplyPath path, EngineOptions& options,
+                       CountingObserver& observer) {
+  if (path == ApplyPath::kPerPair) {
+    options.observer = &observer;
+  } else if (path == ApplyPath::kTinyRing) {
+    options.staging_ring_capacity = 2;
+  }
+}
+
 TEST(EngineStress, LongRunManyThreadsMatchesReference) {
   const Program program = stress_program(1);
   EngineOptions options;
@@ -62,11 +92,12 @@ TEST(EngineStress, AllConfigurationsProduceIdenticalSinks) {
   std::vector<std::vector<SinkRecord>> outputs;
   for (const std::size_t threads : {1UL, 2UL, 5UL}) {
     for (const std::size_t window : {1UL, 3UL, 0UL /*unbounded*/}) {
-      for (const bool staged : {true, false}) {
+      for (const ApplyPath path : kApplyPaths) {
         EngineOptions options;
         options.threads = threads;
         options.max_inflight_phases = window;
-        options.staged_deliveries = staged;
+        CountingObserver observer;
+        select_apply_path(path, options, observer);
         Engine engine(program, options);
         engine.run(800, nullptr);
         outputs.push_back(engine.sinks().canonical());
@@ -100,23 +131,27 @@ TEST(EngineStress, TinyStagingRingFallbackMatchesReference) {
 // finish their current pair, observe the closed queue, read abandoning_ ==
 // true, and exit — never trip the "run queue closed while work was
 // outstanding" check, deadlock, or crash while staged finishes are still
-// sitting in the delivery rings. Loop many configurations so destruction
-// lands at many different points of the pipeline.
+// sitting in the delivery rings. Loop many configurations, over the stress
+// workload and the randomized corpus, so destruction lands at many
+// different points of the pipeline under every apply path (threads = 1
+// also takes the per-pair path).
 TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
-  const Program program = stress_program(4);
-  for (int iter = 0; iter < 60; ++iter) {
-    EngineOptions options;
-    options.threads = 1 + iter % 5;
-    options.max_inflight_phases = 1 + iter % 9;
-    // Exercise both the staged-ring and lock-per-pair teardown paths.
-    options.staged_deliveries = iter % 3 != 0;
-    Engine engine(program, options);
-    engine.start();
-    const int phases = iter % 8;
-    for (int p = 0; p < phases; ++p) {
-      engine.start_phase({});
+  for (const Program& program : {stress_program(4),
+                                 testutil::random_program(27)}) {
+    for (int iter = 0; iter < 60; ++iter) {
+      EngineOptions options;
+      options.threads = 1 + iter % 5;
+      options.max_inflight_phases = 1 + iter % 9;
+      CountingObserver observer;
+      select_apply_path(kApplyPaths[iter % 3], options, observer);
+      Engine engine(program, options);
+      engine.start();
+      const int phases = iter % 8;
+      for (int p = 0; p < phases; ++p) {
+        engine.start_phase({});
+      }
+      // Destructor runs here with up to `phases` phases outstanding.
     }
-    // Destructor runs here with up to `phases` phases outstanding.
   }
 }
 

@@ -36,10 +36,8 @@
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/spsc_ring.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/numbering.hpp"
-#include "graph/partition.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -534,145 +532,6 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceStaged,
                          ::testing::Range<std::uint64_t>(0, 25));
 
-// --- layer 1c: sharded-vs-flat differential ---------------------------------
-//
-// The partition-aligned sharded scheduler against the flat scheduler over
-// random DAGs, random shard counts (1..8) and random staged-batch drains.
-// Single-threaded, apply_finish_batch + collect must be *exactly*
-// equivalent to the flat finish_execution_batch: identical ready batches
-// (order and sealed bundle contents included) and identical Snapshots
-// after every transition — phase starts, batched drains, everything.
-
-class ShardedVsFlat : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ShardedVsFlat, IdenticalSnapshotsAfterEveryTransition) {
-  const std::uint64_t seed = GetParam();
-  support::Rng rng(seed);
-
-  const Dag dag = graph::random_dag(
-      5 + static_cast<std::uint32_t>(seed % 28), 0.3, rng);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  const auto succs = internal_successors(dag, numbering);
-  const auto n = static_cast<std::uint32_t>(dag.vertex_count());
-
-  const std::size_t shards = 1 + static_cast<std::size_t>(rng.next_below(
-                                     std::min<std::uint64_t>(8, n)));
-  constexpr std::size_t kCapacity = 16;  // sharded phase-slot ring depth
-  Scheduler flat(numbering.m);
-  ShardedScheduler sharded(
-      numbering.m,
-      graph::make_shard_map(graph::partition_balanced(numbering, shards)),
-      kCapacity);
-
-  struct Issued {
-    std::uint32_t vertex;
-    event::PhaseId phase;
-    event::InputBundle bundle;
-    event::InputBundle bundle_copy;  // flat side recycles its own copy
-  };
-  std::vector<Issued> issued;
-  std::vector<Scheduler::StagedFinish> staged;      // sharded side
-  std::vector<Scheduler::StagedFinish> staged_ref;  // flat side, same order
-  const event::PhaseId total_phases = 12;
-  event::PhaseId started = 0;
-
-  std::vector<Scheduler::ReadyPair> sharded_ready;
-  std::vector<Scheduler::ReadyPair> flat_ready;
-
-  const auto absorb = [&] {
-    expect_same_ready(sharded_ready, flat_ready);
-    for (std::size_t i = 0; i < sharded_ready.size(); ++i) {
-      issued.push_back(Issued{sharded_ready[i].vertex,
-                              sharded_ready[i].phase,
-                              std::move(sharded_ready[i].bundle),
-                              std::move(flat_ready[i].bundle)});
-    }
-    sharded_ready.clear();
-    flat_ready.clear();
-    EXPECT_EQ(sharded.snapshot(), flat.snapshot())
-        << "snapshot divergence (seed " << seed << ", shards " << shards
-        << ")";
-  };
-
-  const auto drain = [&] {
-    if (staged.empty()) {
-      return;
-    }
-    sharded.apply_finish_batch(
-        std::span<Scheduler::StagedFinish>(staged));
-    sharded.collect(sharded_ready);
-    flat.finish_execution_batch(
-        std::span<Scheduler::StagedFinish>(staged_ref), flat_ready);
-    staged.clear();
-    staged_ref.clear();
-    absorb();
-  };
-
-  while (started < total_phases || !issued.empty() || !staged.empty()) {
-    const double roll = rng.next_double();
-    const bool can_start =
-        started < total_phases &&
-        flat.active_phase_count() + 1 < kCapacity;  // sharded ring bound
-    if (can_start && (roll < 0.25 || (issued.empty() && staged.empty()))) {
-      ++started;
-      std::vector<event::InputBundle> bundles(numbering.m[0]);
-      std::vector<event::InputBundle> bundles_copy(numbering.m[0]);
-      for (std::uint32_t s = 0; s < numbering.m[0]; ++s) {
-        if (rng.next_bernoulli(0.5)) {
-          const double payload = rng.next_normal();
-          bundles[s].push_back(event::Message{0, event::Value(payload)});
-          bundles_copy[s].push_back(event::Message{0, event::Value(payload)});
-        }
-      }
-      sharded.start_phase(started, std::span<event::InputBundle>(bundles),
-                          sharded_ready);
-      flat.start_phase(started, std::span<event::InputBundle>(bundles_copy),
-                       flat_ready);
-      absorb();
-    } else if (!issued.empty() && (roll < 0.75 || staged.empty())) {
-      // "Execute" a random issued pair and stage the identical finish on
-      // both sides.
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.next_below(issued.size()));
-      Issued pair = std::move(issued[pick]);
-      issued.erase(issued.begin() + static_cast<std::ptrdiff_t>(pick));
-      Scheduler::StagedFinish f;
-      Scheduler::StagedFinish f_ref;
-      f.vertex = f_ref.vertex = pair.vertex;
-      f.phase = f_ref.phase = pair.phase;
-      for (const std::uint32_t w : succs[pair.vertex]) {
-        if (rng.next_bernoulli(0.6)) {
-          const double payload = rng.next_normal();
-          f.deliveries.push_back(
-              Scheduler::Delivery{w, 0, event::Value(payload)});
-          f_ref.deliveries.push_back(
-              Scheduler::Delivery{w, 0, event::Value(payload)});
-        }
-      }
-      f.recycled = std::move(pair.bundle);
-      f_ref.recycled = std::move(pair.bundle_copy);
-      staged.push_back(std::move(f));
-      staged_ref.push_back(std::move(f_ref));
-      if (rng.next_bernoulli(0.4)) {
-        drain();
-      }
-    } else {
-      drain();
-    }
-  }
-
-  EXPECT_TRUE(sharded.all_started_phases_complete());
-  EXPECT_TRUE(flat.all_started_phases_complete());
-  EXPECT_EQ(sharded.completed_through(), total_phases);
-  EXPECT_EQ(flat.completed_through(), total_phases);
-  for (event::PhaseId p = 1; p <= total_phases; ++p) {
-    EXPECT_EQ(sharded.x(p), flat.x(p));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedVsFlat,
-                         ::testing::Range<std::uint64_t>(0, 30));
-
 // --- layer 2: zero-allocation steady state ----------------------------------
 
 /// Drives one scheduler like the engine does (window of in-flight phases,
@@ -1092,153 +951,6 @@ TEST(StagedRings, MultiWorkerDrainProtocolCompletesEveryPhase) {
   EXPECT_EQ(executed.load(), expected_pairs);
   {
     std::lock_guard lock(mutex);
-    EXPECT_TRUE(scheduler.all_started_phases_complete());
-    EXPECT_EQ(scheduler.completed_through(), phases);
-  }
-}
-
-// --- layer 3b: multi-shard apply/collect stress (run under TSan in CI) ------
-//
-// The sharded two-stage drain protocol at scheduler level: workers execute
-// pairs from a shared run queue, batch finishes locally, apply them under
-// per-shard locks (concurrently with each other and with the collector),
-// and volunteer to collect behind a `collecting` flag. The graph is a
-// chain, so *every* delivery targets the next vertex and the traffic
-// constantly crosses partition boundaries — with 7 shards over 30 vertices
-// each boundary is hit every phase. Correctness signal: every pair
-// executes exactly once and every phase completes (a lost delivery or a
-// frontier overtaking an in-flight message deadlocks or throws).
-TEST(ShardedStress, CrossShardDeliveriesAtPartitionBoundaries) {
-  const Dag dag = graph::chain(30);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  const auto succs = internal_successors(dag, numbering);
-  const auto n = static_cast<std::uint64_t>(dag.vertex_count());
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{7}}) {
-    const event::PhaseId phases = 250;
-    const std::size_t window = 8;
-    const std::size_t num_threads = 4;
-    const std::uint64_t expected_pairs = n * phases;
-
-    ShardedScheduler scheduler(
-        numbering.m,
-        graph::make_shard_map(graph::partition_balanced(numbering, shards)),
-        window);
-    scheduler.reserve_steady_state(n * window);
-    std::mutex cv_mutex;
-    std::condition_variable window_cv;
-    conc::BlockingQueue<Scheduler::ReadyPair> run_queue;
-    std::atomic<std::size_t> dirty{0};
-    std::atomic<bool> collecting{false};
-    std::atomic<std::uint64_t> executed{0};
-    std::vector<Scheduler::ReadyPair> collect_ready;  // owned by collector
-
-    const auto maybe_collect = [&](std::size_t threshold) {
-      for (;;) {
-        if (dirty.load() < threshold) {
-          return;
-        }
-        if (collecting.exchange(true)) {
-          if (threshold > 1) {
-            return;
-          }
-          std::this_thread::yield();
-          continue;
-        }
-        const std::size_t observed = dirty.load();
-        collect_ready.clear();
-        const bool retired = scheduler.collect(collect_ready);
-        dirty.fetch_sub(observed);
-        if (retired) {
-          {
-            std::lock_guard lock(cv_mutex);
-          }
-          window_cv.notify_all();
-        }
-        if (!collect_ready.empty()) {
-          run_queue.push_all(collect_ready);
-        }
-        collecting.store(false);
-      }
-    };
-
-    const auto worker = [&] {
-      std::vector<Scheduler::StagedFinish> local;
-      const auto flush = [&] {
-        if (local.empty()) {
-          return;
-        }
-        scheduler.apply_finish_batch(
-            std::span<Scheduler::StagedFinish>(local));
-        const std::size_t applied = local.size();
-        local.clear();
-        dirty.fetch_add(applied);
-      };
-      for (;;) {
-        std::optional<Scheduler::ReadyPair> item = run_queue.try_pop();
-        if (!item.has_value()) {
-          flush();
-          maybe_collect(1);
-          item = run_queue.pop();
-          if (!item.has_value()) {
-            break;
-          }
-        }
-        Scheduler::StagedFinish staged;
-        staged.vertex = item->vertex;
-        staged.phase = item->phase;
-        for (const std::uint32_t w : succs[item->vertex]) {
-          staged.deliveries.push_back(
-              Scheduler::Delivery{w, 0, event::Value(1.0)});
-        }
-        staged.recycled = std::move(item->bundle);
-        local.push_back(std::move(staged));
-        if (local.size() >= 3) {
-          flush();
-          maybe_collect(6);
-        }
-        if (executed.fetch_add(1) + 1 == expected_pairs) {
-          // Final pair executed; flush ourselves and keep collecting until
-          // every other worker's pre-block flush has landed and the last
-          // phase retires, then close the queue.
-          flush();
-          while (!scheduler.all_started_phases_complete()) {
-            maybe_collect(1);
-            std::this_thread::yield();
-          }
-          run_queue.close();
-        }
-      }
-    };
-
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker);
-    }
-
-    std::vector<event::InputBundle> bundles;
-    std::vector<Scheduler::ReadyPair> ready;
-    for (event::PhaseId p = 1; p <= phases; ++p) {
-      bundles.clear();
-      bundles.resize(numbering.m[0]);
-      ready.clear();
-      {
-        std::unique_lock lock(cv_mutex);
-        window_cv.wait(lock, [&] {
-          return scheduler.active_phase_count() < window;
-        });
-      }
-      scheduler.start_phase(p, std::span<event::InputBundle>(bundles),
-                            ready);
-      if (!ready.empty()) {
-        run_queue.push_all(ready);
-      }
-    }
-
-    for (auto& t : threads) {
-      t.join();
-    }
-    EXPECT_EQ(executed.load(), expected_pairs) << "shards " << shards;
     EXPECT_TRUE(scheduler.all_started_phases_complete());
     EXPECT_EQ(scheduler.completed_through(), phases);
   }

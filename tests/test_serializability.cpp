@@ -28,14 +28,18 @@ using testutil::random_program;
 
 using Case = std::tuple<std::uint64_t /*seed*/, std::size_t /*threads*/>;
 
-class EngineSerializability : public ::testing::TestWithParam<Case> {};
+using EngineCase = std::tuple<std::uint64_t /*seed*/, std::size_t /*threads*/,
+                               std::size_t /*max_inflight_phases*/>;
 
+class EngineSerializability : public ::testing::TestWithParam<EngineCase> {};
+
+// The engine's whole configuration space: worker count x in-flight window.
 TEST_P(EngineSerializability, EngineEqualsSequential) {
-  const auto [seed, threads] = GetParam();
+  const auto [seed, threads, window] = GetParam();
   const core::Program program = random_program(seed);
   core::EngineOptions options;
   options.threads = threads;
-  options.max_inflight_phases = 1 + seed % 8;  // vary pipelining depth too
+  options.max_inflight_phases = window;
   core::Engine engine(program, options);
   const auto report = trace::check_against_sequential(program, engine, 150);
   EXPECT_TRUE(report.equivalent) << report.summary();
@@ -43,9 +47,10 @@ TEST_P(EngineSerializability, EngineEqualsSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndThreads, EngineSerializability,
+    SeedsThreadsAndWindows, EngineSerializability,
     ::testing::Combine(::testing::Range<std::uint64_t>(0, 10),
-                       ::testing::Values<std::size_t>(1, 2, 4)));
+                       ::testing::Values<std::size_t>(1, 2, 4),
+                       ::testing::Values<std::size_t>(1, 4, 64)));
 
 class LockstepSerializability : public ::testing::TestWithParam<Case> {};
 

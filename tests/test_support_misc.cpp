@@ -93,6 +93,22 @@ TEST(Cli, UnusedFlagsAreReported) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Cli, RejectUnusedExitsTwoNamingEveryUnreadFlag) {
+  const char* argv[] = {"prog", "--used=1", "--shards=4", "--dispatch=steal"};
+  CliFlags flags(4, argv);
+  (void)flags.get("used", std::int64_t{0});
+  EXPECT_EXIT(flags.reject_unused(), ::testing::ExitedWithCode(2),
+              "unknown flag --dispatch\nunknown flag --shards");
+}
+
+TEST(Cli, RejectUnusedReturnsWhenEveryFlagWasRead) {
+  const char* argv[] = {"prog", "--used=1", "positional"};
+  CliFlags flags(3, argv);
+  (void)flags.get("used", std::int64_t{0});
+  flags.reject_unused();
+  SUCCEED();
+}
+
 TEST(Cli, BadTypeThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   CliFlags flags(2, argv);

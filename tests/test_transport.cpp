@@ -120,12 +120,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TransportDifferential,
 
 // --- two-level parallelism: worker pool inside every partition --------------
 
-// The full matrix the tentpole promises: every partition block running a
-// multi-threaded (and optionally sharded) core::Engine must still produce
-// sink output byte-identical to the sequential reference, and concurrent
-// egress must not break the frames-per-phase ceiling — batches for a phase
-// are held until the phase completes, so the per-channel cost stays one
-// coalesced batch plus one watermark regardless of worker interleaving.
+// Every partition block running a multi-threaded core::Engine must still
+// produce sink output byte-identical to the sequential reference, and
+// concurrent egress must not break the frames-per-phase ceiling — batches
+// for a phase are held until the phase completes, so the per-channel cost
+// stays one coalesced batch plus one watermark regardless of worker
+// interleaving.
 class TransportTwoLevel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
@@ -139,43 +139,39 @@ TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
     }
     for (const std::size_t engine_threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-        for (const ChannelKind kind : kBothKinds) {
-          TransportOptions options;
-          options.machines = machines;
-          options.channel = kind;
-          options.channel_capacity = 8;
-          options.engine_threads = engine_threads;
-          options.scheduler_shards = shards;
-          // Small window so the inner pipeline's backpressure (start_phase
-          // blocking while the egress hub holds future-phase batches) is
-          // exercised, not just theoretical.
-          options.max_inflight_phases = 4;
-          TransportEngine transport(program, options);
-          const auto report =
-              trace::check_against_sequential(program, transport, phases);
-          EXPECT_TRUE(report.equivalent)
-              << "machines=" << machines << " threads=" << engine_threads
-              << " shards=" << shards << " channel=" << kind_name(kind)
-              << " seed=" << seed << "\n"
-              << report.summary();
-          EXPECT_GT(report.reference_records, 0U)
-              << "workload produced no output";
+      for (const ChannelKind kind : kBothKinds) {
+        TransportOptions options;
+        options.machines = machines;
+        options.channel = kind;
+        options.channel_capacity = 8;
+        options.engine_threads = engine_threads;
+        // Small window so the inner pipeline's backpressure (start_phase
+        // blocking while the egress hub holds future-phase batches) is
+        // exercised, not just theoretical.
+        options.max_inflight_phases = 4;
+        TransportEngine transport(program, options);
+        const auto report =
+            trace::check_against_sequential(program, transport, phases);
+        EXPECT_TRUE(report.equivalent)
+            << "machines=" << machines << " threads=" << engine_threads
+            << " channel=" << kind_name(kind) << " seed=" << seed << "\n"
+            << report.summary();
+        EXPECT_GT(report.reference_records, 0U)
+            << "workload produced no output";
 
-          // The ceiling and the accounting invariants must survive
-          // concurrent egress from engine_threads workers per block.
-          const auto& stats = transport.transport_stats();
-          const std::uint64_t channels = machines * (machines - 1) / 2;
-          EXPECT_LE(stats.frames_sent, 2 * phases * channels)
-              << "machines=" << machines << " threads=" << engine_threads
-              << " shards=" << shards << " seed=" << seed
-              << ": concurrent egress broke the batching ceiling ("
-              << stats.frames_sent << " frames, " << stats.remote_messages
-              << " remote deliveries)";
-          EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
-          EXPECT_EQ(stats.frames_received, stats.frames_sent);
-          EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
-        }
+        // The ceiling and the accounting invariants must survive
+        // concurrent egress from engine_threads workers per block.
+        const auto& stats = transport.transport_stats();
+        const std::uint64_t channels = machines * (machines - 1) / 2;
+        EXPECT_LE(stats.frames_sent, 2 * phases * channels)
+            << "machines=" << machines << " threads=" << engine_threads
+            << " seed=" << seed
+            << ": concurrent egress broke the batching ceiling ("
+            << stats.frames_sent << " frames, " << stats.remote_messages
+            << " remote deliveries)";
+        EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
+        EXPECT_EQ(stats.frames_received, stats.frames_sent);
+        EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
       }
     }
   }
@@ -183,37 +179,6 @@ TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransportTwoLevel,
                          ::testing::Range<std::uint64_t>(0, 10));
-
-// The stealing member of the matrix (PR 9): per-block engines running
-// dispatch = kWorkStealing under both channel implementations, with the
-// same sequential-equivalence and frames-per-phase ceiling assertions —
-// cross-partition egress and watermark flushing must be indifferent to
-// which worker's lane executed the boundary pair.
-TEST(TransportTwoLevel, StealingDispatchMatchesSequential) {
-  const core::Program program = testutil::random_program(6);
-  const event::PhaseId phases = 40;
-  for (const ChannelKind kind : kBothKinds) {
-    TransportOptions options;
-    options.machines = 3;
-    options.channel = kind;
-    options.channel_capacity = 8;
-    options.engine_threads = 4;
-    options.scheduler_shards = 2;
-    options.dispatch = core::EngineOptions::Dispatch::kWorkStealing;
-    options.max_inflight_phases = 4;
-    TransportEngine transport(program, options);
-    const auto report =
-        trace::check_against_sequential(program, transport, phases);
-    EXPECT_TRUE(report.equivalent)
-        << "channel=" << kind_name(kind) << "\n" << report.summary();
-    const auto& stats = transport.transport_stats();
-    const std::uint64_t channels = 3 * 2 / 2;
-    EXPECT_LE(stats.frames_sent, 2 * phases * channels)
-        << "stealing dispatch broke the batching ceiling";
-    EXPECT_EQ(stats.frames_received, stats.frames_sent);
-    EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
-  }
-}
 
 // Fault-injected channels under multi-threaded block engines: duplicates,
 // reordering, and delays must interact correctly with the hold-and-patch
@@ -228,7 +193,6 @@ TEST(TransportTwoLevel, FaultInjectionSurvivesWorkerPools) {
   options.channel = ChannelKind::kInProcess;
   options.channel_capacity = 8;
   options.engine_threads = 4;
-  options.scheduler_shards = 2;
   options.channel_wrapper =
       [&faulty](std::unique_ptr<distrib::Channel> inner, std::size_t from,
                 std::size_t to) -> std::unique_ptr<distrib::Channel> {
@@ -254,7 +218,7 @@ TEST(TransportTwoLevel, FaultInjectionSurvivesWorkerPools) {
 }
 
 // Cross-boundary stress for TSan (ctest label: transport): three blocks,
-// four workers and two scheduler shards each, a tiny channel bound, and a
+// four workers each, a tiny channel bound, and a
 // deep phase pipeline — maximal concurrency between worker-pool egress,
 // the per-link flush callbacks, the coordinator's ingress loop, and the
 // reader threads.
@@ -267,7 +231,6 @@ TEST(TransportTwoLevel, CrossBoundaryStressUnderWorkerPools) {
   options.channel = ChannelKind::kInProcess;
   options.channel_capacity = 4;  // senders block constantly
   options.engine_threads = 4;
-  options.scheduler_shards = 2;
   options.max_inflight_phases = 16;
   TransportEngine transport(program, options);
   const auto report =
@@ -277,16 +240,11 @@ TEST(TransportTwoLevel, CrossBoundaryStressUnderWorkerPools) {
 }
 
 // Degenerate knobs are rejected loudly instead of silently falling back.
-TEST(TransportTwoLevel, RejectsZeroThreadsShardsAndWindow) {
+TEST(TransportTwoLevel, RejectsZeroThreadsAndWindow) {
   const core::Program program = testutil::random_program(2);
   {
     TransportOptions options;
     options.engine_threads = 0;
-    EXPECT_THROW(TransportEngine(program, options), support::check_error);
-  }
-  {
-    TransportOptions options;
-    options.scheduler_shards = 0;
     EXPECT_THROW(TransportEngine(program, options), support::check_error);
   }
   {
@@ -531,17 +489,21 @@ TEST(TransportTeardown, ModuleExceptionSurfacesAsRootCause) {
 }
 
 // Corrupts one frame in transit on the wrapped channel (send-side byte
-// flip), so the receiving reader's decode rejects it mid-run.
+// rewrite), so the receiving reader's decode rejects it mid-run.
 class CorruptingChannel final : public distrib::Channel {
  public:
   CorruptingChannel(std::unique_ptr<distrib::Channel> inner,
-                    std::uint64_t corrupt_index)
-      : inner_(std::move(inner)), corrupt_index_(corrupt_index) {}
+                    std::uint64_t corrupt_index, std::size_t byte,
+                    std::uint8_t value)
+      : inner_(std::move(inner)),
+        corrupt_index_(corrupt_index),
+        byte_(byte),
+        value_(value) {}
 
   void send(std::span<const std::uint8_t> frame) override {
     if (sent_++ == corrupt_index_) {
       std::vector<std::uint8_t> mangled(frame.begin(), frame.end());
-      mangled[0] ^= 0xff;  // breaks the DFW magic
+      mangled[byte_] = value_;
       inner_->send(mangled);
       return;
     }
@@ -556,14 +518,16 @@ class CorruptingChannel final : public distrib::Channel {
  private:
   std::unique_ptr<distrib::Channel> inner_;
   std::uint64_t corrupt_index_;
+  std::size_t byte_;
+  std::uint8_t value_;
   std::uint64_t sent_ = 0;
 };
 
-// Regression: a reader that dies on a rejected frame must keep draining its
-// channel to EOF. Before that fix the upstream sender blocked forever on
-// the full channel, never reached its own teardown, and run() hung instead
-// of surfacing the decode error.
-TEST(TransportTeardown, CorruptedFrameAbortsTheRunInsteadOfHanging) {
+// Runs a 2-machine transport whose channels rewrite byte `byte` of their
+// sixth frame to `value`, and expects the run to abort with a check_error
+// naming the reader's rejection `reason`.
+void expect_ingress_rejection(std::size_t byte, std::uint8_t value,
+                              const std::string& reason) {
   const core::Program program = testutil::random_program(1);
   for (const ChannelKind kind : kBothKinds) {
     TransportOptions options;
@@ -571,9 +535,10 @@ TEST(TransportTeardown, CorruptedFrameAbortsTheRunInsteadOfHanging) {
     options.channel = kind;
     options.channel_capacity = 8;  // small: the blocked-sender bound bites
     options.channel_wrapper =
-        [](std::unique_ptr<distrib::Channel> inner, std::size_t,
-           std::size_t) -> std::unique_ptr<distrib::Channel> {
-      return std::make_unique<CorruptingChannel>(std::move(inner), 5);
+        [byte, value](std::unique_ptr<distrib::Channel> inner, std::size_t,
+                      std::size_t) -> std::unique_ptr<distrib::Channel> {
+      return std::make_unique<CorruptingChannel>(std::move(inner), 5, byte,
+                                                 value);
     };
     TransportEngine transport(program, options);
     try {
@@ -581,11 +546,26 @@ TEST(TransportTeardown, CorruptedFrameAbortsTheRunInsteadOfHanging) {
       FAIL() << "expected the decode rejection to propagate (channel="
              << kind_name(kind) << ")";
     } catch (const support::check_error& error) {
-      EXPECT_NE(std::string(error.what()).find("rejected ingress frame"),
+      const std::string what = error.what();
+      EXPECT_NE(what.find("rejected ingress frame: " + reason),
                 std::string::npos)
-          << "channel=" << kind_name(kind) << ": " << error.what();
+          << "channel=" << kind_name(kind) << ": " << what;
     }
   }
+}
+
+// Regression: a reader that dies on a rejected frame must keep draining its
+// channel to EOF. Before that fix the upstream sender blocked forever on
+// the full channel, never reached its own teardown, and run() hung instead
+// of surfacing the decode error.
+TEST(TransportTeardown, CorruptedFrameAbortsTheRunInsteadOfHanging) {
+  expect_ingress_rejection(0, 'X', "bad magic");  // breaks the DFW magic
+}
+
+// A frame carrying the retired wire version 1 header is refused loudly by
+// the receiving reader, never decoded as if it were current.
+TEST(TransportTeardown, VersionOneFrameIsRejectedWithCheckError) {
+  expect_ingress_rejection(3, 1, "unsupported version");
 }
 
 // Throws from send() on the final watermark (the frame whose phase field

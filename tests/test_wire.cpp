@@ -13,9 +13,9 @@
 //     or read out of bounds — they either decode to *something* (payload
 //     bits are not checksummed) or return a DecodeStatus, but length and
 //     count fields can never trigger giant allocations or overreads;
-//   * cross-version rejection is clean both ways: the v2 decoder rejects
-//     v1 frames with kBadVersion and the v1 decode-compat fixture rejects
-//     v2 frames the same way — no UB, no hang, no partial decode.
+//   * a frame of any other version — the retired version 1 included — is
+//     rejected with kBadVersion by every decode entry point: no UB, no
+//     hang, no partial decode.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -168,7 +168,7 @@ TEST(WireRoundTrip, BatchReaderStreamsDeliveriesIdentically) {
   }
 }
 
-TEST(WireRoundTrip, ValueLevelHelpersRoundTripBothVersions) {
+TEST(WireRoundTrip, ValueLevelHelpersRoundTrip) {
   support::Rng rng(7);
   std::vector<std::uint8_t> bytes;
   for (int i = 0; i < 2000; ++i) {
@@ -180,46 +180,24 @@ TEST(WireRoundTrip, ValueLevelHelpersRoundTripBothVersions) {
     ASSERT_EQ(decode_value(bytes, cursor, decoded), DecodeStatus::kOk);
     EXPECT_EQ(cursor, bytes.size()) << "decoder left trailing bytes";
     EXPECT_EQ(decoded, value);
-
-    bytes.clear();
-    encode_value_v1(value, bytes);
-    cursor = 0;
-    event::Value decoded_v1;
-    ASSERT_EQ(decode_value_v1(bytes, cursor, decoded_v1), DecodeStatus::kOk);
-    EXPECT_EQ(cursor, bytes.size());
-    EXPECT_EQ(decoded_v1, value);
-
-    // The v2 decoder also speaks the v1 tags (they are a prefix of its tag
-    // space); the v1 decoder must *reject* the dense tags, not misread.
-    cursor = 0;
-    event::Value decoded_compat;
-    ASSERT_EQ(decode_value(bytes, cursor, decoded_compat), DecodeStatus::kOk);
-    EXPECT_EQ(decoded_compat, value);
   }
 }
 
 TEST(WireDensity, DenseEncodingIsSmallerOnCommonSmallValues) {
-  // The whole point of the v2 value encoding: common small payloads cost a
-  // fraction of their v1 size.
+  // The whole point of the dense value tags: common small payloads cost a
+  // fraction of their fixed-width size (tag + u64 for an int, tag + u32
+  // length + bytes for a string).
   const event::Value small_ints[] = {
       event::Value(0), event::Value(1), event::Value(-1), event::Value(4096)};
-  std::vector<std::uint8_t> v1;
-  std::vector<std::uint8_t> v2;
+  std::vector<std::uint8_t> bytes;
   for (const event::Value& value : small_ints) {
-    v1.clear();
-    v2.clear();
-    encode_value_v1(value, v1);
-    encode_value(value, v2);
-    EXPECT_EQ(v1.size(), 9U);
-    EXPECT_LE(v2.size(), 3U) << value.to_string();
+    bytes.clear();
+    encode_value(value, bytes);
+    EXPECT_LE(bytes.size(), 3U) << value.to_string();
   }
-  v1.clear();
-  v2.clear();
-  const event::Value text(std::string("alert"));
-  encode_value_v1(text, v1);
-  encode_value(text, v2);
-  EXPECT_EQ(v1.size(), 1U + 4U + 5U);
-  EXPECT_EQ(v2.size(), 1U + 1U + 5U);
+  bytes.clear();
+  encode_value(event::Value(std::string("alert")), bytes);
+  EXPECT_EQ(bytes.size(), 1U + 1U + 5U);
 }
 
 TEST(WireDensity, BatchAmortizesTheFrameHeader) {
@@ -237,7 +215,7 @@ TEST(WireDensity, BatchAmortizesTheFrameHeader) {
   std::size_t single_total = 0;
   std::vector<std::uint8_t> bytes;
   for (const core::Delivery& d : deliveries) {
-    encode_delivery_v1(7, 3, d, bytes);
+    encode_delivery(7, 3, d, bytes);
     single_total += bytes.size();
   }
   encode_delivery_batch(7, 3, deliveries, bytes);
@@ -335,7 +313,7 @@ TEST(WireRejection, RandomGarbageNeverCrashesAndValidateAgrees) {
 }
 
 TEST(WireRejection, CorruptedLengthFieldCannotTriggerGiantAllocation) {
-  // A delivery carrying a long (v1-form, u32 length) string whose length
+  // A delivery carrying a long (fixed-width, u32 length) string whose length
   // field is corrupted to a huge value: the decoder must reject before
   // allocating (kTruncated), because the claimed length exceeds the
   // remaining bytes.
@@ -402,57 +380,22 @@ TEST(WireRejection, CorruptedBatchCountCannotTriggerGiantAllocation) {
   EXPECT_EQ(decode_frame(empty_batch, decoded), DecodeStatus::kBadPayload);
 }
 
-TEST(WireVersioning, CrossVersionFramesAreRejectedCleanly) {
+TEST(WireVersioning, VersionOneFramesAreRejected) {
+  // No version-1 peer exists any more; a frame claiming that version must
+  // be rejected cleanly by every entry point the transport uses.
   support::Rng rng(29);
-  std::vector<std::uint8_t> v2_bytes;
-  std::vector<std::uint8_t> v1_bytes;
-  for (int i = 0; i < 200; ++i) {
-    // v1 receiver (decode_frame_v1) must reject every v2 frame.
-    const Frame frame = random_frame(rng);
-    encode(frame, v2_bytes);
-    Frame decoded;
-    EXPECT_EQ(decode_frame_v1(v2_bytes, decoded), DecodeStatus::kBadVersion);
-
-    // v2 receiver must reject every v1 frame the same way.
-    if (frame.type == FrameType::kDelivery) {
-      encode_delivery_v1(frame.seq, frame.phase, frame.delivery, v1_bytes);
-    } else {
-      encode_watermark_v1(frame.seq, frame.phase, v1_bytes);
-    }
-    EXPECT_EQ(decode_frame(v1_bytes, decoded), DecodeStatus::kBadVersion);
-    EXPECT_EQ(validate_frame(v1_bytes), DecodeStatus::kBadVersion);
-    BatchReader reader;
-    EXPECT_EQ(reader.open(v1_bytes), DecodeStatus::kBadVersion);
-  }
-}
-
-TEST(WireVersioning, V1FixtureStillRoundTripsItsOwnFrames) {
-  // The v1 path survives as a decode-compat fixture: its own frames must
-  // keep round-tripping exactly, and a batch frame type byte inside a v1
-  // frame is an unknown type to the v1 decoder.
-  support::Rng rng(37);
   std::vector<std::uint8_t> bytes;
-  for (int i = 0; i < 500; ++i) {
-    Frame frame;
-    frame.seq = rng.next_u64();
-    frame.phase = rng.next_below(1 << 20);
-    if (rng.next_bernoulli(0.7)) {
-      frame.type = FrameType::kDelivery;
-      frame.delivery = random_delivery(rng);
-      encode_delivery_v1(frame.seq, frame.phase, frame.delivery, bytes);
-    } else {
-      frame.type = FrameType::kWatermark;
-      encode_watermark_v1(frame.seq, frame.phase, bytes);
-    }
+  for (int i = 0; i < 200; ++i) {
+    encode(random_frame(rng), bytes);
+    bytes[3] = 1;  // the version byte
     Frame decoded;
-    ASSERT_EQ(decode_frame_v1(bytes, decoded), DecodeStatus::kOk);
-    expect_frames_equal(decoded, frame);
+    FrameHeader header;
+    BatchReader reader;
+    EXPECT_EQ(decode_frame(bytes, decoded), DecodeStatus::kBadVersion);
+    EXPECT_EQ(validate_frame(bytes), DecodeStatus::kBadVersion);
+    EXPECT_EQ(decode_header(bytes, header), DecodeStatus::kBadVersion);
+    EXPECT_EQ(reader.open(bytes), DecodeStatus::kBadVersion);
   }
-
-  encode_watermark_v1(1, 2, bytes);
-  bytes[4] = static_cast<std::uint8_t>(FrameType::kDeliveryBatch);
-  Frame decoded;
-  EXPECT_EQ(decode_frame_v1(bytes, decoded), DecodeStatus::kBadFrameType);
 }
 
 TEST(WireRejection, WrongMagicVersionAndTypeAreDistinguished) {
