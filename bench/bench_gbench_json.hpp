@@ -30,6 +30,10 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
       if (items != run.counters.end()) {
         line.metric("pairs_per_sec", static_cast<double>(items->second));
       }
+      const auto slots = run.counters.find("slots_per_pair");
+      if (slots != run.counters.end()) {
+        line.metric("slots_per_pair", static_cast<double>(slots->second));
+      }
       line.emit();
     }
   }

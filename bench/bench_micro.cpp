@@ -5,6 +5,7 @@
 // speedup prediction is conditioned on.
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <mutex>
 
 #include "bench_gbench_json.hpp"
@@ -188,6 +189,64 @@ BENCHMARK(BM_scheduler_pair_bookkeeping_staged_batch)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512);
+
+/// The per-pair path (one Listing 1 tail per finish, as a single-worker
+/// engine runs it) with `range(0)` phases kept in flight on a chain,
+/// finishing pairs in FIFO order like the run queue. A finish changes one
+/// phase's pending set, so the frontier pass visits a constant number of
+/// slots (`slots_per_pair`) and the cost per pair stays flat as the window
+/// deepens instead of growing with it.
+void BM_scheduler_pair_bookkeeping_window(benchmark::State& state) {
+  constexpr std::uint32_t kVertices = 8;
+  const auto window = static_cast<std::size_t>(state.range(0));
+  const graph::Dag dag = graph::chain(kVertices);
+  const graph::Numbering numbering =
+      graph::compute_satisfactory_numbering(dag);
+  std::uint64_t pairs = 0;
+  core::Scheduler scheduler(numbering.m);
+  scheduler.reserve_steady_state(window, window * 2);
+  std::vector<event::InputBundle> bundles(1);
+  std::deque<core::Scheduler::ReadyPair> queue;
+  std::vector<core::Scheduler::ReadyPair> ready;
+  std::vector<core::Scheduler::Delivery> deliveries;
+  event::PhaseId phase = 0;
+  const std::uint64_t visits_before = scheduler.frontier_slots_visited();
+  for (auto _ : state) {
+    while (scheduler.active_phase_count() < window) {
+      bundles.assign(1, event::InputBundle{});
+      ready.clear();
+      scheduler.start_phase(++phase, std::span(bundles), ready);
+      for (auto& r : ready) {
+        queue.push_back(std::move(r));
+      }
+    }
+    core::Scheduler::ReadyPair pair = std::move(queue.front());
+    queue.pop_front();
+    deliveries.clear();
+    if (pair.vertex < kVertices) {
+      deliveries.push_back(core::Scheduler::Delivery{
+          pair.vertex + 1, 0, event::Value(1.0)});
+    }
+    ready.clear();
+    scheduler.finish_execution(pair.vertex, pair.phase, std::span(deliveries),
+                               std::move(pair.bundle), ready);
+    for (auto& r : ready) {
+      queue.push_back(std::move(r));
+    }
+    ++pairs;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
+  state.counters["slots_per_pair"] =
+      pairs == 0 ? 0.0
+                 : static_cast<double>(scheduler.frontier_slots_visited() -
+                                       visits_before) /
+                       static_cast<double>(pairs);
+}
+BENCHMARK(BM_scheduler_pair_bookkeeping_window)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256);
 
 void BM_rng_next_normal(benchmark::State& state) {
   support::Rng rng(1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "core/checkpoint.hpp"
 #include "graph/partition.hpp"
@@ -560,6 +561,10 @@ void Engine::worker_main(std::size_t worker_index) {
   // the executed pair's bundle is recycled into the scheduler's pool, so
   // the locked bookkeeping path allocates nothing at steady state.
   std::vector<Scheduler::ReadyPair> ready;
+  // Per-pair path only: one of the pairs this worker's own finish readied,
+  // run next without the round trip through run_queue_ (DESIGN.md, "Engine
+  // deviations from the paper's listings").
+  std::optional<Scheduler::ReadyPair> local;
   conc::SpscRing<Scheduler::StagedFinish>* ring =
       use_staging_ ? staging_[worker_index].get() : nullptr;
   // Pre-block hook: about to block, apply everything pending first
@@ -574,10 +579,16 @@ void Engine::worker_main(std::size_t worker_index) {
     }
   };
   for (;;) {
+    if (local.has_value() && abandoning_.load(std::memory_order_acquire)) {
+      local.reset();  // dropped like the pairs the closed queue rejects
+    }
     std::optional<Scheduler::ReadyPair> item =
-        run_queue_.pop_with_preblock(pre_block);
+        std::exchange(local, std::nullopt);
     if (!item.has_value()) {
-      break;  // closed and drained
+      item = run_queue_.pop_with_preblock(pre_block);
+      if (!item.has_value()) {
+        break;  // closed and drained
+      }
     }
     support::Stopwatch compute_timer;
     ExecutionResult result;
@@ -629,7 +640,12 @@ void Engine::worker_main(std::size_t worker_index) {
       maybe_drain(drain_threshold_);
     } else {
       ready.clear();
-      retire(ready, apply_finish_locked(staged, ready));
+      const event::PhaseId completed_now = apply_finish_locked(staged, ready);
+      if (!ready.empty()) {
+        local = std::move(ready.back());
+        ready.pop_back();
+      }
+      retire(ready, completed_now);
     }
     bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
     executed_pairs_.add(1);

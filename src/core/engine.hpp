@@ -28,7 +28,13 @@
 //     pass, shrinking both the number of lock acquisitions and the work
 //     done per acquisition (DESIGN.md, "Staged delivery rings"). A single
 //     worker, a per-transition observer, and a full staging ring use the
-//     Listing 1 per-pair apply instead; the engine picks it on its own.
+//     Listing 1 per-pair apply instead; the engine picks it on its own;
+//   * worker-local next pair: on the per-pair path a worker keeps one of
+//     the pairs its own finish readied and runs it next, handing only the
+//     rest to the run queue. This is the single-worker fast path every
+//     default transport partition takes. The staged drain still hands
+//     every pair to the queue, so the drainer does not sit on work the
+//     other workers could start.
 #pragma once
 
 #include <atomic>
@@ -272,9 +278,11 @@ class Engine final : public Executor {
   /// Set by the destructor when tearing down with work outstanding; lets
   /// workers drop ready pairs instead of treating a closed queue as a bug.
   /// Ordering: the destructor stores this *before* closing the run queue,
-  /// and a worker reads it only after observing the closed queue, so the
-  /// queue mutex's release/acquire edge makes the store visible — a late
-  /// rejected push can never see abandoning_ == false (see ~Engine).
+  /// and the rejected-push check reads it only after observing the closed
+  /// queue, so the queue mutex's release/acquire edge makes the store
+  /// visible — a late rejected push can never see abandoning_ == false
+  /// (see ~Engine). A worker also reads it before running its local next
+  /// pair; a stale false there only runs one more pair.
   std::atomic<bool> abandoning_{false};
   std::exception_ptr first_error_ DF_GUARDED_BY(mutex_);
 

@@ -163,9 +163,7 @@ void Scheduler::start_phase(event::PhaseId p,
     // may ever reference this phase), and a phase that started with nothing
     // pending retires on the spot. The pass is phase-p-local: p is the
     // newest phase, so no other slot is visited.
-    update_x_from(p);
-    promote_newly_full(p);
-    retire_completed();
+    advance_frontier(p, p);
   }
   collect_ready(out_ready);
 }
@@ -223,12 +221,9 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
                                  std::vector<ReadyPair>& out_ready) {
   // Listing 1, statements 4-31.
   apply_finish(vertex, p, deliveries, std::move(recycled));
-  // Statements 12-23: recompute the frontier for p and all later phases.
-  update_x_from(p);
-  // Statements 24-26: promote partial pairs within the new frontiers.
-  promote_newly_full(p);
-  // Phases whose frontier reached N are complete; retire from the front.
-  retire_completed();
+  // Statements 12-26: only phase p's pending set changed, so the frontier
+  // pass starts at p and stops past it once an x is unchanged.
+  advance_frontier(p, p);
   // Statements 27-30: issue newly ready pairs.
   collect_ready(out_ready);
 }
@@ -244,18 +239,19 @@ void Scheduler::finish_execution_batch(std::span<StagedFinish> batch,
   // deferred frontier only under-approximates in between, which every
   // invariant tolerates (see apply_finish).
   event::PhaseId from = batch.front().phase;
+  event::PhaseId newest = from;
   for (StagedFinish& staged : batch) {
     apply_finish(staged.vertex, staged.phase,
                  std::span<Delivery>(staged.deliveries),
                  std::move(staged.recycled));
     from = std::min(from, staged.phase);
+    newest = std::max(newest, staged.phase);
   }
-  // One frontier/promotion/retire/collect pass for the whole batch. None of
-  // the staged phases can have retired before this point — each kept a
-  // pending bit set until its apply above — so `from` is still active.
-  update_x_from(from);
-  promote_newly_full(from);
-  retire_completed();
+  // One frontier/promotion/retire/collect pass for the whole batch, over
+  // every phase the batch touched and on past the newest while x moves.
+  // None of the staged phases can have retired before this point — each
+  // kept a pending bit set until its apply above — so `from` is active.
+  advance_frontier(from, newest);
   collect_ready(out_ready);
 }
 
@@ -269,13 +265,15 @@ std::uint32_t Scheduler::min_pending(PhaseSlot& slot) {
          static_cast<std::uint32_t>(std::countr_zero(slot.pending_bits[w]));
 }
 
-void Scheduler::update_x_from(event::PhaseId from) {
-  if (ring_count_ == 0) {
-    return;
-  }
-  DF_CHECK(from >= first_active_, "updating a retired phase");
-  for (std::size_t i = from - first_active_; i < ring_count_; ++i) {
+std::size_t Scheduler::update_x_from(event::PhaseId from,
+                                     event::PhaseId newest) {
+  DF_CHECK(from >= first_active_ && newest < first_active_ + ring_count_,
+           "frontier pass outside the active window");
+  const std::size_t last_touched = newest - first_active_;
+  std::size_t i = from - first_active_;
+  for (; i < ring_count_; ++i) {
     PhaseSlot& slot = slot_at(i);
+    ++frontier_visits_;
     // Statement 15/17: x_i = N if no pair with phase i remains, otherwise
     // min vertex still pending minus one.
     std::uint32_t candidate =
@@ -285,18 +283,16 @@ void Scheduler::update_x_from(event::PhaseId from) {
         i == 0 ? x(slot.id - 1) : slot_at(i - 1).x;
     candidate = std::min(candidate, previous);
     DF_CHECK(candidate >= slot.x, "x must be monotone within a phase");
+    if (candidate == slot.x && i >= last_touched) {
+      return i + 1;  // every later slot keeps its x (see the header)
+    }
     slot.x = candidate;
   }
+  return i;
 }
 
-void Scheduler::promote_newly_full(event::PhaseId from) {
-  if (ring_count_ == 0) {
-    return;
-  }
-  const std::size_t start =
-      from >= first_active_ ? static_cast<std::size_t>(from - first_active_)
-                            : 0;
-  for (std::size_t i = start; i < ring_count_; ++i) {
+void Scheduler::promote_newly_full(std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
     PhaseSlot& slot = slot_at(i);
     const std::uint32_t bound = m_[slot.x];
     if (bound <= slot.promoted_bound) {
@@ -344,6 +340,14 @@ void Scheduler::promote_newly_full(event::PhaseId from) {
     }
     slot.promoted_bound = bound;
   }
+}
+
+void Scheduler::advance_frontier(event::PhaseId from, event::PhaseId newest) {
+  const std::size_t begin = from - first_active_;
+  const std::size_t end = update_x_from(from, newest);
+  promote_newly_full(begin, end);
+  // Phases whose frontier reached N are complete; retire from the front.
+  retire_completed();
 }
 
 void Scheduler::collect_ready(std::vector<ReadyPair>& out_ready) {
@@ -443,6 +447,13 @@ std::uint32_t popcount_words(const std::vector<std::uint64_t>& bits) {
   return total;
 }
 
+/// Vertex indices are 1..n: bit 0 and the tail bits above n stay clear.
+bool bits_in_range(const std::vector<std::uint64_t>& bits, std::uint32_t n) {
+  const std::uint32_t used = (n + 1) & 63;
+  const std::uint64_t above = used == 0 ? 0 : ~std::uint64_t{0} << used;
+  return (bits.front() & 1u) == 0 && (bits.back() & above) == 0;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> Scheduler::snapshot_state() {
@@ -536,9 +547,22 @@ void Scheduler::restore_state(const std::vector<std::uint8_t>& image) {
     DF_CHECK(popcount_words(slot.pending_bits) == slot.pending_count &&
                  popcount_words(slot.partial_bits) == slot.partial_count,
              "scheduler checkpoint: set counts disagree with bitsets");
+    DF_CHECK(bits_in_range(slot.pending_bits, n_) &&
+                 bits_in_range(slot.partial_bits, n_),
+             "scheduler checkpoint: set bit outside vertex range");
     // min_pending_word restarts at 0: the hint must only under-approximate
     // the true minimum word, and 0 always does.
     slot.min_pending_word = 0;
+    // The frontier pass stops at the first slot whose x it leaves
+    // unchanged, trusting every later slot to already satisfy
+    // x_i = min(min pending_i - 1, x_{i-1}); an image that breaks the
+    // recurrence would silently freeze those frontiers, so reject it.
+    const std::uint32_t frontier =
+        slot.pending_count == 0 ? n_ : min_pending(slot) - 1;
+    const std::uint32_t previous = i == 0 ? n_ : slot_at(i - 1).x;
+    DF_CHECK(slot.x == std::min(frontier, previous),
+             "scheduler checkpoint: phase ", expected,
+             " breaks the frontier recurrence");
     std::uint32_t live = 0;
     ar.u32(live);
     for (std::uint32_t b = 0; b < live; ++b) {

@@ -171,6 +171,11 @@ class Scheduler {
   /// Bundle-pool footprint (slots ever created); flat at steady state.
   std::size_t bundle_pool_slots() const { return pool_.slot_count(); }
 
+  /// Phase slots the frontier pass has visited over this scheduler's
+  /// lifetime: the per-transition cost of statements 1.12-1.26. Tests pin
+  /// it at O(phases whose frontier moved), independent of the window.
+  std::uint64_t frontier_slots_visited() const { return frontier_visits_; }
+
   std::uint32_t n() const { return n_; }
   /// Number of vertices receiving the per-phase signal (== m(0) unless a
   /// block-local signal-source prefix was configured).
@@ -248,6 +253,7 @@ class Scheduler {
   std::vector<VertexState> vertices_;  // [1..n], slot 0 unused
   BundlePool pool_;
   std::vector<std::uint32_t> affected_;  // reusable scratch for transitions
+  std::uint64_t frontier_visits_ = 0;
 
   PhaseSlot& slot_at(std::size_t ordinal) {
     return ring_[(ring_head_ + ordinal) % ring_.size()];
@@ -275,13 +281,28 @@ class Scheduler {
   /// higher indices than the finishing vertex, which is itself pending).
   std::uint32_t min_pending(PhaseSlot& slot);
 
-  /// Statements 1.12-1.23: recompute x_i for all active phases i >= from,
-  /// clamping to the previous phase's x.
-  void update_x_from(event::PhaseId from);
+  /// Statements 1.12-1.23: recompute x_i = min(min pending_i - 1, x_{i-1})
+  /// for the active phases from `from` on, and return the ring ordinal one
+  /// past the last slot visited. Every phase in [from, newest] is visited:
+  /// those are the phases whose pending bits the transition may have
+  /// changed. Past `newest` the walk stops at the first slot whose x did
+  /// not change — that slot's pending set is untouched and so is its
+  /// predecessor's x, and every restored or previously walked slot already
+  /// satisfies the recurrence, so no later x can change either. The cost
+  /// is O(phases whose frontier moved), not O(window).
+  std::size_t update_x_from(event::PhaseId from, event::PhaseId newest);
 
   /// Statements 1.24-1.26: move partial pairs with vertex <= m(x_q) into
-  /// full for every active phase q >= from; appends affected vertices.
-  void promote_newly_full(event::PhaseId from);
+  /// full for the ring ordinals [begin, end) — the slots the frontier pass
+  /// just visited. A slot past them kept its x, hence its bound m(x), and
+  /// received no delivery, so it has nothing to promote. Appends affected
+  /// vertices.
+  void promote_newly_full(std::size_t begin, std::size_t end);
+
+  /// The Listing 1 tail every transition shares: frontier pass over
+  /// [from, newest] and beyond, promotion over the visited slots, and
+  /// retirement of completed phases from the front.
+  void advance_frontier(event::PhaseId from, event::PhaseId newest);
 
   /// Statements 1.27-1.30 / 2.16-2.19: for each affected vertex (sorted,
   /// deduplicated), if it has no issued pair and a non-empty full set,

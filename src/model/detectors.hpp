@@ -21,6 +21,11 @@ class ThresholdDetector final : public Module {
  public:
   explicit ThresholdDetector(double threshold);
   void on_phase(PhaseContext& ctx) override;
+  void persist_state(support::StateArchive& ar) override {
+    ar.optional(state_, [](support::StateArchive& a, bool& b) {
+      a.boolean(b);
+    });
+  }
 
  private:
   double threshold_;
@@ -35,6 +40,9 @@ class ZScoreDetector final : public Module {
   ZScoreDetector(std::size_t window, double z_threshold,
                  std::size_t min_samples = 8);
   void on_phase(PhaseContext& ctx) override;
+  void persist_state(support::StateArchive& ar) override {
+    stats_.persist(ar);
+  }
 
  private:
   support::WindowedStats stats_;

@@ -19,6 +19,11 @@ class BoolGate : public Module {
  public:
   explicit BoolGate(std::size_t fan_in);
   void on_phase(PhaseContext& ctx) final;
+  void persist_state(support::StateArchive& ar) final {
+    ar.optional(last_output_, [](support::StateArchive& a, bool& b) {
+      a.boolean(b);
+    });
+  }
 
  protected:
   /// Combines the current input values into the gate's output.

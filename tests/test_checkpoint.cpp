@@ -16,11 +16,14 @@
 // phases, quiesce, snapshot; restore into a fresh engine and run the
 // remaining phases. The checkpoint's sink prefix plus the resumed run's
 // sink suffix must be byte-identical to an uninterrupted twin (module
-// state, rng streams, and the latest-value cache all resume exactly).
+// state, rng streams, and the latest-value cache all resume exactly). A
+// seeded external -> zscore -> threshold -> majority graph covers the
+// stateful detector and gate modules the corpus does not build.
 //
 // Layer 3 — image rejection (same strictness discipline as
-// test_wire.cpp): truncated, bit-flipped, wrong-version, wrong-magic, and
-// wrong-geometry images must fail restore_state with a loud
+// test_wire.cpp): truncated, bit-flipped, wrong-version, wrong-magic,
+// wrong-geometry images, and slots whose x breaks the frontier recurrence
+// must fail restore_state with a loud
 // support::check_error (no UB under ASan/UBSan), and recovery must be able
 // to fall back to the previous intact checkpoint.
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -36,7 +40,11 @@
 #include "core/sink_store.hpp"
 #include "graph/generators.hpp"
 #include "graph/numbering.hpp"
+#include "model/detectors.hpp"
+#include "model/logic.hpp"
+#include "model/sources.hpp"
 #include "random_program.hpp"
+#include "spec/builder.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trace/serializability.hpp"
@@ -249,6 +257,91 @@ TEST_P(EngineCheckpointResume, ResumedRunMatchesUninterruptedTwin) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineCheckpointResume,
                          ::testing::Range<std::uint64_t>(0, 10));
 
+// Stateful detectors and gates (zscore history, threshold level, majority's
+// last output) must resume exactly: the random corpus above never builds
+// them, so this graph does. Four external streams each run through zscore
+// -> threshold into one majority gate, fed seeded readings with rare
+// spikes so every stage both fires and clears.
+TEST(DetectorCheckpointResume, StatefulModulesMatchUninterruptedTwin) {
+  constexpr std::size_t kStreams = 4;
+  spec::GraphBuilder b;
+  std::vector<graph::VertexId> sensors;
+  std::vector<graph::VertexId> alarms;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    const std::string tag = std::to_string(s);
+    sensors.push_back(b.add(
+        "sensor" + tag, model::factory_of<model::ExternalPassthroughSource>()));
+    const graph::VertexId z = b.add(
+        "zscore" + tag, model::factory_of<model::ZScoreDetector>(16, 1.5, 4));
+    alarms.push_back(b.add(
+        "alarm" + tag, model::factory_of<model::ThresholdDetector>(0.0)));
+    b.connect(sensors.back(), z);
+    b.connect(z, alarms.back());
+  }
+  const graph::VertexId vote =
+      b.add("vote", model::factory_of<model::MajorityGate>(kStreams, 2));
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    b.connect(alarms[s], 0, vote, static_cast<graph::Port>(s));
+  }
+  const Program program = std::move(b).build(5);
+
+  const event::PhaseId phases = 160;
+  const event::PhaseId checkpoint_phase = 80;
+  support::Rng rng(2024);
+  std::vector<std::vector<event::ExternalEvent>> batches(phases + 1);
+  for (event::PhaseId p = 1; p <= phases; ++p) {
+    for (const graph::VertexId sensor : sensors) {
+      if (rng.next_bernoulli(0.8)) {
+        const double spike = rng.next_bernoulli(0.08) ? 6.0 : 0.0;
+        const double sign = rng.next_bernoulli(0.5) ? 1.0 : -1.0;
+        batches[p].push_back(event::ExternalEvent{
+            sensor, 0, event::Value(rng.next_normal() + sign * spike)});
+      }
+    }
+  }
+  EngineOptions options;
+  options.threads = 2;
+
+  Engine twin(program, options);
+  twin.start();
+  for (event::PhaseId p = 1; p <= phases; ++p) {
+    twin.start_phase(batches[p]);
+  }
+  twin.finish();
+
+  SinkStore combined;
+  std::vector<std::uint8_t> image;
+  {
+    Engine first(program, options);
+    first.start();
+    for (event::PhaseId p = 1; p <= checkpoint_phase; ++p) {
+      first.start_phase(batches[p]);
+    }
+    first.quiesce();
+    image = first.snapshot_state();
+    first.finish();
+    combined.record_batch(first.sinks().canonical());
+  }
+  {
+    Engine second(program, options);
+    second.start();
+    second.restore_state(image);
+    for (event::PhaseId p = checkpoint_phase + 1; p <= phases; ++p) {
+      second.start_phase(batches[p]);
+    }
+    second.finish();
+    combined.record_batch(second.sinks().canonical());
+  }
+
+  const auto report = trace::compare_sinks(twin.sinks(), combined);
+  EXPECT_TRUE(report.equivalent) << report.summary();
+  std::size_t late_votes = 0;
+  for (const SinkRecord& record : twin.sinks().canonical()) {
+    late_votes += record.phase > checkpoint_phase ? 1 : 0;
+  }
+  EXPECT_GE(late_votes, 4U) << "the vote never changed after the checkpoint";
+}
+
 // --- layer 3: image rejection ------------------------------------------------
 
 /// Runs `k` phases on a fresh engine and returns its sealed checkpoint
@@ -360,6 +453,90 @@ TEST(CheckpointImageRejection, SchedulerImageGeometryAndCorruption) {
     other_m.push_back(other_m.back() + 1);
     Scheduler fresh(other_m);
     EXPECT_THROW(fresh.restore_state(image), support::check_error);
+  }
+}
+
+TEST(CheckpointImageRejection, SlotBreakingFrontierRecurrenceIsRejected) {
+  // The frontier pass stops at the first slot whose x it leaves unchanged,
+  // so it trusts every restored slot to satisfy x_i = min(min pending_i - 1,
+  // x_{i-1}). A checksum-valid image whose slot x breaks that must fail.
+  // Chain 1 -> 2 -> 3 -> 4 with two phases active: phase 1 has x = 1
+  // (vertex 2 issued) and phase 2 has x = 0 (vertex 1 issued). Neither slot
+  // holds a live bundle, so both records have a fixed size.
+  const Dag dag = graph::chain(4);
+  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
+  Scheduler scheduler(numbering.m);
+  std::vector<event::InputBundle> bundles(1);
+  std::vector<Scheduler::ReadyPair> ready;
+  scheduler.start_phase(1, std::span<event::InputBundle>(bundles), ready);
+  ASSERT_EQ(ready.size(), 1U);
+  std::vector<Scheduler::Delivery> to_two{
+      Scheduler::Delivery{2, 0, event::Value(1.0)}};
+  const Scheduler::ReadyPair first = std::move(ready.front());
+  ready.clear();
+  scheduler.finish_execution(first.vertex, first.phase,
+                             std::span<Scheduler::Delivery>(to_two), {},
+                             ready);
+  bundles.assign(1, event::InputBundle{});
+  scheduler.start_phase(2, std::span<event::InputBundle>(bundles), ready);
+  ASSERT_EQ(scheduler.x(1), 1U);
+  ASSERT_EQ(scheduler.x(2), 0U);
+  const std::vector<std::uint8_t> body =
+      open_image(scheduler.snapshot_state(), "scheduler");
+
+  // Body layout: magic, version (u32 each), m-vector (u64 length + u32
+  // per entry), signal sources (u32), pmax, completed, active (u64 each),
+  // then per slot: id (u64), x, pending/partial counts, promoted bound
+  // (u32 each), pending and partial bitsets (u64 per word), live-bundle
+  // count (u32).
+  const std::size_t words = (numbering.m.size() + 63) / 64;
+  const std::size_t slot0_x = 4 + 4 + 8 + 4 * numbering.m.size() + 4 + 24 + 8;
+  const std::size_t slot_bytes = 8 + 4 * 4 + 2 * 8 * words + 4;
+  const std::size_t slot1_x = slot0_x + slot_bytes;
+  const auto read_u32 = [&](std::size_t at) {
+    return static_cast<std::uint32_t>(body[at]) |
+           static_cast<std::uint32_t>(body[at + 1]) << 8 |
+           static_cast<std::uint32_t>(body[at + 2]) << 16 |
+           static_cast<std::uint32_t>(body[at + 3]) << 24;
+  };
+  ASSERT_EQ(read_u32(slot0_x), 1U) << "layout drifted: slot 0 x";
+  ASSERT_EQ(read_u32(slot1_x), 0U) << "layout drifted: slot 1 x";
+  const auto with_x = [&](std::size_t at, std::uint32_t x) {
+    std::vector<std::uint8_t> patched = body;
+    for (std::size_t b = 0; b < 4; ++b) {
+      patched[at + b] = static_cast<std::uint8_t>(x >> (8 * b));
+    }
+    return seal_image(std::move(patched));
+  };
+  {
+    Scheduler fresh(numbering.m);
+    fresh.restore_state(with_x(slot0_x, 1));  // the untouched value
+    EXPECT_EQ(fresh.snapshot(), scheduler.snapshot());
+  }
+  {
+    // Oldest slot below its own frontier (min pending 2, so x must be 1).
+    Scheduler fresh(numbering.m);
+    EXPECT_THROW(fresh.restore_state(with_x(slot0_x, 0)),
+                 support::check_error);
+  }
+  {
+    // Later slot past its frontier and its predecessor's x.
+    Scheduler fresh(numbering.m);
+    EXPECT_THROW(fresh.restore_state(with_x(slot1_x, 1)),
+                 support::check_error);
+  }
+  // The recurrence reads min pending, so pending bits must name vertices
+  // 1..n: a bit at index 0 or above n (count kept consistent) is rejected.
+  const std::size_t slot0_pending_count = slot0_x + 4;
+  const std::size_t slot0_pending_bits = slot0_x + 16;
+  for (const std::uint32_t stray : {0U, 5U}) {
+    std::vector<std::uint8_t> patched = body;
+    patched[slot0_pending_bits] |= static_cast<std::uint8_t>(1U << stray);
+    ++patched[slot0_pending_count];
+    Scheduler fresh(numbering.m);
+    EXPECT_THROW(fresh.restore_state(seal_image(std::move(patched))),
+                 support::check_error)
+        << "pending bit " << stray;
   }
 }
 

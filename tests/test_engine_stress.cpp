@@ -4,6 +4,8 @@
 // sink streams, since the computation is deterministic and serializable.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "model/detectors.hpp"
@@ -151,6 +153,47 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
         engine.start_phase({});
       }
       // Destructor runs here with up to `phases` phases outstanding.
+    }
+  }
+}
+
+// The per-pair path keeps one pair its own finish readied and runs it next
+// instead of queueing it. An engine destroyed while workers hold such local
+// pairs must drop them like queued ones — never trip the "run queue closed
+// while work was outstanding" check, hang, or crash. Each configuration
+// below takes the per-pair path: a single worker, an observer, and a
+// staging ring small enough to overflow. Destruction waits until pairs are
+// flowing, so it lands mid-chain rather than before the first dequeue.
+TEST(EngineStress, DestroyWhileWorkersHoldLocalPairs) {
+  struct Config {
+    std::size_t threads;
+    bool observe;
+    std::size_t ring;
+  };
+  const Program program = stress_program(6);
+  for (const Config config : {Config{1, false, 256}, Config{2, true, 256},
+                              Config{2, false, 2}}) {
+    for (int iter = 0; iter < 30; ++iter) {
+      EngineOptions options;
+      options.threads = config.threads;
+      options.max_inflight_phases = 2 + static_cast<std::size_t>(iter) * 2;
+      options.staging_ring_capacity = config.ring;
+      CountingObserver observer;
+      if (config.observe) {
+        options.observer = &observer;
+      }
+      Engine engine(program, options);
+      engine.start();
+      const std::size_t phases = 8 + static_cast<std::size_t>(iter) % 16;
+      for (std::size_t p = 0; p < phases; ++p) {
+        engine.start_phase({});
+      }
+      const std::uint64_t flowing = 1 + static_cast<std::uint64_t>(iter);
+      while (engine.stats().executed_pairs < flowing &&
+             engine.completed_phases() < phases) {
+        std::this_thread::yield();
+      }
+      // Destructor runs here, usually with pairs held worker-local.
     }
   }
 }

@@ -10,6 +10,7 @@
 //     argument (section 3.3).
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <set>
 
@@ -332,6 +333,62 @@ TEST_P(DefinitionalProperty, SetsAlwaysMatchEquations7To9) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DefinitionalProperty,
                          ::testing::Range<std::uint64_t>(0, 15));
+
+// --- frontier pass cost ---------------------------------------------------
+//
+// A finish changes pending bits only in its own phase, so the frontier pass
+// may stop at the first later phase whose x it leaves unchanged. Pin that:
+// a chain driven through finish_execution with a full 256-phase window must
+// visit a small constant number of slots per transition, not the window.
+TEST(FrontierPass, DeepWindowChainVisitsConstantSlotsPerFinish) {
+  constexpr std::uint32_t kVertices = 8;
+  constexpr std::size_t kWindow = 256;
+  constexpr event::PhaseId kPhases = 2000;
+  const Dag dag = graph::chain(kVertices);
+  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
+  Scheduler scheduler(numbering.m);
+  scheduler.reserve_steady_state(kWindow, kWindow * 2);
+
+  std::deque<Scheduler::ReadyPair> queue;  // FIFO, like the run queue
+  std::vector<Scheduler::ReadyPair> ready;
+  std::vector<event::InputBundle> bundles;
+  std::vector<Scheduler::Delivery> deliveries;
+  event::PhaseId started = 0;
+  std::uint64_t finishes = 0;
+  std::uint64_t visits = 0;
+  std::size_t deepest = 0;
+  while (started < kPhases || !queue.empty()) {
+    while (started < kPhases &&
+           scheduler.active_phase_count() < kWindow) {
+      bundles.assign(1, event::InputBundle{});
+      ready.clear();
+      scheduler.start_phase(++started, std::span(bundles), ready);
+      for (auto& r : ready) queue.push_back(std::move(r));
+    }
+    Scheduler::ReadyPair pair = std::move(queue.front());
+    queue.pop_front();
+    deliveries.clear();
+    if (pair.vertex < kVertices) {
+      deliveries.push_back(deliver(pair.vertex + 1));
+    }
+    deepest = std::max(deepest, scheduler.active_phase_count());
+    ready.clear();
+    const std::uint64_t before = scheduler.frontier_slots_visited();
+    scheduler.finish_execution(pair.vertex, pair.phase, std::span(deliveries),
+                               std::move(pair.bundle), ready);
+    visits += scheduler.frontier_slots_visited() - before;
+    ++finishes;
+    for (auto& r : ready) queue.push_back(std::move(r));
+  }
+  EXPECT_TRUE(scheduler.all_started_phases_complete());
+  EXPECT_EQ(scheduler.completed_through(), kPhases);
+  EXPECT_EQ(deepest, kWindow) << "the window never filled";
+  EXPECT_EQ(finishes, kPhases * kVertices);
+  const double per_finish =
+      static_cast<double>(visits) / static_cast<double>(finishes);
+  EXPECT_LE(per_finish, 3.0)
+      << "the frontier pass walks the window instead of stopping early";
+}
 
 }  // namespace
 }  // namespace df::core

@@ -6,7 +6,10 @@
 // spec) runs side by side with the flat core::Scheduler over random DAGs
 // and random phase/execution interleavings. After *every* transition the
 // two must produce identical Snapshots, and every transition must issue
-// identical ready batches with identical sealed bundles.
+// identical ready batches with identical sealed bundles. Shallow seeds keep
+// a few phases active; deep-window seeds run 200 phases with 64+ active and
+// finish the oldest and newest phases often, so the frontier pass's early
+// exit is checked against slots far beyond the ones a transition touched.
 //
 // Layer 2 — zero-allocation steady state: a counting global operator
 // new/delete pair measures heap traffic inside scheduler transitions.
@@ -280,14 +283,83 @@ void expect_same_ready(const std::vector<Scheduler::ReadyPair>& flat,
 
 // --- layer 1: randomized differential --------------------------------------
 
-class FlatVsReference : public ::testing::TestWithParam<std::uint64_t> {};
+/// Shape of one randomized differential run. A shallow run starts phases
+/// with a fixed probability, so only a few are ever active. A deep run keeps
+/// starting phases until `deep_active` are in flight and picks the oldest or
+/// newest issued pair as often as a random one, so finishes (and staged
+/// batches) span the whole window: the frontier pass's early exit then meets
+/// many active slots beyond the ones a transition touched.
+struct DiffShape {
+  std::uint32_t min_vertices;
+  std::uint32_t vertex_spread;  // vertices = min_vertices + seed % spread
+  event::PhaseId phases;
+  std::size_t deep_active;  // 0 = shallow
+};
 
-TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
-  const std::uint64_t seed = GetParam();
+/// Index into `issued` of the next pair to execute: uniformly random for a
+/// shallow run; for a deep run the oldest-phase, newest-phase or a random
+/// pair with equal odds.
+template <typename Issued>
+std::size_t pick_issued(const std::vector<Issued>& issued,
+                        const DiffShape& shape, support::Rng& rng) {
+  const auto random_pick = [&] {
+    return static_cast<std::size_t>(rng.next_below(issued.size()));
+  };
+  if (shape.deep_active == 0) {
+    return random_pick();
+  }
+  const auto by_phase = [](const Issued& a, const Issued& b) {
+    return a.phase < b.phase;
+  };
+  const double roll = rng.next_double();
+  if (roll < 1.0 / 3.0) {
+    return static_cast<std::size_t>(
+        std::min_element(issued.begin(), issued.end(), by_phase) -
+        issued.begin());
+  }
+  if (roll < 2.0 / 3.0) {
+    return static_cast<std::size_t>(
+        std::max_element(issued.begin(), issued.end(), by_phase) -
+        issued.begin());
+  }
+  return random_pick();
+}
+
+/// Deep runs start a phase far more often while the window is below its
+/// target depth, and rarely once it is there.
+double start_probability(const DiffShape& shape, double shallow,
+                         std::size_t active) {
+  if (shape.deep_active == 0) {
+    return shallow;
+  }
+  return active < shape.deep_active ? 0.9 : 0.15;
+}
+
+/// Random source bundles for one phase, identical for both schedulers.
+void random_bundles(const Numbering& numbering, support::Rng& rng,
+                    std::vector<event::InputBundle>& bundles,
+                    std::vector<event::InputBundle>& bundles_copy) {
+  bundles.assign(numbering.m[0], event::InputBundle{});
+  bundles_copy.assign(numbering.m[0], event::InputBundle{});
+  for (std::uint32_t s = 0; s < numbering.m[0]; ++s) {
+    if (rng.next_bernoulli(0.5)) {
+      const double payload = rng.next_normal();
+      bundles[s].push_back(event::Message{0, event::Value(payload)});
+      bundles_copy[s].push_back(event::Message{0, event::Value(payload)});
+    }
+  }
+}
+
+/// Per-pair differential: every finish goes through finish_execution on the
+/// flat side and the reference side alike; after *every* transition the
+/// snapshots and issued ready batches must match.
+void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
   support::Rng rng(seed);
 
   const Dag dag = graph::random_dag(
-      5 + static_cast<std::uint32_t>(seed % 27), 0.3, rng);
+      shape.min_vertices +
+          static_cast<std::uint32_t>(seed % shape.vertex_spread),
+      0.3, rng);
   const Numbering numbering = graph::compute_satisfactory_numbering(dag);
   const auto succs = internal_successors(dag, numbering);
 
@@ -300,8 +372,8 @@ TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
     event::InputBundle bundle;  // carried so finish can recycle it
   };
   std::vector<Issued> issued;
-  const event::PhaseId total_phases = 10;
   event::PhaseId started = 0;
+  std::size_t deepest = 0;
 
   const auto absorb = [&](std::vector<Scheduler::ReadyPair> flat_ready,
                           std::vector<Scheduler::ReadyPair> ref_ready) {
@@ -312,26 +384,21 @@ TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
     }
   };
 
-  while (started < total_phases || !issued.empty()) {
-    const bool start_now = started < total_phases &&
-                           (issued.empty() || rng.next_bernoulli(0.35));
+  std::vector<event::InputBundle> bundles;
+  std::vector<event::InputBundle> bundles_copy;
+  while (started < shape.phases || !issued.empty()) {
+    const bool start_now =
+        started < shape.phases &&
+        (issued.empty() ||
+         rng.next_bernoulli(
+             start_probability(shape, 0.35, flat.active_phase_count())));
     if (start_now) {
       ++started;
-      // Random payload per source, identical for both schedulers.
-      std::vector<event::InputBundle> bundles(numbering.m[0]);
-      std::vector<event::InputBundle> bundles_copy(numbering.m[0]);
-      for (std::uint32_t s = 0; s < numbering.m[0]; ++s) {
-        if (rng.next_bernoulli(0.5)) {
-          const double payload = rng.next_normal();
-          bundles[s].push_back(event::Message{0, event::Value(payload)});
-          bundles_copy[s].push_back(event::Message{0, event::Value(payload)});
-        }
-      }
+      random_bundles(numbering, rng, bundles, bundles_copy);
       absorb(start_phase_vec(flat, started, std::move(bundles)),
              reference.start_phase(started, std::move(bundles_copy)));
     } else {
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.next_below(issued.size()));
+      const std::size_t pick = pick_issued(issued, shape, rng);
       Issued pair = std::move(issued[pick]);
       issued.erase(issued.begin() + static_cast<std::ptrdiff_t>(pick));
 
@@ -356,18 +423,36 @@ TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
              reference.finish_execution(pair.vertex, pair.phase,
                                         std::move(deliveries_copy)));
     }
-    EXPECT_EQ(flat.snapshot(), reference.snapshot())
+    deepest = std::max(deepest, flat.active_phase_count());
+    ASSERT_EQ(flat.snapshot(), reference.snapshot())
         << "snapshot divergence (seed " << seed << ")";
   }
 
   EXPECT_TRUE(flat.all_started_phases_complete());
   EXPECT_TRUE(reference.all_started_phases_complete());
-  EXPECT_EQ(flat.completed_through(), total_phases);
-  EXPECT_EQ(reference.completed_through(), total_phases);
+  EXPECT_EQ(flat.completed_through(), shape.phases);
+  EXPECT_EQ(reference.completed_through(), shape.phases);
+  EXPECT_GE(deepest, shape.deep_active) << "the window never got deep";
+}
+
+class FlatVsReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
+  run_per_pair_differential(GetParam(), DiffShape{5, 27, 10, 0});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReference,
                          ::testing::Range<std::uint64_t>(0, 25));
+
+class FlatVsReferenceDeepWindow
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlatVsReferenceDeepWindow, IdenticalSnapshotsAfterEveryTransition) {
+  run_per_pair_differential(GetParam(), DiffShape{5, 12, 200, 64});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceDeepWindow,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 // --- layer 1b: staged-delivery differential ---------------------------------
 //
@@ -377,17 +462,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReference,
 // reference applies the same finishes one at a time in drain order. After
 // every drain the snapshots must match exactly and the issued ready sets
 // (including sealed bundle contents) must be identical — the batched
-// frontier may lag only *inside* the call, never across it.
+// frontier may lag only *inside* the call, never across it. Deep runs
+// stage the oldest and newest issued pairs often, so single batches span
+// the window from its oldest active phase to its newest.
 
-class FlatVsReferenceStaged : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
-  const std::uint64_t seed = GetParam();
+void run_staged_differential(std::uint64_t seed, const DiffShape& shape) {
   support::Rng rng(seed);
 
   const Dag dag = graph::random_dag(
-      6 + static_cast<std::uint32_t>(seed % 23), 0.3, rng);
+      shape.min_vertices +
+          static_cast<std::uint32_t>(seed % shape.vertex_spread),
+      0.3, rng);
   const Numbering numbering = graph::compute_satisfactory_numbering(dag);
   const auto succs = internal_successors(dag, numbering);
 
@@ -406,8 +491,9 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
   std::array<std::deque<Scheduler::StagedFinish>, kRings> rings;
   std::array<std::deque<Scheduler::StagedFinish>, kRings> rings_ref;
   std::size_t staged_count = 0;
-  const event::PhaseId total_phases = 12;
   event::PhaseId started = 0;
+  std::size_t deepest = 0;
+  event::PhaseId widest_batch = 0;  // newest - oldest phase in one drain
 
   const auto absorb = [&](std::vector<Scheduler::ReadyPair>& flat_ready,
                           std::vector<Scheduler::ReadyPair>& ref_ready) {
@@ -435,6 +521,13 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
         batch.push_back(std::move(rings[r].front()));
         rings[r].pop_front();
       }
+    }
+    if (!batch.empty()) {
+      const auto [oldest, newest] = std::minmax_element(
+          batch.begin(), batch.end(),
+          [](const Scheduler::StagedFinish& a,
+             const Scheduler::StagedFinish& b) { return a.phase < b.phase; });
+      widest_batch = std::max(widest_batch, newest->phase - oldest->phase);
     }
     for (const Scheduler::StagedFinish& staged : batch) {
       // Reference applies the identical finish sequence, one at a time.
@@ -468,33 +561,30 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
     std::sort(flat_ready.begin(), flat_ready.end(), by_vertex);
     std::sort(ref_ready.begin(), ref_ready.end(), by_vertex);
     absorb(flat_ready, ref_ready);
-    EXPECT_EQ(flat.snapshot(), reference.snapshot())
+    ASSERT_EQ(flat.snapshot(), reference.snapshot())
         << "snapshot divergence after drain (seed " << seed << ")";
   };
 
-  while (started < total_phases || !issued.empty() || staged_count > 0) {
+  std::vector<event::InputBundle> bundles;
+  std::vector<event::InputBundle> bundles_copy;
+  while (started < shape.phases || !issued.empty() || staged_count > 0) {
     const double roll = rng.next_double();
-    if (started < total_phases &&
-        (roll < 0.25 || (issued.empty() && staged_count == 0))) {
+    const double start_p =
+        start_probability(shape, 0.25, flat.active_phase_count());
+    if (started < shape.phases &&
+        (roll < start_p || (issued.empty() && staged_count == 0))) {
       // Start a phase (goes through the lock directly, as in the engine).
       ++started;
-      std::vector<event::InputBundle> bundles(numbering.m[0]);
-      std::vector<event::InputBundle> bundles_copy(numbering.m[0]);
-      for (std::uint32_t s = 0; s < numbering.m[0]; ++s) {
-        if (rng.next_bernoulli(0.5)) {
-          const double payload = rng.next_normal();
-          bundles[s].push_back(event::Message{0, event::Value(payload)});
-          bundles_copy[s].push_back(event::Message{0, event::Value(payload)});
-        }
-      }
+      random_bundles(numbering, rng, bundles, bundles_copy);
       auto fr = start_phase_vec(flat, started, std::move(bundles));
       auto rr = reference.start_phase(started, std::move(bundles_copy));
       absorb(fr, rr);
       EXPECT_EQ(flat.snapshot(), reference.snapshot());
-    } else if (!issued.empty() && (roll < 0.75 || staged_count == 0)) {
-      // "Execute" a random issued pair and stage the finish.
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.next_below(issued.size()));
+    } else if (!issued.empty() &&
+               (roll < start_p + (1.0 - start_p) * 2.0 / 3.0 ||
+                staged_count == 0)) {
+      // "Execute" an issued pair and stage the finish.
+      const std::size_t pick = pick_issued(issued, shape, rng);
       Issued pair = std::move(issued[pick]);
       issued.erase(issued.begin() + static_cast<std::ptrdiff_t>(pick));
       Scheduler::StagedFinish staged;
@@ -520,17 +610,43 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
       drain(rng.next_bernoulli(0.5)
                 ? std::numeric_limits<std::size_t>::max()
                 : 1 + static_cast<std::size_t>(rng.next_below(3)));
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
+    deepest = std::max(deepest, flat.active_phase_count());
   }
 
   EXPECT_TRUE(flat.all_started_phases_complete());
   EXPECT_TRUE(reference.all_started_phases_complete());
-  EXPECT_EQ(flat.completed_through(), total_phases);
-  EXPECT_EQ(reference.completed_through(), total_phases);
+  EXPECT_EQ(flat.completed_through(), shape.phases);
+  EXPECT_EQ(reference.completed_through(), shape.phases);
+  if (shape.deep_active != 0) {
+    EXPECT_GE(deepest, shape.deep_active) << "the window never got deep";
+    EXPECT_GE(widest_batch, shape.deep_active / 2)
+        << "no drain mixed old and new phases";
+  }
+}
+
+class FlatVsReferenceStaged : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
+  run_staged_differential(GetParam(), DiffShape{6, 23, 12, 0});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceStaged,
                          ::testing::Range<std::uint64_t>(0, 25));
+
+class FlatVsReferenceStagedDeepWindow
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlatVsReferenceStagedDeepWindow, BatchedDrainsMatchPerPairReference) {
+  run_staged_differential(GetParam(), DiffShape{5, 12, 200, 64});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceStagedDeepWindow,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 // --- layer 2: zero-allocation steady state ----------------------------------
 

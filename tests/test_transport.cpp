@@ -137,41 +137,49 @@ TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
     if (machines > program.numbering.size()) {
       continue;
     }
-    for (const std::size_t engine_threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (const ChannelKind kind : kBothKinds) {
-        TransportOptions options;
-        options.machines = machines;
-        options.channel = kind;
-        options.channel_capacity = 8;
-        options.engine_threads = engine_threads;
-        // Small window so the inner pipeline's backpressure (start_phase
-        // blocking while the egress hub holds future-phase batches) is
-        // exercised, not just theoretical.
-        options.max_inflight_phases = 4;
-        TransportEngine transport(program, options);
-        const auto report =
-            trace::check_against_sequential(program, transport, phases);
-        EXPECT_TRUE(report.equivalent)
-            << "machines=" << machines << " threads=" << engine_threads
-            << " channel=" << kind_name(kind) << " seed=" << seed << "\n"
-            << report.summary();
-        EXPECT_GT(report.reference_records, 0U)
-            << "workload produced no output";
+    // Window 4 makes the inner pipeline's backpressure (start_phase
+    // blocking while the egress hub holds future-phase batches) real, not
+    // just theoretical. Window 64 is the TransportOptions default and the
+    // benchmark's: there a one-thread block runs the per-pair path with a
+    // deep window, keeping its next pair worker-local.
+    for (const std::size_t window : {std::size_t{4}, std::size_t{64}}) {
+      for (const std::size_t engine_threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        if (window == 64 && engine_threads == 4) {
+          continue;  // bounds the suite's run time under TSan
+        }
+        for (const ChannelKind kind : kBothKinds) {
+          TransportOptions options;
+          options.machines = machines;
+          options.channel = kind;
+          options.channel_capacity = 8;
+          options.engine_threads = engine_threads;
+          options.max_inflight_phases = window;
+          TransportEngine transport(program, options);
+          const auto report =
+              trace::check_against_sequential(program, transport, phases);
+          EXPECT_TRUE(report.equivalent)
+              << "machines=" << machines << " threads=" << engine_threads
+              << " window=" << window << " channel=" << kind_name(kind)
+              << " seed=" << seed << "\n"
+              << report.summary();
+          EXPECT_GT(report.reference_records, 0U)
+              << "workload produced no output";
 
-        // The ceiling and the accounting invariants must survive
-        // concurrent egress from engine_threads workers per block.
-        const auto& stats = transport.transport_stats();
-        const std::uint64_t channels = machines * (machines - 1) / 2;
-        EXPECT_LE(stats.frames_sent, 2 * phases * channels)
-            << "machines=" << machines << " threads=" << engine_threads
-            << " seed=" << seed
-            << ": concurrent egress broke the batching ceiling ("
-            << stats.frames_sent << " frames, " << stats.remote_messages
-            << " remote deliveries)";
-        EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
-        EXPECT_EQ(stats.frames_received, stats.frames_sent);
-        EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
+          // The ceiling and the accounting invariants must survive
+          // concurrent egress from engine_threads workers per block.
+          const auto& stats = transport.transport_stats();
+          const std::uint64_t channels = machines * (machines - 1) / 2;
+          EXPECT_LE(stats.frames_sent, 2 * phases * channels)
+              << "machines=" << machines << " threads=" << engine_threads
+              << " window=" << window << " seed=" << seed
+              << ": concurrent egress broke the batching ceiling ("
+              << stats.frames_sent << " frames, " << stats.remote_messages
+              << " remote deliveries)";
+          EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
+          EXPECT_EQ(stats.frames_received, stats.frames_sent);
+          EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
+        }
       }
     }
   }
