@@ -1,13 +1,13 @@
 // E5 (extension) — paper section 6 future work, made real: partitioned
 // execution over serialized channels (distrib::TransportEngine).
 //
-// Where bench_partition *simulates* a cluster with a timing model, this
-// bench runs the real thing: one engine per partition block, wire-encoded
-// frames crossing every boundary over either the in-process ring channel
-// or loopback TCP. Sweeps machine count x channel kind against the
-// sequential reference and prints phase throughput plus the transport's
-// own accounting (frames, bytes, remote fraction). Sink output is checked
-// against the sequential reference on every row.
+// One engine per partition block, wire-encoded frames crossing every
+// boundary over either the in-process ring channel or loopback TCP. Sweeps
+// machine count x channel kind against the sequential reference and
+// prints phase throughput plus the transport's own accounting (frames,
+// bytes, remote fraction). Sink output is checked against the sequential
+// reference on every row. bench_partition (E4) runs the same engine over
+// a partitioner x channel-latency sweep.
 //
 // --smoke runs a small fixed configuration over both channel kinds and
 // exits non-zero on any mismatch — registered as a ctest smoke test with

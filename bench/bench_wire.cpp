@@ -1,22 +1,18 @@
 // Wire-path micro-bench: what one cross-partition delivery costs in
-// encode time, decode time, and bytes, for each framing of wire v2:
-//
-//   * v2_single — dense value encoding (varint ints, u8-length short
-//     strings) but one delivery per frame behind a 21-byte header, decoded
-//     through the Frame-level decoder;
-//   * v2_batch — the transport's real send path: kDeliveryBatch frames
-//     coalescing `batch` deliveries behind a single header with
-//     varint-delta addressing, decoded via the streaming BatchReader
-//     (validate + decode straight into a recycled Delivery, the engine's
-//     zero-copy ingestion shape).
+// encode time, decode time, and bytes on the transport's real send path
+// (v2_batch): kDeliveryBatch frames coalescing `batch` deliveries behind a
+// single 21-byte header with varint-delta addressing and dense values,
+// decoded via the streaming BatchReader (validate + decode straight into a
+// recycled Delivery, the engine's zero-copy ingestion shape).
 //
 // The corpus mirrors typical cross-partition traffic: mostly small ints
 // and doubles, some short strings and small vectors, destination indices
 // in a working set so the batch deltas stay small. Rows are emitted via
-// bench_json.hpp for the BENCH_seed_vs_flat.json trajectory; the
-// single-vs-batch bytes_per_delivery and decode ratios are the numbers the
-// trajectory tracks. Runs in well under a second by default, so it doubles
-// as the `smoke_bench_wire` ctest entry (transport label).
+// bench_json.hpp for the BENCH_seed_vs_flat.json trajectory. The decoded
+// deliveries are checksummed against the corpus, so the decode loop cannot
+// be optimized away and must reproduce every address. Runs in well under a
+// second by default, so it doubles as the `smoke_bench_wire` ctest entry
+// (transport label).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -82,17 +78,8 @@ double ns_since(std::chrono::steady_clock::time_point start,
          static_cast<double>(ops);
 }
 
-struct Row {
-  std::string name;
-  double encode_ns = 0;
-  double decode_ns = 0;
-  double bytes_per_delivery = 0;
-  std::uint64_t frames = 0;
-};
-
-// Checksum over decoded deliveries so the decode loops cannot be dead-code
-// eliminated, compared across rows so both paths provably decoded the same
-// corpus.
+// Checksum over deliveries: folded over the decoded stream so the decode
+// loop cannot be dead-code eliminated, and over the corpus to check it.
 std::uint64_t fold(std::uint64_t acc, const core::Delivery& d) {
   return acc * 31 + d.to_index + d.to_port;
 }
@@ -109,137 +96,90 @@ int main(int argc, char** argv) {
   const std::uint64_t batch = flags.get("batch", std::uint64_t{64});
   flags.reject_unused();
 
-  std::printf("wire-path micro-bench: per-delivery cost, single vs batch\n");
+  std::printf("wire-path micro-bench: per-delivery cost of batch frames\n");
   std::printf("%s\n", trace::machine_summary().c_str());
 
   const std::vector<core::Delivery> corpus = make_corpus(count, 71);
   const std::uint64_t ops = count * reps;
-  std::vector<Row> rows;
-  std::vector<std::uint64_t> checksums;
 
-  // --- v2_single: one frame per delivery, dense values ---------------------
-  {
-    Row row{"v2_single"};
-    std::vector<std::vector<std::uint8_t>> frames(corpus.size());
-    auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      for (std::size_t i = 0; i < corpus.size(); ++i) {
-        distrib::wire::encode_delivery(i, 3, corpus[i], frames[i]);
-      }
-    }
-    row.encode_ns = ns_since(start, ops);
-    std::uint64_t bytes = 0;
-    for (const auto& f : frames) {
-      bytes += f.size();
-    }
-    row.bytes_per_delivery =
-        static_cast<double>(bytes) / static_cast<double>(count);
-    row.frames = count;
-
-    std::uint64_t checksum = 0;
-    distrib::wire::Frame decoded;
-    start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      checksum = 0;
-      for (const auto& f : frames) {
-        DF_CHECK(distrib::wire::decode_frame(f, decoded) == DecodeStatus::kOk,
-                 "v2 decode failed");
-        checksum = fold(checksum, decoded.delivery);
-      }
-    }
-    row.decode_ns = ns_since(start, ops);
-    checksums.push_back(checksum);
-    rows.push_back(row);
-  }
-
-  // --- v2_batch: the transport's real path ---------------------------------
-  {
-    Row row{"v2_batch"};
-    std::vector<std::vector<std::uint8_t>> frames;
-    auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      frames.clear();
-      distrib::wire::BatchEncoder encoder;
-      std::uint64_t seq = 0;
-      for (const core::Delivery& d : corpus) {
-        encoder.add(d);
-        if (encoder.pending() == batch) {
-          frames.emplace_back();
-          encoder.finish(seq++, 3, frames.back());
-        }
-      }
-      if (encoder.pending() > 0) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    frames.clear();
+    distrib::wire::BatchEncoder encoder;
+    std::uint64_t seq = 0;
+    for (const core::Delivery& d : corpus) {
+      encoder.add(d);
+      if (encoder.pending() == batch) {
         frames.emplace_back();
         encoder.finish(seq++, 3, frames.back());
       }
     }
-    row.encode_ns = ns_since(start, ops);
-    std::uint64_t bytes = 0;
-    for (const auto& f : frames) {
-      bytes += f.size();
+    if (encoder.pending() > 0) {
+      frames.emplace_back();
+      encoder.finish(seq++, 3, frames.back());
     }
-    row.bytes_per_delivery =
-        static_cast<double>(bytes) / static_cast<double>(count);
-    row.frames = frames.size();
+  }
+  const double encode_ns = ns_since(start, ops);
+  std::uint64_t bytes = 0;
+  for (const auto& f : frames) {
+    bytes += f.size();
+  }
+  const double bytes_per_delivery =
+      static_cast<double>(bytes) / static_cast<double>(count);
+  const auto frame_count = static_cast<std::uint64_t>(frames.size());
 
-    // Decode the way the engine ingests: validate the frame (the reader
-    // thread's bounds-checked walk), then stream deliveries into one
-    // recycled Delivery via BatchReader.
-    std::uint64_t checksum = 0;
-    core::Delivery slot;
-    start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      checksum = 0;
-      for (const auto& f : frames) {
-        DF_CHECK(distrib::wire::validate_frame(f) == DecodeStatus::kOk,
-                 "v2 batch validate failed");
-        distrib::wire::BatchReader reader;
-        DF_CHECK(reader.open(f) == DecodeStatus::kOk, "v2 batch open failed");
-        while (reader.remaining() > 0) {
-          DF_CHECK(reader.next(slot) == DecodeStatus::kOk,
-                   "v2 batch decode failed");
-          checksum = fold(checksum, slot);
-        }
+  // Decode the way the engine ingests: validate the frame (the reader
+  // thread's bounds-checked walk), then stream deliveries into one
+  // recycled Delivery via BatchReader.
+  std::uint64_t checksum = 0;
+  core::Delivery slot;
+  start = std::chrono::steady_clock::now();
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    checksum = 0;
+    for (const auto& f : frames) {
+      DF_CHECK(distrib::wire::validate_frame(f) == DecodeStatus::kOk,
+               "v2 batch validate failed");
+      distrib::wire::BatchReader reader;
+      DF_CHECK(reader.open(f) == DecodeStatus::kOk, "v2 batch open failed");
+      while (reader.remaining() > 0) {
+        DF_CHECK(reader.next(slot) == DecodeStatus::kOk,
+                 "v2 batch decode failed");
+        checksum = fold(checksum, slot);
       }
     }
-    row.decode_ns = ns_since(start, ops);
-    checksums.push_back(checksum);
-    rows.push_back(row);
   }
+  const double decode_ns = ns_since(start, ops);
 
-  for (const std::uint64_t checksum : checksums) {
-    DF_CHECK(checksum == checksums.front(),
-             "wire paths decoded different corpora");
+  std::uint64_t corpus_checksum = 0;
+  for (const core::Delivery& d : corpus) {
+    corpus_checksum = fold(corpus_checksum, d);
   }
+  DF_CHECK(checksum == corpus_checksum, "batches decoded a different corpus");
 
   support::Table table({"path", "encode_ns", "decode_ns", "bytes/delivery",
                         "frames"});
-  const double single_bytes = rows.front().bytes_per_delivery;
-  for (const Row& row : rows) {
-    table.add_row({row.name, support::Table::num(row.encode_ns, 1),
-                   support::Table::num(row.decode_ns, 1),
-                   support::Table::num(row.bytes_per_delivery, 1),
-                   support::Table::num(row.frames)});
-    bench::JsonLine("wire", row.name)
-        .config("deliveries", count)
-        .config("reps", reps)
-        .config("batch", batch)
-        .config("hw_concurrency",
-                static_cast<std::uint64_t>(
-                    std::thread::hardware_concurrency()))
-        .metric("encode_ns_per_delivery", row.encode_ns)
-        .metric("decode_ns_per_delivery", row.decode_ns)
-        .metric("bytes_per_delivery", row.bytes_per_delivery)
-        .metric("frames", row.frames)
-        .metric("bytes_vs_single", row.bytes_per_delivery / single_bytes)
-        .emit();
-  }
+  table.add_row({"v2_batch", support::Table::num(encode_ns, 1),
+                 support::Table::num(decode_ns, 1),
+                 support::Table::num(bytes_per_delivery, 1),
+                 support::Table::num(frame_count)});
+  bench::JsonLine("wire", "v2_batch")
+      .config("deliveries", count)
+      .config("reps", reps)
+      .config("batch", batch)
+      .config("hw_concurrency",
+              static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .metric("encode_ns_per_delivery", encode_ns)
+      .metric("decode_ns_per_delivery", decode_ns)
+      .metric("bytes_per_delivery", bytes_per_delivery)
+      .metric("frames", frame_count)
+      .emit();
   std::printf("%s", table.render().c_str());
   std::printf(
       "expected shape: v2_batch amortizes the 21-byte header and the length "
-      "prefix over the whole batch and decodes through the streaming "
-      "reader, so it should win both axes — that per-delivery delta times "
-      "remote traffic is exactly the wire overhead bench_transport "
-      "measures end to end at grain_ns=0.\n");
+      "prefix over the whole batch, so a delivery costs its addressing "
+      "(typically 2-3 bytes) plus its value; that per-delivery cost times "
+      "remote traffic is the wire overhead bench_transport measures end to "
+      "end at grain_ns=0.\n");
   return 0;
 }

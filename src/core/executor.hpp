@@ -1,10 +1,11 @@
 // Common executor interface plus the shared vertex-execution helper.
 //
-// Three executors implement this interface: the paper's parallel engine
+// Five executors implement this interface: the paper's parallel engine
 // (core::Engine), the sequential phase-at-a-time reference
 // (baseline::SequentialExecutor), the barrier-synchronized parallel baseline
-// (baseline::LockstepExecutor), and the non-Δ "obvious solution"
-// (baseline::EagerExecutor). Benches and the serializability checker swap
+// (baseline::LockstepExecutor), the non-Δ "obvious solution"
+// (baseline::EagerExecutor), and the partitioned multi-engine transport
+// (distrib::TransportEngine). Benches and the serializability checker swap
 // them freely over the same Program.
 #pragma once
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,10 +26,10 @@ using protocol::ReceiverEvent;
 using protocol::SenderEvent;
 using protocol::SenderState;
 
-/// A batch's payload is finished (encoded into a held frame) as soon as it
-/// reaches this size, so memory per open (link, phase) stays bounded no
-/// matter how chatty a phase is (multiple batch frames per phase are legal;
-/// each carries the same phase id).
+/// A phase's staged payload is finished into a frame as soon as it reaches
+/// this size, so frames stay bounded no matter how chatty a phase is
+/// (multiple batch frames per phase are legal; each carries the same phase
+/// id).
 constexpr std::size_t kBatchFlushBytes = std::size_t{48} * 1024;
 
 /// Concurrent egress side of one partition: owns every egress link of the
@@ -40,13 +41,24 @@ constexpr std::size_t kBatchFlushBytes = std::size_t{48} * 1024;
 /// while earlier phases are still open — but a frame for phase q must not
 /// reach the peer before watermark q-1 (the receiver's phase window
 /// rejects it), and the per-channel seq must reflect send order. So each
-/// link holds one in-progress batch per open phase and sends nothing until
-/// the phase completes; oversized batches are encoded early into held
-/// frames with a placeholder seq (bounding memory at ~kBatchFlushBytes per
-/// open (link, phase)) and wire::patch_seq stamps the real number at send
-/// time. Sub-threshold traffic keeps the frames-per-phase ceiling: exactly
-/// one kDeliveryBatch (if any deliveries) plus one kWatermark per channel
-/// per phase.
+/// link stages the live deliveries of every open phase and sends nothing
+/// until the phase completes; the flush then encodes them, starting a new
+/// frame whenever the payload reaches kBatchFlushBytes. Sub-threshold
+/// traffic keeps the frames-per-phase ceiling: exactly one kDeliveryBatch
+/// (if any deliveries) plus one kWatermark per channel per phase. Staged
+/// memory per open (link, phase) is bounded by that phase's traffic, and
+/// the staging vectors are recycled, so a warm link allocates no staging
+/// storage.
+///
+/// The flush encodes in (to_index, to_port, staging position) order. The
+/// key is not unique: a module may emit twice on one port in a phase, and
+/// the receiver keeps the last message (PhaseContext::input). Equal keys
+/// can only come from one producer, though — each input port has at most
+/// one in-edge — and one worker stages that producer's deliveries in
+/// emission order. So the order keeps repeated emissions in emission order
+/// and does not depend on worker interleaving: frame boundaries and bytes
+/// are a pure function of the phase's deliveries, which rollback re-sends
+/// rely on.
 ///
 /// The add -> flush ordering needs no extra fence: a phase-q delivery is
 /// added while its producing pair executes, the pair's finish is applied
@@ -54,25 +66,19 @@ constexpr std::size_t kBatchFlushBytes = std::size_t{48} * 1024;
 /// with the link mutex serializing add against flush.
 ///
 /// Crash-restart recovery (retain mode, DESIGN.md "Crash-restart
-/// recovery") layers three things on top, all inactive when retain is
+/// recovery") layers two things on top, both inactive when retain is
 /// false:
 ///   * retention — every sent frame is kept, keyed by seq, until the
 ///     downstream partition's checkpoint commit calls ack_through; a
 ///     restarted downstream asks replay_from to re-send everything past
 ///     its checkpoint's consumed floor;
-///   * deterministic framing — deliveries stage as live objects and are
-///     sorted by (to_index, to_port) (unique within a phase: one delivery
-///     per in-edge per phase) before encoding at flush time, so a
-///     restarted *sender's* re-executed phases reproduce byte-identical
-///     frames under the original seqs and the peer's sequencer can drop
-///     them as duplicates. The trade: staged deliveries hold live Values,
-///     so memory per open (link, phase) is bounded by the phase's traffic
-///     rather than kBatchFlushBytes;
 ///   * rollback — a restarted sender rewinds its seq/flush cursors to the
-///     checkpoint's and clears in-progress batches; re-execution restages
-///     them. Re-sends of already-sent seqs count as frames_replayed, not
-///     frames_sent, so frames_sent keeps counting unique seqs and the
-///     frames-per-phase ceiling holds across restarts.
+///     checkpoint's and clears staged phases; re-execution restages them
+///     and the flush reproduces byte-identical frames under the original
+///     seqs, which the peer's sequencer drops as duplicates. Re-sends of
+///     already-sent seqs count as frames_replayed, not frames_sent, so
+///     frames_sent keeps counting unique seqs and the frames-per-phase
+///     ceiling holds across restarts.
 class EgressHub {
  public:
   /// One link's send-side cursor pair, recorded into checkpoints.
@@ -90,8 +96,8 @@ class EgressHub {
     }
   }
 
-  /// Routes one boundary-crossing delivery into link `link_index`'s batch
-  /// for `phase`. Called from engine worker threads.
+  /// Stages one boundary-crossing delivery on link `link_index` for
+  /// `phase`. Called from engine worker threads.
   void add(std::size_t link_index, event::PhaseId phase,
            core::Delivery&& delivery) {
     Link& link = *links_[link_index];
@@ -108,25 +114,23 @@ class EgressHub {
     DF_CHECK(phase > link.flushed_through,
              "egress delivery for phase ", phase,
              " after its watermark was flushed");
-    PhaseBatch& batch = link.batches[phase];
-    if (retain_) {
-      // Deterministic framing: stage the live delivery; the flush sorts
-      // and encodes the whole phase at once.
-      batch.staged.push_back(std::move(delivery));
-      return;
+    auto it = link.staged.find(phase);
+    if (it == link.staged.end()) {
+      if (link.spare.empty()) {
+        it = link.staged.try_emplace(phase).first;
+      } else {
+        // Reuse a flushed phase's map node and vector capacity.
+        Staged::node_type node = std::move(link.spare.back());
+        link.spare.pop_back();
+        node.key() = phase;
+        it = link.staged.insert(std::move(node)).position;
+      }
     }
-    batch.encoder.add(delivery);
-    if (batch.encoder.payload_bytes() >= kBatchFlushBytes) {
-      link.stats.batched_deliveries += batch.encoder.pending();
-      batch.held_frames.emplace_back();
-      // Send order (and therefore this frame's seq) is unknown until the
-      // phase completes; patch_seq fills it in inside flush_through.
-      batch.encoder.finish(/*seq=*/0, phase, batch.held_frames.back());
-    }
+    it->second.push_back(std::move(delivery));
   }
 
-  /// Sends every unflushed phase <= p, in phase order, each phase's
-  /// batches followed by its watermark. Monotone and idempotent per link,
+  /// Sends every unflushed phase <= p, in phase order, each phase's batch
+  /// frames followed by its watermark. Monotone and idempotent per link,
   /// so out-of-order completion callbacks from concurrent workers are
   /// safe. Send failures take the link's sender machine to kFailed and
   /// record the first error instead of throwing (callers run inside engine
@@ -191,7 +195,7 @@ class EgressHub {
   }
 
   /// Restart rollback: rewinds every link to a checkpoint's cursors and
-  /// discards in-progress batches (re-execution restages them). The
+  /// discards staged phases (re-execution restages them). The
   /// downstream peer never died, so the sender machine stays kOpen and the
   /// re-executed flushes re-send their frames under the original seqs —
   /// deterministically identical bytes — which the peer's sequencer drops
@@ -206,7 +210,7 @@ class EgressHub {
       DF_CHECK(link.machine.is(SenderState::kOpen),
                "egress rollback on a ", protocol::to_string(link.machine.state()),
                " link");
-      link.batches.clear();
+      link.staged.clear();
       link.next_seq = cursors[i].next_seq;
       link.flushed_through = cursors[i].flushed_through;
     }
@@ -322,15 +326,8 @@ class EgressHub {
     std::uint64_t frames_replayed = 0;
   };
 
-  /// One (link, phase) accumulation: the in-progress incremental batch
-  /// plus any threshold-overflow frames already encoded and awaiting their
-  /// send-time seq. Retain mode uses `staged` instead — live deliveries
-  /// held until the flush sorts and encodes them.
-  struct PhaseBatch {
-    wire::BatchEncoder encoder;
-    std::vector<std::vector<std::uint8_t>> held_frames;
-    std::vector<core::Delivery> staged;
-  };
+  /// Each open phase's staged deliveries, in staging order.
+  using Staged = std::map<event::PhaseId, std::vector<core::Delivery>>;
 
   struct Link {
     Channel* channel = nullptr;  // set once at construction, then immutable
@@ -345,7 +342,12 @@ class EgressHub {
     /// Count of distinct seqs ever sent (the high-water mark next_seq ever
     /// reached); a send below it is a rollback re-send.
     std::uint64_t sent_high DF_GUARDED_BY(mutex) = 0;
-    std::map<event::PhaseId, PhaseBatch> batches DF_GUARDED_BY(mutex);
+    Staged staged DF_GUARDED_BY(mutex);
+    /// Flushed phases' map nodes, emptied with their capacity kept.
+    std::vector<Staged::node_type> spare DF_GUARDED_BY(mutex);
+    /// Flush scratch: the staged phase's encode order (indices into it).
+    std::vector<std::uint32_t> order DF_GUARDED_BY(mutex);
+    wire::BatchEncoder encoder DF_GUARDED_BY(mutex);
     /// Retain mode: sent frames keyed by seq, pruned below ack_floor.
     std::map<std::uint64_t, std::vector<std::uint8_t>> retained
         DF_GUARDED_BY(mutex);
@@ -372,8 +374,7 @@ class EgressHub {
   /// byte-compares against the stored copy, turning any egress
   /// nondeterminism into a loud failure instead of silent divergence at
   /// the peer. Re-sends of already-sent seqs count as frames_replayed
-  /// only; `deliveries` is the batch's delivery count (0 for watermarks
-  /// and for frames whose deliveries were counted at add time).
+  /// only; `deliveries` is the batch's delivery count (0 for watermarks).
   void send_encoded_locked(Link& link, std::uint64_t seq,
                            std::span<const std::uint8_t> frame,
                            bool watermark, std::uint64_t deliveries)
@@ -407,47 +408,48 @@ class EgressHub {
     }
   }
 
+  /// Finishes the encoder's pending deliveries into one batch frame for
+  /// phase q and sends it.
+  void send_batch_locked(Link& link, event::PhaseId q)
+      DF_REQUIRES(link.mutex) {
+    const std::uint64_t seq = link.next_seq++;
+    const std::uint64_t count = link.encoder.pending();
+    link.encoder.finish(seq, q, link.buf);
+    send_encoded_locked(link, seq, link.buf, /*watermark=*/false, count);
+  }
+
   void flush_phase_locked(Link& link, event::PhaseId q)
       DF_REQUIRES(link.mutex) {
-    const auto it = link.batches.find(q);
-    if (it != link.batches.end()) {
-      PhaseBatch& batch = it->second;
-      if (retain_) {
-        // Deterministic framing: a fixed total order over the phase's
-        // deliveries ((to_index, to_port) is unique within a phase — one
-        // delivery per in-edge per phase) plus threshold splitting at a
-        // fixed point in that order makes frame boundaries and bytes a
-        // pure function of the phase's delivery set, independent of
-        // worker interleaving — the property rollback re-sends rely on.
-        std::sort(batch.staged.begin(), batch.staged.end(),
-                  [](const core::Delivery& a, const core::Delivery& b) {
-                    return a.to_index != b.to_index ? a.to_index < b.to_index
-                                                    : a.to_port < b.to_port;
-                  });
-        for (core::Delivery& d : batch.staged) {
-          batch.encoder.add(d);
-          if (batch.encoder.payload_bytes() >= kBatchFlushBytes) {
-            const std::uint64_t seq = link.next_seq++;
-            const std::uint64_t count = batch.encoder.pending();
-            batch.encoder.finish(seq, q, link.buf);
-            send_encoded_locked(link, seq, link.buf, /*watermark=*/false,
-                                count);
-          }
+    const auto it = link.staged.find(q);
+    if (it != link.staged.end()) {
+      // The deterministic encode order (class comment): sorting indices
+      // moves no Delivery, and the index tie-break keeps one port's
+      // repeated emissions in emission order.
+      const std::vector<core::Delivery>& staged = it->second;
+      link.order.resize(staged.size());
+      std::iota(link.order.begin(), link.order.end(), std::uint32_t{0});
+      std::sort(link.order.begin(), link.order.end(),
+                [&staged](std::uint32_t a, std::uint32_t b) {
+                  const core::Delivery& x = staged[a];
+                  const core::Delivery& y = staged[b];
+                  if (x.to_index != y.to_index) {
+                    return x.to_index < y.to_index;
+                  }
+                  return x.to_port != y.to_port ? x.to_port < y.to_port
+                                                : a < b;
+                });
+      for (const std::uint32_t i : link.order) {
+        link.encoder.add(staged[i]);
+        if (link.encoder.payload_bytes() >= kBatchFlushBytes) {
+          send_batch_locked(link, q);
         }
       }
-      for (std::vector<std::uint8_t>& frame : batch.held_frames) {
-        const std::uint64_t seq = link.next_seq++;
-        wire::patch_seq(frame, seq);
-        // Deliveries already counted at add time (threshold overflow).
-        send_encoded_locked(link, seq, frame, /*watermark=*/false, 0);
+      if (link.encoder.pending() > 0) {
+        send_batch_locked(link, q);
       }
-      if (batch.encoder.pending() > 0) {
-        const std::uint64_t seq = link.next_seq++;
-        const std::uint64_t count = batch.encoder.pending();
-        batch.encoder.finish(seq, q, link.buf);
-        send_encoded_locked(link, seq, link.buf, /*watermark=*/false, count);
-      }
-      link.batches.erase(it);
+      Staged::node_type node = link.staged.extract(it);
+      node.mapped().clear();
+      link.spare.push_back(std::move(node));
     }
     const std::uint64_t seq = link.next_seq++;
     wire::encode_watermark(seq, q, link.buf);
@@ -901,9 +903,9 @@ void TransportEngine::engine_main(EngineState& state,
     const auto n = static_cast<std::uint32_t>(program_.numbering.size());
 
     // The block's full worker pool: a core::Engine scoped to [begin, end].
-    // Its egress hook routes boundary-crossing deliveries into the hub's
-    // per-(channel, phase) batches, and its phase-completion hook flushes
-    // them (batches, then watermark) the moment the phase's last finish is
+    // Its egress hook stages boundary-crossing deliveries in the hub per
+    // (channel, phase), and its phase-completion hook flushes them (batch
+    // frames, then watermark) the moment the phase's last finish is
     // applied — from whichever worker applied it.
     core::EngineOptions eopts;
     eopts.threads = options_.engine_threads;
@@ -1010,17 +1012,6 @@ void TransportEngine::engine_main(EngineState& state,
                          wire::to_string(status));
                 deliver_remote(std::move(d));
               }
-              break;
-            }
-            case wire::FrameType::kDelivery: {
-              in.machine().advance(ReceiverEvent::kFrame);
-              wire::Frame frame;
-              const wire::DecodeStatus status =
-                  wire::decode_frame(raw.bytes, frame);
-              DF_CHECK(status == wire::DecodeStatus::kOk,
-                       "delivery frame failed to reopen: ",
-                       wire::to_string(status));
-              deliver_remote(std::move(frame.delivery));
               break;
             }
           }

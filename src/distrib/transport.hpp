@@ -1,9 +1,6 @@
 // Real partitioned execution over serialized channels (paper section 6;
-// DESIGN.md, "Real transport").
-//
-// Where distrib::ClusterExecutor *simulates* multi-machine execution with a
-// timing model, TransportEngine actually runs one engine per partition
-// block with serialized bytes crossing every boundary:
+// DESIGN.md, "Real transport"). TransportEngine runs one engine per
+// partition block with serialized bytes crossing every boundary:
 //
 //   * the graph is cut into contiguous satisfactory-numbering blocks
 //     (graph::Partitioning); partition engine k owns block k and executes
@@ -14,14 +11,16 @@
 //     wire-encoded frames (distrib/wire.hpp) — cross-partition traffic is
 //     forward-only, the invariant the numbering guarantees, so no backward
 //     channels exist;
-//   * cross-partition deliveries accumulate per egress channel and travel
-//     as coalesced kDeliveryBatch frames (wire v2: one header + seq/phase
-//     for the whole flush, varint-delta addressing, dense value encoding);
-//     a batch is flushed when it reaches the flush threshold and before the
-//     phase's kWatermark frame ("all my phase <= p deliveries precede
-//     this") goes out on every egress channel — that watermark is the
-//     phase-advance handshake: a receiving engine starts phase p only after
-//     reassembling watermark p from every upstream block;
+//   * cross-partition deliveries are staged per (egress channel, phase)
+//     and travel as coalesced kDeliveryBatch frames (wire v2: one header +
+//     seq/phase for the whole flush, varint-delta addressing, dense value
+//     encoding); once the phase completes they are encoded in a
+//     deterministic order, split into frames at the flush threshold, and
+//     sent before the phase's kWatermark frame ("all my phase <= p
+//     deliveries precede this") goes out on every egress channel — that
+//     watermark is the phase-advance handshake: a receiving engine starts
+//     phase p only after reassembling watermark p from every upstream
+//     block;
 //   * the receiver ingests remote frames through a per-channel sequencer
 //     that restores exact send order from frame sequence numbers and drops
 //     duplicates, so exactly-once in-order ingestion survives duplicating,
@@ -48,11 +47,11 @@
 //     watermark handshake guarantees the set is complete), so the block
 //     scheduler can promote remote-fed vertices exactly like locally-fed
 //     ones;
-//   * egress: boundary-crossing worker outputs land in per-(channel, phase)
-//     batches under a per-link mutex and are sent only when the engine
-//     reports the phase complete — watermark order is preserved and the
-//     sub-threshold frames-per-phase ceiling (one batch + one watermark per
-//     channel per phase) survives concurrent egress.
+//   * egress: boundary-crossing worker outputs are staged per (channel,
+//     phase) under a per-link mutex and encoded and sent only when the
+//     engine reports the phase complete — watermark order is preserved and
+//     the sub-threshold frames-per-phase ceiling (one batch + one watermark
+//     per channel per phase) survives concurrent egress.
 //
 // The ensemble's sink output stays *byte-identical* (canonical order) to
 // the sequential reference; the differential suite in test_transport.cpp
@@ -134,11 +133,9 @@ struct TransportOptions {
   /// partition's sink count) each `checkpoint_every` completed phases, and
   /// egress links retain their sent frames until the downstream partition's
   /// checkpoint commit acknowledges them (watermark-bounded replay). Egress
-  /// framing also switches to the deterministic sorted-flush path so a
-  /// restarted partition's re-executed phases reproduce byte-identical
-  /// frames under the original sequence numbers. 0 (default) disables
-  /// checkpointing, retention, and the deterministic path entirely — the
-  /// incremental-encode hot path is untouched.
+  /// framing is deterministic either way, so a restarted partition's
+  /// re-executed phases reproduce byte-identical frames under the original
+  /// sequence numbers. 0 (default) disables checkpointing and retention.
   std::size_t checkpoint_every = 0;
   /// Test seam for the kill-a-partition harness: called at the instrumented
   /// CrashPoints of every partition coordinator with (block, phase, point).
@@ -155,7 +152,7 @@ struct TransportOptions {
 /// traffic), so a batching regression fails CI instead of only showing up
 /// in bench_transport.
 struct TransportStats {
-  std::uint64_t frames_sent = 0;        // delivery + batch + watermark frames
+  std::uint64_t frames_sent = 0;        // batch + watermark frames
   std::uint64_t frames_received = 0;    // includes duplicates
   std::uint64_t bytes_sent = 0;         // encoded frame bytes (no prefixes)
   std::uint64_t bytes_received = 0;     // encoded frame bytes (incl. dups)

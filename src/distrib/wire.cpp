@@ -4,8 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "support/check.hpp"
-
 namespace df::distrib::wire {
 
 namespace {
@@ -20,11 +18,6 @@ constexpr std::uint8_t kTagVectorVarint = 8;  // varint count + doubles
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -82,17 +75,6 @@ class Reader {
       return false;
     }
     v = bytes_[cursor_++];
-    return true;
-  }
-
-  bool read_u16(std::uint16_t& v) {
-    if (remaining() < 2) {
-      return false;
-    }
-    v = static_cast<std::uint16_t>(
-        static_cast<std::uint16_t>(bytes_[cursor_]) |
-        (static_cast<std::uint16_t>(bytes_[cursor_ + 1]) << 8));
-    cursor_ += 2;
     return true;
   }
 
@@ -423,7 +405,6 @@ DecodeStatus decode_header_at(std::span<const std::uint8_t> bytes,
   reader.read_u64(phase);
   out.phase = phase;
   switch (static_cast<FrameType>(type)) {
-    case FrameType::kDelivery:
     case FrameType::kWatermark:
     case FrameType::kDeliveryBatch:
       break;
@@ -527,29 +508,9 @@ DecodeStatus decode_value(std::span<const std::uint8_t> bytes,
   return status;
 }
 
-void encode_delivery(std::uint64_t seq, event::PhaseId phase,
-                     const core::Delivery& delivery,
-                     std::vector<std::uint8_t>& out) {
-  encode_header(FrameType::kDelivery, seq, phase, out);
-  put_u32(out, delivery.to_index);
-  put_u16(out, delivery.to_port);
-  encode_value_dense(delivery.value, out);
-}
-
 void encode_watermark(std::uint64_t seq, event::PhaseId phase,
                       std::vector<std::uint8_t>& out) {
   encode_header(FrameType::kWatermark, seq, phase, out);
-}
-
-void patch_seq(std::span<std::uint8_t> frame, std::uint64_t seq) {
-  // Header layout: magic (3) + version (1) + type (1), then seq as u64 LE
-  // at offset 5 (see the module comment).
-  DF_CHECK(frame.size() >= kHeaderBytes,
-           "patch_seq needs a complete frame header, got ", frame.size(),
-           " bytes");
-  for (std::size_t i = 0; i < 8; ++i) {
-    frame[5 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
 }
 
 void encode_delivery_batch(std::uint64_t seq, event::PhaseId phase,
@@ -598,16 +559,6 @@ DecodeStatus validate_frame(std::span<const std::uint8_t> bytes) {
   switch (header.type) {
     case FrameType::kWatermark:
       break;
-    case FrameType::kDelivery: {
-      if (!reader.skip(4 + 2)) {  // to_index + to_port
-        return DecodeStatus::kTruncated;
-      }
-      status = decode_value_at(reader, nullptr);
-      if (status != DecodeStatus::kOk) {
-        return status;
-      }
-      break;
-    }
     case FrameType::kDeliveryBatch: {
       std::uint32_t count = 0;
       status = read_batch_count(reader, count);
@@ -641,27 +592,11 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
   out.type = header.type;
   out.seq = header.seq;
   out.phase = header.phase;
-  out.delivery = core::Delivery{};
   out.batch.clear();
 
   switch (header.type) {
     case FrameType::kWatermark:
       break;
-    case FrameType::kDelivery: {
-      if (!reader.read_u32(out.delivery.to_index)) {
-        return DecodeStatus::kTruncated;
-      }
-      std::uint16_t port = 0;
-      if (!reader.read_u16(port)) {
-        return DecodeStatus::kTruncated;
-      }
-      out.delivery.to_port = port;
-      status = decode_value_at(reader, &out.delivery.value);
-      if (status != DecodeStatus::kOk) {
-        return status;
-      }
-      break;
-    }
     case FrameType::kDeliveryBatch: {
       std::uint32_t count = 0;
       status = read_batch_count(reader, count);

@@ -2,9 +2,9 @@
 // transport").
 //
 // The partitioned TransportEngine (distrib/transport.hpp) moves *serialized
-// bytes* between partition engines — unlike the simulated ClusterExecutor,
-// nothing crosses a partition boundary as a live C++ object. This module
-// defines the frame format those bytes follow. All frames share one header:
+// bytes* between partition engines: nothing crosses a partition boundary as
+// a live C++ object. This module defines the frame format those bytes
+// follow. All frames share one header:
 //
 //   offset  size  field
 //   0       3     magic "DFW"
@@ -23,10 +23,11 @@
 //     0), a varint to_port, and one dense-encoded Value. This amortizes
 //     the 21-byte header plus per-frame seq/phase over the whole flush —
 //     the per-delivery framing cost drops from 21+ bytes to typically 2–3.
-//   kDelivery — u32 to_index, u16 to_port, one dense-encoded Value (kept
-//     for single-message sends; the transport egress only emits batches).
 //   kWatermark — empty; the phase field *is* the watermark ("every
 //     delivery I will ever send for phases <= p precedes this frame").
+// Type byte 1 (the retired single-delivery frame) is rejected with
+// kBadFrameType like any other unknown type. Every frame a version-2 sender
+// has ever emitted is still accepted, so the version stays 2.
 //
 // Values serialize as one tag byte followed by a tag-specific payload. Tags
 // 0..5 are event::Value::Kind verbatim (a wire contract — alternatives may
@@ -66,7 +67,6 @@ inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 22;
 inline constexpr std::size_t kHeaderBytes = 3 + 1 + 1 + 8 + 8;
 
 enum class FrameType : std::uint8_t {
-  kDelivery = 1,
   kWatermark = 2,
   kDeliveryBatch = 3,
 };
@@ -92,41 +92,28 @@ struct FrameHeader {
   event::PhaseId phase = 0;
 };
 
-/// One fully decoded frame. `delivery` is meaningful only for kDelivery,
-/// `batch` only for kDeliveryBatch.
+/// One fully decoded frame. `batch` is meaningful only for kDeliveryBatch.
 struct Frame {
   FrameType type = FrameType::kWatermark;
   std::uint64_t seq = 0;
   event::PhaseId phase = 0;
-  core::Delivery delivery;
   std::vector<core::Delivery> batch;
 };
 
 // --- encode ----------------------------------------------------------------
 
 /// Replaces `out` with the encoded frame.
-void encode_delivery(std::uint64_t seq, event::PhaseId phase,
-                     const core::Delivery& delivery,
-                     std::vector<std::uint8_t>& out);
 void encode_watermark(std::uint64_t seq, event::PhaseId phase,
                       std::vector<std::uint8_t>& out);
 void encode_delivery_batch(std::uint64_t seq, event::PhaseId phase,
                            std::span<const core::Delivery> deliveries,
                            std::vector<std::uint8_t>& out);
 
-/// Rewrites the sequence-number field of an already-encoded frame in place.
-/// The transport's two-level egress encodes batches for *future* phases
-/// while earlier phases are still open (a worker pool finishes pairs out of
-/// phase order), but the per-channel seq must reflect *send* order — so
-/// oversized batches are encoded with a placeholder seq and patched here at
-/// flush time. `frame` must hold at least a complete header.
-void patch_seq(std::span<std::uint8_t> frame, std::uint64_t seq);
-
-/// Incremental kDeliveryBatch encoder for the transport's egress hot path:
+/// Incremental kDeliveryBatch encoder for the transport's egress flush:
 /// deliveries append into an internal scratch payload (dense-encoded as
-/// they arrive, so nothing is staged as live Delivery objects) and
-/// `finish` emits the complete frame. Scratch capacity is retained across
-/// batches, so a warmed-up sender encodes with zero allocations.
+/// they are added) and `finish` emits the complete frame. Scratch capacity
+/// is retained across batches, so a warmed-up sender encodes with zero
+/// allocations.
 class BatchEncoder {
  public:
   void add(const core::Delivery& delivery);

@@ -23,7 +23,9 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 };
 
-/// All messages for one (vertex, phase). Ports are unique within a bundle.
+/// All messages for one (vertex, phase), in arrival order. A port can
+/// appear twice (a module may emit twice on one output port in a phase);
+/// the last message on a port is the one the module reads.
 using InputBundle = std::vector<Message>;
 
 /// An event injected from outside the system (a sensor reading): it targets

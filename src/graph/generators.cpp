@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/check.hpp"
@@ -10,7 +11,20 @@ namespace df::graph {
 
 namespace {
 
-std::string vname(std::uint32_t i) { return "v" + std::to_string(i); }
+// Names are built by appending to the prefix: GCC 12 at -O3 reports a
+// false -Wrestrict inside char_traits for `"v" + std::to_string(i)`.
+std::string indexed(std::string_view prefix, std::uint32_t i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
+std::string indexed(std::string_view prefix, std::uint32_t level,
+                    std::uint32_t i) {
+  return indexed(indexed(prefix, level) + "_", i);
+}
+
+std::string vname(std::uint32_t i) { return indexed("v", i); }
 
 }  // namespace
 
@@ -68,7 +82,7 @@ Dag diamond(std::uint32_t width) {
   std::vector<VertexId> middle;
   middle.reserve(width);
   for (std::uint32_t i = 0; i < width; ++i) {
-    middle.push_back(dag.add_vertex("mid" + std::to_string(i)));
+    middle.push_back(dag.add_vertex(indexed("mid", i)));
   }
   const VertexId sink = dag.add_vertex("sink");
   for (std::uint32_t i = 0; i < width; ++i) {
@@ -85,8 +99,7 @@ Dag layered(std::uint32_t layers, std::uint32_t width, std::uint32_t fan_in,
   std::vector<std::vector<VertexId>> layer_ids(layers);
   for (std::uint32_t l = 0; l < layers; ++l) {
     for (std::uint32_t i = 0; i < width; ++i) {
-      layer_ids[l].push_back(
-          dag.add_vertex("L" + std::to_string(l) + "_" + std::to_string(i)));
+      layer_ids[l].push_back(dag.add_vertex(indexed("L", l, i)));
     }
   }
   const std::uint32_t effective_fan_in = std::min(fan_in, width);
@@ -110,13 +123,12 @@ Dag binary_in_tree(std::uint32_t depth) {
   std::vector<std::vector<VertexId>> levels(depth);
   const std::uint32_t leaf_count = 1U << (depth - 1);
   for (std::uint32_t i = 0; i < leaf_count; ++i) {
-    levels[0].push_back(dag.add_vertex("leaf" + std::to_string(i)));
+    levels[0].push_back(dag.add_vertex(indexed("leaf", i)));
   }
   for (std::uint32_t l = 1; l < depth; ++l) {
     const std::uint32_t count = leaf_count >> l;
     for (std::uint32_t i = 0; i < count; ++i) {
-      const VertexId v =
-          dag.add_vertex("n" + std::to_string(l) + "_" + std::to_string(i));
+      const VertexId v = dag.add_vertex(indexed("n", l, i));
       dag.add_edge(levels[l - 1][2 * i], 0, v, 0);
       dag.add_edge(levels[l - 1][2 * i + 1], 0, v, 1);
       levels[l].push_back(v);
@@ -133,8 +145,7 @@ Dag binary_out_tree(std::uint32_t depth) {
   for (std::uint32_t l = 1; l < depth; ++l) {
     const std::uint32_t count = 1U << l;
     for (std::uint32_t i = 0; i < count; ++i) {
-      const VertexId v =
-          dag.add_vertex("n" + std::to_string(l) + "_" + std::to_string(i));
+      const VertexId v = dag.add_vertex(indexed("n", l, i));
       dag.add_edge(levels[l - 1][i / 2], 0, v, 0);
       levels[l].push_back(v);
     }

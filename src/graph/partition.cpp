@@ -1,7 +1,6 @@
 #include "graph/partition.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "support/check.hpp"
 
@@ -69,42 +68,6 @@ std::vector<std::uint32_t> block_local_m(const Dag& dag,
     m[x] = running;
   }
   return m;
-}
-
-Partitioning partition_weighted(const Numbering& numbering,
-                                const std::vector<double>& weight,
-                                std::size_t blocks) {
-  const std::uint32_t n = numbering.size();
-  check_blocks(n, blocks);
-  DF_CHECK(weight.size() == n + 1, "need one weight per internal index");
-
-  double total = 0.0;
-  for (std::uint32_t v = 1; v <= n; ++v) {
-    DF_CHECK(weight[v] >= 0.0, "weights must be non-negative");
-    total += weight[v];
-  }
-
-  Partitioning partitioning;
-  partitioning.bounds.push_back(0);
-  double accumulated = 0.0;
-  std::uint32_t v = 1;
-  for (std::size_t k = 1; k < blocks; ++k) {
-    const double target = total * static_cast<double>(k) /
-                          static_cast<double>(blocks);
-    // Leave enough vertices for the remaining blocks to be non-empty.
-    const std::uint32_t max_bound =
-        n - static_cast<std::uint32_t>(blocks - k);
-    while (v <= max_bound && accumulated + weight[v] / 2.0 < target) {
-      accumulated += weight[v];
-      ++v;
-    }
-    const std::uint32_t bound =
-        std::max<std::uint32_t>(v - 1, partitioning.bounds.back() + 1);
-    partitioning.bounds.push_back(std::min(bound, max_bound));
-    v = partitioning.bounds.back() + 1;
-  }
-  partitioning.bounds.push_back(n);
-  return partitioning;
 }
 
 Partitioning partition_min_cut(const Dag& dag, const Numbering& numbering,

@@ -9,7 +9,8 @@
 // blocks yields partitions whose cross-traffic flows strictly forward —
 // machine i never needs messages from machine j > i. This module provides
 // two partitioners over that index space plus quality metrics; the
-// distributed-simulation executor in src/distrib consumes them.
+// partitioned transport in src/distrib (distrib::TransportEngine) runs one
+// engine per block of such a cut.
 #pragma once
 
 #include <cstdint>
@@ -60,25 +61,18 @@ std::vector<std::uint32_t> block_local_m(const Dag& dag,
                                          std::uint32_t begin,
                                          std::uint32_t end);
 
-/// Splits 1..N into `blocks` ranges of near-equal *weight*, where weight[v]
-/// is the cost of the vertex at internal index v (index 0 unused).
-Partitioning partition_weighted(const Numbering& numbering,
-                                const std::vector<double>& weight,
-                                std::size_t blocks);
-
 /// Greedy cut refinement: starting from a balanced partitioning, slides
 /// each boundary within +/- `slack` positions to the location that
 /// minimizes the number of edges crossing it (keeping blocks non-empty).
 Partitioning partition_min_cut(const Dag& dag, const Numbering& numbering,
                                std::size_t blocks, std::uint32_t slack = 8);
 
-/// The one partition-cut validator every consumer of a cut shares (the
-/// simulated distrib::ClusterExecutor and the real distrib::TransportEngine):
-/// DF_CHECKs that `partitioning` has exactly `expected_blocks` blocks whose
-/// bounds start at 0, end at `n`, and never decrease. Empty (degenerate)
-/// blocks are legal — a machine that owns no vertices still participates in
-/// watermark forwarding — but coverage gaps, overlaps, and out-of-range
-/// bounds are not.
+/// The partition-cut validator distrib::TransportEngine applies to every
+/// cut it is given: DF_CHECKs that `partitioning` has exactly
+/// `expected_blocks` blocks whose bounds start at 0, end at `n`, and never
+/// decrease. Empty (degenerate) blocks are legal — a machine that owns no
+/// vertices still participates in watermark forwarding — but coverage
+/// gaps, overlaps, and out-of-range bounds are not.
 void validate_partition_cut(const Partitioning& partitioning, std::uint32_t n,
                             std::size_t expected_blocks);
 

@@ -18,19 +18,24 @@
 //     partition dies the downstream dedup ledger drops exactly the frames
 //     it replayed;
 //   * checkpoint-only runs — checkpoint_every > 0 without any crash must
-//     not change a byte of output (the deterministic sorted-flush egress
-//     path is differentially equivalent to the incremental-encode path).
+//     not change a byte of output;
+//   * rollback re-sends — a restarted sender's re-executed phases must
+//     reproduce its retained frames byte for byte, including phases in
+//     which a module emits twice on one port.
 //
 // Labeled [fault;transport]; runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "distrib/transport.hpp"
 #include "random_program.hpp"
+#include "repeated_port_program.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trace/serializability.hpp"
@@ -261,7 +266,7 @@ TEST_P(CheckpointOnlyDifferential, CheckpointingDoesNotChangeOutput) {
       // Every partition checkpoints at every multiple of checkpoint_every.
       EXPECT_EQ(stats.checkpoints_taken, machines * (phases / 4));
       EXPECT_GT(stats.checkpoint_bytes, 0U);
-      // The deterministic sorted-flush path must not cost extra frames.
+      // Checkpointing must not cost extra frames.
       const std::uint64_t channels = machines * (machines - 1) / 2;
       EXPECT_LE(stats.frames_sent, 2 * phases * channels);
       EXPECT_EQ(stats.frames_received, stats.frames_sent);
@@ -306,6 +311,50 @@ TEST(CrashRestartRepeated, TwoDeathsSamePartition) {
   EXPECT_TRUE(report.equivalent) << report.summary();
   EXPECT_EQ(deaths.load(), 2);
   EXPECT_EQ(transport.transport_stats().restarts, 2U);
+}
+
+// --- rollback re-sends of repeated-port phases -------------------------------
+
+// Block 0 (the source alone) dies mid-checkpoint at phase 12 and restarts
+// from its phase-8 checkpoint, so it re-flushes phases 9..12 under their
+// original seqs and the egress byte-compares each re-sent frame with its
+// retained copy. Every one of those phases carries two deliveries for one
+// port. Block 1 waits before phase 9 until the death has happened: it
+// cannot have acknowledged phases 9..12 yet, so their retained copies
+// still exist to compare against.
+TEST(CrashRestartEgressOrder, RollbackResendsMatchRetainedFrames) {
+  const core::Program program = testutil::repeated_port_program(20);
+  const event::PhaseId phases = 40;
+
+  TransportOptions options;
+  options.machines = 2;
+  options.partitioning = testutil::source_alone_cut(program);
+  options.checkpoint_every = 4;
+  std::atomic<bool> died{false};
+  options.crash_hook = [&died](std::size_t block, event::PhaseId phase,
+                               CrashPoint point) {
+    if (block == 0 && phase == 12 && point == CrashPoint::kMidCheckpoint &&
+        !died.exchange(true)) {
+      throw CrashSignal{};
+    }
+    if (block == 1 && phase == 9 && point == CrashPoint::kBeforePhase) {
+      for (int waited_ms = 0; waited_ms < 10000 && !died.load();
+           ++waited_ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  };
+
+  TransportEngine transport(program, options);
+  const auto report =
+      trace::check_against_sequential(program, transport, phases);
+  EXPECT_TRUE(report.equivalent) << report.summary();
+  const auto& stats = transport.transport_stats();
+  EXPECT_EQ(stats.restarts, 1U);
+  // Phases 9..12 re-flushed: one batch frame and one watermark each, all
+  // dropped as duplicates downstream.
+  EXPECT_EQ(stats.frames_replayed, 8U);
+  EXPECT_EQ(stats.duplicates_dropped, stats.frames_replayed);
 }
 
 // --- option validation ------------------------------------------------------

@@ -1,17 +1,12 @@
-// Tests for graph partitioning and the simulated cluster executor
-// (paper section 6, future work).
+// Tests for graph partitioning (paper section 6, future work): the
+// partitioners, the cut validator and the cut quality metrics. Execution
+// over a cut is tested on the real transport in test_transport.cpp.
 #include <gtest/gtest.h>
 
-#include "baseline/sequential.hpp"
-#include "distrib/cluster.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
-#include "model/sources.hpp"
-#include "model/synthetic.hpp"
-#include "spec/builder.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
-#include "trace/serializability.hpp"
 
 namespace df {
 namespace {
@@ -101,21 +96,6 @@ TEST(Partition, CrossTrafficIsForwardOnly) {
   }
 }
 
-TEST(Partition, WeightedBalancesCost) {
-  const graph::Dag dag = graph::chain(8);
-  const Numbering numbering = numbering_of(dag);
-  // One heavy vertex at index 1: weighted split should put it alone-ish.
-  std::vector<double> weight(9, 1.0);
-  weight[1] = 100.0;
-  const Partitioning p = graph::partition_weighted(numbering, weight, 2);
-  EXPECT_EQ(p.block_count(), 2U);
-  EXPECT_LE(p.block_end(0), 2U);  // first block stays small
-  // All blocks non-empty and ordered.
-  for (std::size_t k = 0; k < p.block_count(); ++k) {
-    EXPECT_LE(p.block_begin(k), p.block_end(k));
-  }
-}
-
 TEST(Partition, MinCutNeverWorseThanBalanced) {
   support::Rng rng(5);
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
@@ -143,132 +123,6 @@ TEST(Partition, MetricsOnChain) {
   EXPECT_EQ(metrics.max_block, 3U);
   EXPECT_EQ(metrics.min_block, 3U);
   EXPECT_DOUBLE_EQ(metrics.imbalance, 1.0);
-}
-
-core::Program pipeline_program(std::uint32_t length) {
-  spec::GraphBuilder b;
-  std::vector<graph::VertexId> ids;
-  ids.push_back(b.add("src", model::factory_of<model::CounterSource>()));
-  for (std::uint32_t i = 1; i < length; ++i) {
-    ids.push_back(b.add("f" + std::to_string(i),
-                        model::factory_of<model::ForwardModule>()));
-    b.connect(ids[i - 1], ids[i]);
-  }
-  return std::move(b).build(3);
-}
-
-TEST(Cluster, SemanticsMatchSequential) {
-  const core::Program program = pipeline_program(12);
-  distrib::ClusterOptions options;
-  options.machines = 3;
-  options.fixed_vertex_cost_ns = 1000;
-  distrib::ClusterExecutor cluster(program, options);
-  const auto report = trace::check_against_sequential(program, cluster, 80);
-  EXPECT_TRUE(report.equivalent) << report.summary();
-}
-
-TEST(Cluster, CountsNetworkVsLocalMessages) {
-  const core::Program program = pipeline_program(12);
-  distrib::ClusterOptions options;
-  options.machines = 3;
-  options.fixed_vertex_cost_ns = 1000;
-  distrib::ClusterExecutor cluster(program, options);
-  cluster.run(10, nullptr);
-  const auto& cs = cluster.cluster_stats();
-  // Chain of 12 over 3 machines: 2 cross-machine edges, 9 local, x10 phases.
-  EXPECT_EQ(cs.network_messages, 20U);
-  EXPECT_EQ(cs.local_messages, 90U);
-  EXPECT_GT(cs.makespan_ns, 0U);
-  ASSERT_EQ(cs.busy_ns.size(), 3U);
-}
-
-TEST(Cluster, LatencyInflatesMakespan) {
-  const core::Program program = pipeline_program(12);
-  const auto makespan = [&](std::uint64_t latency) {
-    distrib::ClusterOptions options;
-    options.machines = 3;
-    options.fixed_vertex_cost_ns = 1000;
-    options.network_latency_ns = latency;
-    distrib::ClusterExecutor cluster(program, options);
-    cluster.run(50, nullptr);
-    return cluster.cluster_stats().makespan_ns;
-  };
-  EXPECT_GT(makespan(100000), makespan(0));
-}
-
-TEST(Cluster, MoreMachinesShortenCompute) {
-  // With zero network latency and real per-vertex cost, adding machines
-  // divides the per-phase serial work (each machine has one core).
-  const core::Program program = pipeline_program(16);
-  const auto makespan = [&](std::size_t machines) {
-    distrib::ClusterOptions options;
-    options.machines = machines;
-    options.network_latency_ns = 0;
-    options.fixed_vertex_cost_ns = 10000;
-    distrib::ClusterExecutor cluster(program, options);
-    cluster.run(100, nullptr);
-    return cluster.cluster_stats().makespan_ns;
-  };
-  // A chain pipelines across machines: more machines => shorter makespan.
-  EXPECT_LT(makespan(4), makespan(1));
-}
-
-TEST(Cluster, RejectsBadOptions) {
-  const core::Program program = pipeline_program(4);
-  distrib::ClusterOptions zero_machines;
-  zero_machines.machines = 0;
-  EXPECT_THROW(distrib::ClusterExecutor(program, zero_machines),
-               support::check_error);
-  distrib::ClusterOptions mismatched;
-  mismatched.machines = 2;
-  mismatched.partitioning.bounds = {0, 1, 2, 4};  // 3 blocks != 2 machines
-  EXPECT_THROW(distrib::ClusterExecutor(program, mismatched),
-               support::check_error);
-}
-
-class ClusterSerializability
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ClusterSerializability, RandomGraphsMatchSequential) {
-  const std::uint64_t seed = GetParam();
-  support::Rng rng(seed);
-  const graph::Dag shape = graph::random_dag(
-      10 + static_cast<std::uint32_t>(seed % 12), 0.25, rng);
-  spec::GraphBuilder b;
-  std::vector<graph::VertexId> ids;
-  for (graph::VertexId v = 0; v < shape.vertex_count(); ++v) {
-    if (shape.in_degree(v) == 0) {
-      ids.push_back(b.add(shape.name(v),
-                          model::factory_of<model::CounterSource>()));
-    } else {
-      ids.push_back(b.add(
-          shape.name(v),
-          model::factory_of<model::BusyWorkModule>(
-              std::uint64_t{0}, shape.in_degree(v), 0.7)));
-    }
-  }
-  for (const graph::Edge& e : shape.edges()) {
-    b.connect(ids[e.from], e.from_port, ids[e.to], e.to_port);
-  }
-  const core::Program program = std::move(b).build(seed + 99);
-
-  distrib::ClusterOptions options;
-  options.machines = 1 + seed % 4;
-  options.cores_per_machine = 1 + seed % 2;
-  options.fixed_vertex_cost_ns = 500;
-  distrib::ClusterExecutor cluster(program, options);
-  const auto report = trace::check_against_sequential(program, cluster, 120);
-  EXPECT_TRUE(report.equivalent) << report.summary();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ClusterSerializability,
-                         ::testing::Range<std::uint64_t>(0, 8));
-
-TEST(Replication, ReplicasAgreeBitForBit) {
-  const core::Program program = pipeline_program(8);
-  std::size_t records = 0;
-  EXPECT_TRUE(distrib::run_replicated(program, 3, 60, {}, 2, &records));
-  EXPECT_EQ(records, 60U);  // counter source reaches the sink every phase
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Wire-format round-trip and rejection fuzzing (distrib/wire.hpp).
 //
 // Properties, all meant to run under ASan/UBSan in CI:
-//   * every frame the v2 encoder can produce — deliveries, watermarks, and
-//     kDeliveryBatch frames over a randomized delivery corpus — decodes
-//     back to an identical frame, both through the Frame-level decoder and
-//     the streaming BatchReader;
+//   * every frame the v2 encoder can produce — watermarks and
+//     kDeliveryBatch frames of one or more deliveries over a randomized
+//     delivery corpus — decodes back to an identical frame, both through
+//     the Frame-level decoder and the streaming BatchReader;
 //   * validate_frame (the readers' no-allocation structural walk) returns
 //     exactly the status a full decode would, on valid and corrupt input;
 //   * every strict prefix of a valid encoding is rejected (no partial
@@ -14,7 +14,8 @@
 //     bits are not checksummed) or return a DecodeStatus, but length and
 //     count fields can never trigger giant allocations or overreads;
 //   * a frame of any other version — the retired version 1 included — is
-//     rejected with kBadVersion by every decode entry point: no UB, no
+//     rejected with kBadVersion, and a frame of the retired single-delivery
+//     type 1 with kBadFrameType, by every decode entry point: no UB, no
 //     hang, no partial decode.
 #include <gtest/gtest.h>
 
@@ -81,12 +82,11 @@ Frame random_frame(support::Rng& rng) {
   frame.seq = rng.next_u64();
   frame.phase = rng.next_below(1 << 20);
   const std::uint64_t pick = rng.next_below(10);
-  if (pick < 4) {
-    frame.type = FrameType::kDelivery;
-    frame.delivery = random_delivery(rng);
-  } else if (pick < 8) {
+  if (pick < 8) {
+    // Picks 0..3 are one-delivery batches: the smallest frame that carries
+    // a value, so every value tag also appears right behind the header.
     frame.type = FrameType::kDeliveryBatch;
-    const std::size_t count = 1 + rng.next_below(24);
+    const std::size_t count = pick < 4 ? 1 : 1 + rng.next_below(24);
     for (std::size_t i = 0; i < count; ++i) {
       frame.batch.push_back(random_delivery(rng));
     }
@@ -98,9 +98,6 @@ Frame random_frame(support::Rng& rng) {
 
 void encode(const Frame& frame, std::vector<std::uint8_t>& out) {
   switch (frame.type) {
-    case FrameType::kDelivery:
-      encode_delivery(frame.seq, frame.phase, frame.delivery, out);
-      break;
     case FrameType::kDeliveryBatch:
       encode_delivery_batch(frame.seq, frame.phase, frame.batch, out);
       break;
@@ -114,11 +111,6 @@ void expect_frames_equal(const Frame& decoded, const Frame& frame) {
   EXPECT_EQ(decoded.type, frame.type);
   EXPECT_EQ(decoded.seq, frame.seq);
   EXPECT_EQ(decoded.phase, frame.phase);
-  if (frame.type == FrameType::kDelivery) {
-    EXPECT_EQ(decoded.delivery.to_index, frame.delivery.to_index);
-    EXPECT_EQ(decoded.delivery.to_port, frame.delivery.to_port);
-    EXPECT_EQ(decoded.delivery.value, frame.delivery.value);
-  }
   if (frame.type == FrameType::kDeliveryBatch) {
     ASSERT_EQ(decoded.batch.size(), frame.batch.size());
     for (std::size_t i = 0; i < frame.batch.size(); ++i) {
@@ -201,8 +193,8 @@ TEST(WireDensity, DenseEncodingIsSmallerOnCommonSmallValues) {
 }
 
 TEST(WireDensity, BatchAmortizesTheFrameHeader) {
-  // 64 single-delivery frames vs one 64-delivery batch over typical small
-  // payloads: the batch must cut total bytes by well over half.
+  // One 64-delivery batch over typical small payloads: the header is paid
+  // once, and each delivery adds only its addressing and its value.
   support::Rng rng(31);
   std::vector<core::Delivery> deliveries(64);
   std::uint32_t index = 5;
@@ -212,15 +204,8 @@ TEST(WireDensity, BatchAmortizesTheFrameHeader) {
     d.to_port = static_cast<graph::Port>(rng.next_below(4));
     d.value = event::Value(static_cast<std::int64_t>(rng.next_below(1000)));
   }
-  std::size_t single_total = 0;
   std::vector<std::uint8_t> bytes;
-  for (const core::Delivery& d : deliveries) {
-    encode_delivery(7, 3, d, bytes);
-    single_total += bytes.size();
-  }
   encode_delivery_batch(7, 3, deliveries, bytes);
-  EXPECT_LT(bytes.size() * 2, single_total)
-      << "batch " << bytes.size() << "B vs singles " << single_total << "B";
   // Per-delivery framing cost (everything except the value payload) must
   // be a few bytes, not 21+.
   const std::size_t value_bytes = [&deliveries] {
@@ -313,37 +298,41 @@ TEST(WireRejection, RandomGarbageNeverCrashesAndValidateAgrees) {
 }
 
 TEST(WireRejection, CorruptedLengthFieldCannotTriggerGiantAllocation) {
-  // A delivery carrying a long (fixed-width, u32 length) string whose length
-  // field is corrupted to a huge value: the decoder must reject before
-  // allocating (kTruncated), because the claimed length exceeds the
-  // remaining bytes.
+  // A one-delivery batch carrying a long (fixed-width, u32 length) string
+  // whose length field is corrupted to a huge value: the decoder must
+  // reject before allocating (kTruncated), because the claimed length
+  // exceeds the remaining bytes.
   core::Delivery delivery;
   delivery.to_index = 9;
   delivery.to_port = 1;
   delivery.value = event::Value(std::string(300, 'a'));
   std::vector<std::uint8_t> bytes;
-  encode_delivery(5, 3, delivery, bytes);
-  // Header (21) + to_index (4) + to_port (2) + tag (1) => length at 28.
-  const std::size_t length_at = 28;
-  ASSERT_LT(length_at + 3, bytes.size());
-  ASSERT_EQ(bytes[length_at - 1],
+  encode_delivery_batch(5, 3, {&delivery, 1}, bytes);
+  // Header (21) + count (1) + to_index delta (1) + to_port (1) + tag (1)
+  // => value payload at 25.
+  const std::size_t payload_at = kHeaderBytes + 4;
+  ASSERT_LT(payload_at + 3, bytes.size());
+  ASSERT_EQ(bytes[payload_at - 1],
             static_cast<std::uint8_t>(event::Value::Kind::kString));
-  bytes[length_at + 0] = 0xff;
-  bytes[length_at + 1] = 0xff;
-  bytes[length_at + 2] = 0xff;
-  bytes[length_at + 3] = 0x7f;
+  bytes[payload_at + 0] = 0xff;
+  bytes[payload_at + 1] = 0xff;
+  bytes[payload_at + 2] = 0xff;
+  bytes[payload_at + 3] = 0x7f;
   Frame decoded;
   EXPECT_EQ(decode_frame(bytes, decoded), DecodeStatus::kTruncated);
+  EXPECT_EQ(validate_frame(bytes), DecodeStatus::kTruncated);
 
   // Same for a vector count (varint in v2: saturate the count bytes).
   delivery.value = event::Value(std::vector<double>{1.0, 2.0});
-  encode_delivery(6, 3, delivery, bytes);
-  std::vector<std::uint8_t> huge_count(bytes.begin(), bytes.begin() + 28);
+  encode_delivery_batch(6, 3, {&delivery, 1}, bytes);
+  std::vector<std::uint8_t> huge_count(bytes.begin(),
+                                       bytes.begin() + payload_at);
   for (int i = 0; i < 9; ++i) {
     huge_count.push_back(0xff);  // varint continuation bytes
   }
   huge_count.push_back(0x01);
   EXPECT_EQ(decode_frame(huge_count, decoded), DecodeStatus::kTruncated);
+  EXPECT_EQ(validate_frame(huge_count), DecodeStatus::kTruncated);
 }
 
 TEST(WireRejection, CorruptedBatchCountCannotTriggerGiantAllocation) {
@@ -396,6 +385,25 @@ TEST(WireVersioning, VersionOneFramesAreRejected) {
     EXPECT_EQ(decode_header(bytes, header), DecodeStatus::kBadVersion);
     EXPECT_EQ(reader.open(bytes), DecodeStatus::kBadVersion);
   }
+}
+
+TEST(WireRejection, RetiredSingleDeliveryTypeIsRejected) {
+  // Type byte 1 was the single-delivery frame: a v2 header followed by
+  // u32 to_index, u16 to_port and one dense value. No sender emits it any
+  // more, so a well-formed one is an unknown frame type everywhere.
+  std::vector<std::uint8_t> bytes;
+  encode_watermark(4, 9, bytes);
+  bytes[4] = 1;
+  bytes.insert(bytes.end(), {7, 0, 0, 0});  // to_index 7
+  bytes.insert(bytes.end(), {2, 0});        // to_port 2
+  encode_value(event::Value(std::int64_t{42}), bytes);
+  Frame decoded;
+  FrameHeader header;
+  BatchReader reader;
+  EXPECT_EQ(decode_header(bytes, header), DecodeStatus::kBadFrameType);
+  EXPECT_EQ(validate_frame(bytes), DecodeStatus::kBadFrameType);
+  EXPECT_EQ(decode_frame(bytes, decoded), DecodeStatus::kBadFrameType);
+  EXPECT_EQ(reader.open(bytes), DecodeStatus::kBadFrameType);
 }
 
 TEST(WireRejection, WrongMagicVersionAndTypeAreDistinguished) {
