@@ -9,6 +9,7 @@
 // speedup surface and the measured bookkeeping share. The prediction reads
 // as: speedup approaches the ideal as bookkeeping% -> 0.
 #include <cstdio>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -72,6 +73,9 @@ int main(int argc, char** argv) {
           .config("grain_ns", grain)
           .config("threads", static_cast<std::uint64_t>(threads))
           .config("phases", phases)
+          .config("hw_concurrency",
+                  static_cast<std::uint64_t>(
+                      std::thread::hardware_concurrency()))
           .metric("wall_ms", wall_ms)
           .metric("pairs_per_sec", stats.pairs_per_second())
           .metric("speedup", base_ms / wall_ms)
@@ -80,6 +84,10 @@ int main(int argc, char** argv) {
                       ? 0.0
                       : 100.0 * static_cast<double>(stats.bookkeeping_ns) /
                             total_ns)
+          .metric("units", stats.units)
+          .metric("scheduled_pairs_per_phase",
+                  static_cast<double>(stats.scheduled_pairs) /
+                      static_cast<double>(phases))
           .emit();
     }
   }

@@ -68,6 +68,10 @@ int main(int argc, char** argv) {
         .metric("pairs_per_sec", stats.pairs_per_second())
         .metric("phases_per_sec", stats.phases_per_second())
         .metric("mean_inflight", stats.mean_inflight_phases)
+        .metric("units", stats.units)
+        .metric("scheduled_pairs_per_phase",
+                static_cast<double>(stats.scheduled_pairs) /
+                    static_cast<double>(phases))
         .emit();
   }
   std::printf("%s", table.render().c_str());
@@ -88,6 +92,10 @@ int main(int argc, char** argv) {
       .metric("wall_ms", ls.wall_seconds * 1e3)
       .metric("pairs_per_sec", ls.pairs_per_second())
       .metric("phases_per_sec", ls.phases_per_second())
+      .metric("units", ls.units)
+      .metric("scheduled_pairs_per_phase",
+              static_cast<double>(ls.scheduled_pairs) /
+                  static_cast<double>(phases))
       .emit();
   std::printf(
       "paper Figure 1: with a deep window, ~5 phases in flight on the "

@@ -75,6 +75,10 @@ int main(int argc, char** argv) {
       .config("hw_concurrency", hw_concurrency)
       .metric("phases_per_sec", reference.stats().phases_per_second())
       .metric("pairs_per_sec", reference.stats().pairs_per_second())
+      .metric("units", reference.stats().units)
+      .metric("scheduled_pairs_per_phase",
+              static_cast<double>(reference.stats().scheduled_pairs) /
+                  static_cast<double>(phases))
       .emit();
 
   support::Table table({"machines", "channel", "phases_per_s", "speedup",
@@ -142,6 +146,10 @@ int main(int argc, char** argv) {
           .metric("remote_frac", remote_frac)
           .metric("checkpoints_taken", tstats.checkpoints_taken)
           .metric("checkpoint_bytes", tstats.checkpoint_bytes)
+          .metric("units", stats.units)
+          .metric("scheduled_pairs_per_phase",
+                  static_cast<double>(stats.scheduled_pairs) /
+                      static_cast<double>(phases))
           .emit();
 
       const auto report =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -12,43 +13,113 @@
 
 namespace df::core {
 
+namespace {
+
+/// A run header names its member by a 16-bit port, which caps a unit's
+/// size; the cap only bites past 2^16 vertices per unit.
+constexpr std::uint64_t kMaxUnitMembers = std::uint64_t{1} << 16;
+
+/// Appends `count` count-balanced contiguous units covering local indices
+/// (lo, hi] to `bounds`.
+void split_units(std::uint32_t lo, std::uint32_t hi, std::uint64_t count,
+                 std::vector<std::uint32_t>& bounds) {
+  const std::uint64_t length = hi - lo;
+  count = std::max(count, (length + kMaxUnitMembers - 1) / kMaxUnitMembers);
+  for (std::uint64_t k = 1; k <= count; ++k) {
+    bounds.push_back(lo + static_cast<std::uint32_t>(k * length / count));
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> plan_units(std::uint32_t vertices,
+                                      std::uint32_t signal_sources,
+                                      std::size_t threads,
+                                      std::size_t max_inflight_phases,
+                                      bool observed) {
+  DF_CHECK(signal_sources <= vertices, "signal sources (", signal_sources,
+           ") exceed the scheduled vertices (", vertices, ")");
+  std::vector<std::uint32_t> bounds{0};
+  const std::uint64_t units = 2 * static_cast<std::uint64_t>(threads);
+  // Units pipeline across phases and give up intra-phase width, so a
+  // window narrower than U cannot keep the workers busy; an observer needs
+  // vertex-level transitions; and below two members per unit there is
+  // nothing to amortize.
+  const bool coarsen =
+      units > 0 && !observed && vertices >= 2 * units &&
+      (max_inflight_phases == 0 || max_inflight_phases >= units);
+  if (!coarsen) {
+    bounds.reserve(vertices + 1);
+    for (std::uint32_t y = 1; y <= vertices; ++y) {
+      bounds.push_back(y);
+    }
+    return bounds;
+  }
+  // Signal sources and the rest are split separately: a signal-source unit
+  // enters the full set at phase start, so it must hold no vertex with a
+  // predecessor outside itself. The sources get their share of the U
+  // units, rounded, at least one and at most one per source.
+  const std::uint64_t b = vertices;
+  const std::uint64_t s = signal_sources;
+  const std::uint64_t source_units =
+      s == 0 ? 0
+             : std::min(s, std::max<std::uint64_t>(
+                               1, (2 * units * s + b) / (2 * b)));
+  split_units(0, signal_sources, source_units, bounds);
+  if (b > s) {
+    split_units(signal_sources, vertices,
+                std::min(b - s, std::max<std::uint64_t>(
+                                    1, units - source_units)),
+                bounds);
+  }
+  return bounds;
+}
+
 Engine::BlockPlan Engine::plan_scope(const Program& program,
                                      const EngineOptions& options) {
   BlockPlan plan;
-  const std::uint32_t n = static_cast<std::uint32_t>(program.numbering.size());
-  if (!options.block.has_value()) {
-    plan.m = program.numbering.m;
-    plan.signal_sources = Scheduler::kAllSources;
-    plan.offset = 0;
-    plan.block_end = n;
-    return plan;
+  std::uint32_t begin = 1;
+  std::uint32_t end = static_cast<std::uint32_t>(program.numbering.size());
+  if (options.block.has_value()) {
+    const EngineOptions::BlockScope& scope = *options.block;
+    DF_CHECK(scope.egress != nullptr,
+             "block-scoped engine needs an egress hook");
+    if (scope.begin > scope.end) {
+      // Empty block (a machine owning no vertices): zero vertices, zero
+      // units, so every phase retires at start and the engine only paces
+      // phase windows / watermark forwarding.
+      plan.units = {0};
+      plan.m = {0};
+      plan.offset = scope.begin == 0 ? 0 : scope.begin - 1;
+      plan.block_end = plan.offset;
+      return plan;
+    }
+    DF_CHECK(scope.begin >= 1 && scope.end <= end, "block [", scope.begin,
+             ", ", scope.end, "] outside internal index range 1..", end);
+    begin = scope.begin;
+    end = scope.end;
   }
-  const EngineOptions::BlockScope& scope = *options.block;
-  DF_CHECK(scope.egress != nullptr, "block-scoped engine needs an egress hook");
-  if (scope.begin > scope.end) {
-    // Empty block (a machine owning no vertices): zero vertices, zero
-    // signal sources, so every phase retires at start and the engine only
-    // paces phase windows / watermark forwarding.
-    plan.m = {0};
-    plan.signal_sources = 0;
-    plan.offset = scope.begin == 0 ? 0 : scope.begin - 1;
-    plan.block_end = plan.offset;
-    return plan;
-  }
-  DF_CHECK(scope.begin >= 1 && scope.end <= n, "block [", scope.begin, ", ",
-           scope.end, "] outside internal index range 1..", n);
-  plan.m = graph::block_local_m(program.dag, program.numbering, scope.begin,
-                                scope.end);
-  // The block's environment-signalled sources are exactly the global
-  // sources it owns: global indices [begin, min(end, m[0])], i.e. a local
-  // prefix. m_loc[0] may be larger (vertices whose predecessors are all
-  // remote become locally release-0) — those are fed by injected remote
-  // deliveries, never by the environment.
+  // The environment-signalled sources are exactly the program sources the
+  // engine owns: global indices [begin, min(end, m[0])], i.e. a local
+  // prefix. In block mode, units whose predecessors are all remote have
+  // release 0 too — those are fed by injected remote deliveries, never by
+  // the environment.
   const std::uint32_t m0 = program.numbering.m[0];
-  plan.signal_sources =
-      scope.begin <= m0 ? std::min(scope.end, m0) - scope.begin + 1 : 0;
-  plan.offset = scope.begin - 1;
-  plan.block_end = scope.end;
+  plan.signal_sources = begin <= m0 ? std::min(end, m0) - begin + 1 : 0;
+  plan.offset = begin - 1;
+  plan.block_end = end;
+  plan.units = plan_units(end - plan.offset, plan.signal_sources,
+                          options.threads, options.max_inflight_phases,
+                          options.observer != nullptr);
+  plan.m = graph::block_local_m(program.dag, program.numbering, begin, end,
+                                plan.units);
+  // The plan splits at S, so the units ending at or before it cover
+  // exactly the signal-source prefix.
+  plan.source_units = static_cast<std::uint32_t>(
+      std::count_if(plan.units.begin() + 1, plan.units.end(),
+                    [&plan](std::uint32_t bound) {
+                      return bound <= plan.signal_sources;
+                    }));
   return plan;
 }
 
@@ -58,13 +129,25 @@ Engine::Engine(const Program& program, EngineOptions options)
 Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
     : instance_(program),
       options_(std::move(options)),
-      scheduler_(plan.m, plan.signal_sources),
+      scheduler_(std::move(plan.m), plan.source_units),
       offset_(plan.offset),
-      block_end_(plan.block_end) {
+      block_end_(plan.block_end),
+      unit_bounds_(std::move(plan.units)),
+      signal_sources_(plan.signal_sources),
+      source_units_(plan.source_units) {
   sink_target_ = options_.block.has_value() && options_.block->sinks != nullptr
                      ? options_.block->sinks
                      : &sinks_;
   DF_CHECK(options_.threads >= 1, "engine needs at least one worker thread");
+  unit_of_.assign(unit_bounds_.back() + 1, 0);
+  for (std::uint32_t u = 1; u < unit_bounds_.size(); ++u) {
+    const std::uint32_t size = unit_bounds_[u] - unit_bounds_[u - 1];
+    max_unit_size_ = std::max(max_unit_size_, size);
+    for (std::uint32_t y = unit_bounds_[u - 1] + 1; y <= unit_bounds_[u];
+         ++y) {
+      unit_of_[y] = u;
+    }
+  }
 }
 
 Engine::~Engine() {
@@ -116,7 +199,11 @@ void Engine::start() {
   // single worker there is nothing to contend with, and a per-transition
   // observer needs the per-pair path for its snapshots.
   use_staging_ = options_.threads > 1 && options_.observer == nullptr;
-  drain_threshold_ = std::min<std::size_t>(16, 2 * options_.threads);
+  // One pair per worker under every plan: a coarsened phase stages only
+  // about two units per worker, so a target of two per worker would hold
+  // every unit's successors back for a whole phase, and per-vertex plans
+  // measured no better at two (DESIGN.md, "Staged delivery rings").
+  drain_threshold_ = std::min<std::size_t>(16, options_.threads);
   if (use_staging_) {
     const std::size_t capacity = std::bit_ceil(
         std::max<std::size_t>(2, options_.staging_ring_capacity));
@@ -133,14 +220,14 @@ void Engine::start() {
   }
 }
 
-void Engine::reserve_source_bundles(
+void Engine::lay_out_source_bundles(
     const std::vector<event::ExternalEvent>& events) {
-  // Group the batch into per-source input bundles (Listing 2's "phase
+  // Group the batch into per-unit input bundles (Listing 2's "phase
   // signal" is implicit: every source gets a pair, with or without events).
-  // Resolve indices once, then reserve exact per-source counts so each
-  // bundle is built with at most one allocation.
+  // Resolve indices once, then lay each bundle out at its final size so it
+  // is built with at most one allocation.
   env_bundles_.clear();
-  env_bundles_.resize(scheduler_.source_count());
+  env_bundles_.resize(source_units_);
   env_indices_.clear();
   for (const event::ExternalEvent& ev : events) {
     const std::uint32_t index = instance_.internal_index(ev.vertex);
@@ -149,41 +236,72 @@ void Engine::reserve_source_bundles(
              instance_.name(index), "'");
     // Block mode: the transport routes each event to the block owning its
     // target, so the global index must sit in this block's source prefix;
-    // translate it to the scheduler's local indexing.
-    DF_CHECK(index > offset_ && index - offset_ <= scheduler_.source_count(),
+    // translate it to the engine's local indexing. (Checked against the
+    // vertex-level prefix: the scheduler counts units.)
+    DF_CHECK(index > offset_ && index - offset_ <= signal_sources_,
              "external event for '", instance_.name(index),
              "' (index ", index, ") is outside this block's source range");
     env_indices_.push_back(index - offset_);
   }
-  env_counts_.assign(scheduler_.source_count(), 0);
+  env_counts_.assign(signal_sources_, 0);
   for (const std::uint32_t index : env_indices_) {
     ++env_counts_[index - 1];
   }
-  for (std::size_t s = 0; s < env_counts_.size(); ++s) {
-    if (env_counts_[s] != 0) {
-      env_bundles_[s].reserve(env_counts_[s]);
+  // A multi-member unit frames each member's events as one run: a header
+  // (port = the member's offset in its unit, value = the run length), then
+  // the events in batch order. Event ports are arbitrary, so only the
+  // header can say which member a message is for. A one-member unit
+  // carries its events plain.
+  env_cursor_.resize(signal_sources_);
+  for (std::uint32_t u = 1; u <= source_units_; ++u) {
+    const std::uint32_t first = unit_bounds_[u - 1] + 1;
+    const std::uint32_t last = unit_bounds_[u];
+    const std::size_t header = last != first ? 1 : 0;
+    std::size_t size = 0;
+    for (std::uint32_t s = first; s <= last; ++s) {
+      if (env_counts_[s - 1] != 0) {
+        size += header;
+        env_cursor_[s - 1] = size;
+        size += env_counts_[s - 1];
+      }
+    }
+    if (size == 0) {
+      continue;
+    }
+    event::InputBundle& bundle = env_bundles_[u - 1];
+    bundle.resize(size);
+    for (std::uint32_t s = first; header != 0 && s <= last; ++s) {
+      if (env_counts_[s - 1] != 0) {
+        bundle[env_cursor_[s - 1] - 1] = event::Message{
+            static_cast<graph::Port>(s - first),
+            event::Value(static_cast<std::int64_t>(env_counts_[s - 1]))};
+      }
     }
   }
 }
 
+event::Message& Engine::event_slot(std::size_t i) {
+  const std::uint32_t s = env_indices_[i];
+  return env_bundles_[unit_of_[s] - 1][env_cursor_[s - 1]++];
+}
+
 void Engine::start_phase(const std::vector<event::ExternalEvent>& events) {
   DF_CHECK(started_ && !finished_, "start_phase outside start()/finish()");
-  reserve_source_bundles(events);
+  lay_out_source_bundles(events);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    env_bundles_[env_indices_[i] - 1].push_back(
-        event::Message{events[i].port, events[i].value});
+    event_slot(i) = event::Message{events[i].port, events[i].value};
   }
-  start_phase_bundles(env_bundles_);
+  start_phase_bundles();
 }
 
 void Engine::start_phase(std::vector<event::ExternalEvent>&& events) {
   DF_CHECK(started_ && !finished_, "start_phase outside start()/finish()");
-  reserve_source_bundles(events);
+  lay_out_source_bundles(events);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    env_bundles_[env_indices_[i] - 1].push_back(
-        event::Message{events[i].port, std::move(events[i].value)});
+    event_slot(i) =
+        event::Message{events[i].port, std::move(events[i].value)};
   }
-  start_phase_bundles(env_bundles_);
+  start_phase_bundles();
 }
 
 void Engine::start_phase(const std::vector<event::ExternalEvent>& events,
@@ -191,10 +309,9 @@ void Engine::start_phase(const std::vector<event::ExternalEvent>& events,
   DF_CHECK(started_ && !finished_, "start_phase outside start()/finish()");
   DF_CHECK(options_.block.has_value(),
            "remote-injection start_phase requires a block-scoped engine");
-  reserve_source_bundles(events);
+  lay_out_source_bundles(events);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    env_bundles_[env_indices_[i] - 1].push_back(
-        event::Message{events[i].port, events[i].value});
+    event_slot(i) = event::Message{events[i].port, events[i].value};
   }
   // Translate the reassembled cross-boundary deliveries to local indexing
   // up front; the scheduler overload below injects them before any pair of
@@ -207,11 +324,17 @@ void Engine::start_phase(const std::vector<event::ExternalEvent>& events,
              " does not belong to block (", offset_, ", ", block_end_, "]");
     d.to_index -= offset_;
   }
-  start_phase_bundles(env_bundles_, std::span<Scheduler::Delivery>(remote));
+  // Address each delivery to its unit, framed exactly as a worker frames
+  // a finish.
+  env_injected_.clear();
+  const std::span<Scheduler::Delivery> deliveries(remote);
+  for (std::size_t i = 0; i < deliveries.size();) {
+    i = frame_stretch(deliveries, i, deliveries[i].to_index, env_injected_);
+  }
+  start_phase_bundles(std::span<Scheduler::Delivery>(env_injected_));
 }
 
-void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
-                                 std::span<Scheduler::Delivery> injected) {
+void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
   env_ready_.clear();
   // Starting a phase can also *complete* it (block mode: an empty block,
   // or a phase whose in-block work is finished by the injected deliveries
@@ -234,8 +357,8 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
     }
     const event::PhaseId p = scheduler_.pmax() + 1;
     const event::PhaseId completed_before = scheduler_.completed_through();
-    scheduler_.start_phase(p, std::span<event::InputBundle>(bundles), injected,
-                           env_ready_);
+    scheduler_.start_phase(p, std::span<event::InputBundle>(env_bundles_),
+                           injected, env_ready_);
     if (scheduler_.completed_through() != completed_before) {
       completed_now = scheduler_.completed_through();
     }
@@ -293,7 +416,14 @@ void Engine::run(event::PhaseId num_phases, PhaseFeed* feed) {
 namespace {
 
 constexpr std::uint32_t kEngineImageMagic = 0x44464547u;  // "DFEG"
-constexpr std::uint32_t kEngineImageVersion = 1;
+// Version 2 added the unit plan.
+constexpr std::uint32_t kEngineImageVersion = 2;
+
+void persist_bounds(support::StateArchive& ar,
+                    std::vector<std::uint32_t>& bounds) {
+  ar.sequence(bounds,
+              [](support::StateArchive& a, std::uint32_t& b) { a.u32(b); });
+}
 
 }  // namespace
 
@@ -316,6 +446,12 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
   std::uint32_t version = kEngineImageVersion;
   ar.u32(magic);
   ar.u32(version);
+  std::uint32_t begin = offset_ + 1;
+  std::uint32_t end = block_end_;
+  ar.u32(begin);
+  ar.u32(end);
+  std::vector<std::uint32_t> units = unit_bounds_;
+  persist_bounds(ar, units);
   std::vector<std::uint8_t> sched;
   {
     conc::MutexLock lock(mutex_);
@@ -326,10 +462,6 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
   // Module/rng/latest state for every owned vertex, by global index. Read
   // without locks: the quiescent-point precondition guarantees no worker is
   // executing (an issued-but-unfinished pair would keep its phase active).
-  std::uint32_t begin = offset_ + 1;
-  std::uint32_t end = block_end_;
-  ar.u32(begin);
-  ar.u32(end);
   for (std::uint32_t v = begin; v <= end; ++v) {
     VertexRuntime& rt = instance_.runtime(v);
     rt.rng.persist(ar);
@@ -354,6 +486,21 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
   ar.u32(version);
   DF_CHECK(version == kEngineImageVersion,
            "engine checkpoint: unsupported version ", version);
+  // Geometry first, before any state changes: the scheduler image indexes
+  // units, so an image taken under another plan (another thread count or
+  // window) cannot be restored here.
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  ar.u32(begin);
+  ar.u32(end);
+  DF_CHECK(begin == offset_ + 1 && end == block_end_,
+           "engine checkpoint: block range mismatch");
+  std::vector<std::uint32_t> units;
+  persist_bounds(ar, units);
+  DF_CHECK(units == unit_bounds_, "engine checkpoint: unit plan mismatch (",
+           "image has ", units.size() - 1, " units, this engine ",
+           unit_bounds_.size() - 1,
+           "); restore with the threads and window the image was taken at");
   std::vector<std::uint8_t> sched;
   ar.sequence(sched,
               [](support::StateArchive& a, std::uint8_t& b) { a.u8(b); });
@@ -361,12 +508,6 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
     conc::MutexLock lock(mutex_);
     scheduler_.restore_state(sched);
   }
-  std::uint32_t begin = 0;
-  std::uint32_t end = 0;
-  ar.u32(begin);
-  ar.u32(end);
-  DF_CHECK(begin == offset_ + 1 && end == block_end_,
-           "engine checkpoint: block range mismatch");
   for (std::uint32_t v = begin; v <= end; ++v) {
     VertexRuntime& rt = instance_.runtime(v);
     rt.rng.persist(ar);
@@ -527,40 +668,148 @@ void Engine::maybe_drain(std::size_t threshold) {
   }
 }
 
-void Engine::route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
-                              event::PhaseId phase) {
-  if (!options_.block.has_value()) {
-    return;  // whole-program engine: every delivery is local, untranslated
+std::size_t Engine::frame_stretch(std::span<Scheduler::Delivery> deliveries,
+                                  std::size_t i, std::uint32_t local,
+                                  std::vector<Scheduler::Delivery>& out) const {
+  // The scheduler appends each finish's deliveries to a unit's bundle in
+  // order, so the run stays contiguous there. Each input port has a single
+  // writer, so keeping every stretch in order keeps every port's messages
+  // in emission order.
+  std::size_t end = i + 1;
+  while (end < deliveries.size() &&
+         deliveries[end].to_index == deliveries[i].to_index) {
+    ++end;
   }
-  // Split an executed pair's output at the block boundary: deliveries for
-  // indices beyond the block leave through the egress hook with their
-  // global index intact (the transport routes them by the partition cut);
-  // in-block ones are translated to local indices and compacted to the
-  // front so the vector feeds the scheduler unchanged. Runs on worker
-  // threads outside every engine lock — the hook does its own locking.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    Scheduler::Delivery& d = deliveries[i];
-    if (d.to_index > block_end_) {
-      options_.block->egress(std::move(d), phase);
-      continue;
-    }
-    d.to_index -= offset_;
-    if (keep != i) {
-      deliveries[keep] = std::move(d);
-    }
-    ++keep;
+  const std::uint32_t unit = unit_of_[local];
+  const std::uint32_t first = unit_bounds_[unit - 1] + 1;
+  if (unit_bounds_[unit] != first) {
+    out.push_back(Scheduler::Delivery{
+        unit, static_cast<graph::Port>(local - first),
+        event::Value(static_cast<std::int64_t>(end - i))});
   }
-  deliveries.resize(keep);
+  for (; i < end; ++i) {
+    out.push_back(Scheduler::Delivery{unit, deliveries[i].to_port,
+                                      std::move(deliveries[i].value)});
+  }
+  return end;
+}
+
+ExecutionResult& Engine::execute_member(std::uint32_t local,
+                                        event::PhaseId phase,
+                                        const event::InputBundle& bundle,
+                                        UnitScratch& scratch) {
+  support::Stopwatch compute_timer;
+  ExecutionResult& result = scratch.result;
+  try {
+    // The scheduler speaks block-local indices; the instance is always
+    // the full program, so execution (module state, rng forks, routing)
+    // happens at the global index — bit-identical to the sequential
+    // reference. offset_ is 0 outside block mode.
+    execute_vertex(instance_, local + offset_, phase, bundle, result);
+  } catch (...) {
+    // Record the first failure and let the member complete with no output,
+    // so the remaining phases drain and finish() can rethrow cleanly.
+    conc::MutexLock lock(mutex_);
+    if (first_error_ == nullptr) {
+      first_error_ = std::current_exception();
+    }
+    result.deliveries.clear();
+    result.sink_records.clear();
+  }
+  scratch.compute_ns += compute_timer.elapsed_ns();
+  ++scratch.executed;
+  // Delivered-message accounting is pre-routing: cross-boundary messages
+  // count here and are reclassified remote by the transport's stats fold.
+  scratch.messages += result.deliveries.size();
+  return result;
+}
+
+std::vector<Scheduler::Delivery> Engine::run_unit(Scheduler::ReadyPair& pair,
+                                                  UnitScratch& scratch) {
+  const event::PhaseId phase = pair.phase;
+  const std::uint32_t first = unit_bounds_[pair.vertex - 1] + 1;
+  const std::uint32_t last = unit_bounds_[pair.vertex];
+  std::vector<Scheduler::Delivery> out;
+  out.reserve(scratch.out_capacity);
+  // Routes one member's output by target: later members of this unit get
+  // it straight into their bundles, later units of this engine get it
+  // framed into the staged finish, and the egress hook gets what lies past
+  // the block — in member order and, per member, emission order.
+  const auto route = [&](ExecutionResult& result) {
+    std::span<Scheduler::Delivery> deliveries(result.deliveries);
+    for (std::size_t i = 0; i < deliveries.size();) {
+      Scheduler::Delivery& d = deliveries[i];
+      if (d.to_index > block_end_) {
+        options_.block->egress(std::move(d), phase);
+        ++i;
+        continue;
+      }
+      const std::uint32_t local = d.to_index - offset_;
+      if (local <= last) {
+        scratch.members[local - first].push_back(
+            event::Message{d.to_port, std::move(d.value)});
+        ++i;
+        continue;
+      }
+      i = frame_stretch(deliveries, i, local, out);
+    }
+    if (scratch.sinks.empty()) {
+      scratch.sinks = std::move(result.sink_records);
+    } else {
+      std::move(result.sink_records.begin(), result.sink_records.end(),
+                std::back_inserter(scratch.sinks));
+    }
+  };
+  if (first == last) {
+    // A one-member unit carries plain messages: run on its bundle.
+    route(execute_member(first, phase, pair.bundle, scratch));
+  } else {
+    // Decode the unit's bundle into its members' bundles: each run is a
+    // header (port = member offset, value = run length) followed by that
+    // many payload messages on their real ports.
+    event::InputBundle& framed = pair.bundle;
+    for (std::size_t i = 0; i < framed.size();) {
+      const std::uint32_t member = framed[i].port;
+      const auto length = static_cast<std::size_t>(framed[i].value.as_int());
+      DF_CHECK(member <= last - first && length >= 1 &&
+                   length < framed.size() - i,
+               "malformed run header in unit ", pair.vertex);
+      event::InputBundle& in = scratch.members[member];
+      for (std::size_t k = i + 1; k <= i + length; ++k) {
+        in.push_back(std::move(framed[k]));
+      }
+      i += length + 1;
+    }
+    for (std::uint32_t y = first; y <= last; ++y) {
+      event::InputBundle& in = scratch.members[y - first];
+      // The sequential executor's Δ rule: a member runs iff it is a
+      // signal source or received input this phase.
+      if (y > signal_sources_ && in.empty()) {
+        continue;
+      }
+      route(execute_member(y, phase, in, scratch));
+      in.clear();
+    }
+  }
+  if (!scratch.sinks.empty()) {
+    sink_records_.add(scratch.sinks.size());
+    sink_target_->record_batch(std::move(scratch.sinks));
+    scratch.sinks.clear();
+  }
+  scratch.out_capacity = std::max(scratch.out_capacity, out.size());
+  return out;
 }
 
 void Engine::worker_main(std::size_t worker_index) {
   // Listing 1: dequeue, execute outside the lock, then either stage the
   // finished pair for batched application (staged path) or update the sets
-  // under the lock directly. The ready buffer is reused across iterations;
-  // the executed pair's bundle is recycled into the scheduler's pool, so
-  // the locked bookkeeping path allocates nothing at steady state.
+  // under the lock directly. The ready buffer and the unit executor's
+  // member bundles are reused across iterations; the executed pair's
+  // bundle is recycled into the scheduler's pool, so the locked
+  // bookkeeping path allocates nothing at steady state.
   std::vector<Scheduler::ReadyPair> ready;
+  UnitScratch scratch;
+  scratch.members.resize(max_unit_size_);
   // Per-pair path only: one of the pairs this worker's own finish readied,
   // run next without the round trip through run_queue_ (DESIGN.md, "Engine
   // deviations from the paper's listings").
@@ -590,41 +839,18 @@ void Engine::worker_main(std::size_t worker_index) {
         break;  // closed and drained
       }
     }
-    support::Stopwatch compute_timer;
-    ExecutionResult result;
-    try {
-      // The scheduler speaks block-local indices; the instance is always
-      // the full program, so execution (module state, rng forks, routing)
-      // happens at the global index — bit-identical to the sequential
-      // reference. offset_ is 0 outside block mode.
-      result = execute_vertex(instance_, item->vertex + offset_, item->phase,
-                              item->bundle);
-    } catch (...) {
-      // Record the first failure and let the pair complete with no output,
-      // so the remaining phases drain and finish() can rethrow cleanly.
-      conc::MutexLock lock(mutex_);
-      if (first_error_ == nullptr) {
-        first_error_ = std::current_exception();
-      }
-      result = ExecutionResult{};
-    }
-    compute_ns_.add(compute_timer.elapsed_ns());
-
-    if (!result.sink_records.empty()) {
-      sink_records_.add(result.sink_records.size());
-      sink_target_->record_batch(std::move(result.sink_records));
-    }
-    // Delivered-message accounting is pre-routing: cross-boundary messages
-    // count here and are reclassified remote by the transport's stats fold.
-    messages_delivered_.add(result.deliveries.size());
-
-    support::Stopwatch bookkeeping_timer;
-    route_deliveries(result.deliveries, item->phase);
-    // Deliveries unification: the executor's output vector moves straight
+    support::Stopwatch pair_timer;
+    scratch.compute_ns = 0;
+    scratch.executed = 0;
+    scratch.messages = 0;
+    // Deliveries unification: the unit's framed output moves straight
     // into the staged record — no per-message repack.
     Scheduler::StagedFinish staged{item->vertex, item->phase,
-                                   std::move(result.deliveries),
+                                   run_unit(*item, scratch),
                                    std::move(item->bundle)};
+    executed_pairs_.add(scratch.executed);
+    messages_delivered_.add(scratch.messages);
+    compute_ns_.add(scratch.compute_ns);
     bool staged_ok = false;
     if (ring != nullptr) {
       // Count first, push second: a drainer that sees the count but not
@@ -647,14 +873,16 @@ void Engine::worker_main(std::size_t worker_index) {
       }
       retire(ready, completed_now);
     }
-    bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
-    executed_pairs_.add(1);
+    bookkeeping_ns_.add(pair_timer.elapsed_ns() - scratch.compute_ns);
+    scheduled_pairs_.add(1);
   }
 }
 
 ExecStats Engine::stats() const {
   ExecStats stats;
   stats.executed_pairs = executed_pairs_.value();
+  stats.scheduled_pairs = scheduled_pairs_.value();
+  stats.units = unit_bounds_.size() - 1;
   stats.messages_delivered = messages_delivered_.value();
   stats.sink_records = sink_records_.value();
   stats.compute_ns = compute_ns_.value();

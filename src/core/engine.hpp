@@ -4,7 +4,8 @@
 //   * an arbitrary number of *computation processes* (worker threads), each
 //     an infinite loop: dequeue a ready vertex-phase pair from the run
 //     queue, execute it, lock, update the scheduler's sets, unlock
-//     (Listing 1);
+//     (Listing 1). The scheduled "vertex" is a *unit*: a contiguous run of
+//     the satisfactory numbering (see below);
 //   * an *environment* that starts phases by injecting source vertex-phase
 //     pairs into the full set (Listing 2). Here the environment runs on the
 //     caller's thread — run() drives it from a PhaseFeed, or the streaming
@@ -34,7 +35,16 @@
 //     rest to the run queue. This is the single-worker fast path every
 //     default transport partition takes. The staged drain still hands
 //     every pair to the queue, so the drainer does not sit on work the
-//     other workers could start.
+//     other workers could start;
+//   * unit scheduling: the scheduler sees contiguous numbering runs
+//     ("units", about two per worker) as single vertices, and a worker runs
+//     a unit's members for one phase in numbering order under the
+//     sequential executor's Δ rule (DESIGN.md, "Unit scheduling"). Members
+//     of a multi-member unit learn their inputs from run headers inside the
+//     unit's bundle. Where coarsening cannot pay — an observer is
+//     installed, the graph is too small for the pool, or the phase window
+//     is narrower than the unit count — every vertex is its own unit and
+//     the engine schedules exactly as the listings do.
 #pragma once
 
 #include <atomic>
@@ -81,17 +91,22 @@ struct EngineOptions {
   /// full worker pool inside every partition block). The engine still
   /// instantiates the complete ProgramInstance — module state and rng
   /// streams fork by *global* internal index, bit-identical to the
-  /// sequential reference — but schedules only the block: its Scheduler
-  /// tables, bitsets and FIFOs are sized and indexed to local indices
-  /// 1..B (B = end - begin + 1) via graph::block_local_m.
+  /// sequential reference — but schedules only the block: it cuts local
+  /// indices 1..B (B = end - begin + 1) into units by the same rule as a
+  /// whole-program engine, and its Scheduler tables, bitsets and FIFOs
+  /// are sized and indexed to those units via graph::block_local_m.
   ///
   /// Seam contracts:
   ///  * deliveries an executed pair addresses beyond `end` are handed to
   ///    `egress` (global index preserved) instead of entering the
-  ///    scheduler — the transport routes them onto the wire;
+  ///    scheduler — the transport routes them onto the wire. Within one
+  ///    executed unit they arrive in member order and, per member, in
+  ///    emission order;
   ///  * remote deliveries for a phase are injected through the
   ///    start_phase(events, remote) overload when the phase window opens
-  ///    (the caller guarantees completeness — the watermark handshake);
+  ///    (the caller guarantees completeness — the watermark handshake). A
+  ///    vertex fed only by remote deliveries is not a signal source: it
+  ///    runs in a phase only if one of them reached it;
   ///  * when `sinks` is non-null, workers record sink batches there
   ///    (shared across the block engines of one transport run) instead of
   ///    the engine's own store.
@@ -114,6 +129,21 @@ struct EngineOptions {
   /// not call back into the engine.
   std::function<void(event::PhaseId)> on_phase_complete;
 };
+
+/// The engine's unit plan (DESIGN.md, "Unit scheduling"): cuts the
+/// `vertices` an engine schedules (a whole program, or its transport
+/// block), whose first `signal_sources` are environment-signalled, into
+/// contiguous units. Returns local bounds {0, b_1, ..., vertices}; unit k
+/// covers (b_{k-1}, b_k]. With U = 2 * threads the engine coarsens only
+/// when no observer is installed, vertices >= 2U, and the phase window is
+/// unbounded (0) or at least U; the signal-source prefix and the rest are
+/// then split separately into count-balanced units. Otherwise every
+/// vertex is its own unit (the identity plan).
+std::vector<std::uint32_t> plan_units(std::uint32_t vertices,
+                                      std::uint32_t signal_sources,
+                                      std::size_t threads,
+                                      std::size_t max_inflight_phases,
+                                      bool observed);
 
 class Engine final : public Executor {
  public:
@@ -162,16 +192,19 @@ class Engine final : public Executor {
   /// quiescent point snapshots are taken at.
   void quiesce();
   /// Serializes the block's full execution state into a self-validating
-  /// "DFEG" image: the scheduler image (nested "DFSC" blob) plus, for every
-  /// owned vertex, the module state (Module::persist_state), the rng stream,
-  /// and the latest-value cache. Call only at a quiescent point (after
-  /// quiesce(), with no concurrent start_phase) — module state is read
-  /// without locks on the guarantee that no worker is executing.
+  /// "DFEG" image: the block range and unit plan, the scheduler image
+  /// (nested "DFSC" blob), and, for every owned vertex, the module state
+  /// (Module::persist_state), the rng stream, and the latest-value cache.
+  /// Call only at a quiescent point (after quiesce(), with no concurrent
+  /// start_phase) — module state is read without locks on the guarantee
+  /// that no worker is executing.
   std::vector<std::uint8_t> snapshot_state();
   /// Rebuilds state from a snapshot_state image. Must be called after
   /// start() (reserve_steady_state precedes the first phase) and before any
-  /// start_phase on this engine. Magic, version, checksum, block range, and
-  /// scheduler geometry are all validated; failure throws
+  /// start_phase on this engine. Magic, version, checksum, block range,
+  /// unit plan, and scheduler geometry are all validated; the range and
+  /// plan are checked before any state changes (an image taken at another
+  /// thread count or window may carry another plan). Failure throws
   /// support::check_error and leaves the engine unusable — discard it and
   /// retry with an older image.
   void restore_state(const std::vector<std::uint8_t>& image);
@@ -223,28 +256,64 @@ class Engine final : public Executor {
   /// Hands every pair to the run queue with one lock acquisition and
   /// clears `ready` so the caller can reuse the buffer.
   void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready);
-  /// Shared tail of the start_phase overloads: `bundles` holds one
-  /// pre-reserved bundle per signal source; `injected` carries block-mode
-  /// remote deliveries already translated to local indices.
-  void start_phase_bundles(std::vector<event::InputBundle>& bundles,
-                           std::span<Scheduler::Delivery> injected = {});
-  /// Sizes env_bundles_ and reserves per-source counts for `events`.
-  void reserve_source_bundles(const std::vector<event::ExternalEvent>& events);
-  /// Block mode: splits an executed pair's deliveries into in-block ones
-  /// (translated global -> local in place, compacted to the vector front)
-  /// and egress ones (handed to the BlockScope::egress hook with their
-  /// global index). No-op pass-through when no block scope is set. Called
-  /// from the worker loop outside any engine lock.
-  void route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
-                        event::PhaseId phase);
+  /// Shared tail of the start_phase overloads: env_bundles_ holds one laid
+  /// out bundle per signal-source unit; `injected` carries block-mode
+  /// remote deliveries already addressed to units.
+  void start_phase_bundles(std::span<Scheduler::Delivery> injected = {});
+  /// Checks `events` against the block's source range and lays out
+  /// env_bundles_: one bundle per signal-source unit, sized for its events
+  /// plus, in a multi-member unit, one run header per member with events.
+  /// env_cursor_[s - 1] is then where source s's next event goes.
+  void lay_out_source_bundles(const std::vector<event::ExternalEvent>& events);
+  /// The slot lay_out_source_bundles reserved for event i of the batch.
+  event::Message& event_slot(std::size_t i);
+  /// Moves the stretch of consecutive deliveries that starts at `i` and
+  /// shares its to_index (local vertex `local`) into `out`, addressed to
+  /// that vertex's unit and, when the unit has more than one member,
+  /// behind a run header: port = the member's offset in its unit, value =
+  /// the stretch length. Returns the index past the stretch.
+  std::size_t frame_stretch(std::span<Scheduler::Delivery> deliveries,
+                            std::size_t i, std::uint32_t local,
+                            std::vector<Scheduler::Delivery>& out) const;
+
+  /// Per-worker scratch of the unit executor, reused across pairs.
+  struct UnitScratch {
+    std::vector<event::InputBundle> members;  // one bundle per member
+    ExecutionResult result;  // the member being routed; capacity reused
+    std::vector<SinkRecord> sinks;
+    /// The largest framed output this worker has produced: each unit's
+    /// output vector (handed on to the scheduler) is allocated once at
+    /// that size instead of growing through reallocations.
+    std::size_t out_capacity = 0;
+    std::uint64_t compute_ns = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t messages = 0;
+  };
+  /// The unit executor: runs unit pair `pair` — every member that is a
+  /// signal source or received input, in numbering order — and returns
+  /// the deliveries for later units of this engine, framed for the
+  /// scheduler. Deliveries inside the unit go straight to the later
+  /// member's bundle and deliveries past the block go to the egress hook.
+  /// Records the unit's sink output with one batch. Called from the worker
+  /// loop outside any engine lock.
+  std::vector<Scheduler::Delivery> run_unit(Scheduler::ReadyPair& pair,
+                                            UnitScratch& scratch);
+  /// Executes local vertex `local` at its global index into
+  /// `scratch.result`. A throwing module records the first error and
+  /// produces nothing.
+  ExecutionResult& execute_member(std::uint32_t local, event::PhaseId phase,
+                                  const event::InputBundle& bundle,
+                                  UnitScratch& scratch);
 
   /// Scheduling geometry resolved from options before member construction:
-  /// the m-vector the scheduler indexes by (global or block-local), how many
-  /// leading local indices are environment-signalled sources, and the
-  /// local<->global index translation.
+  /// the unit plan and its m-vector, how many leading local indices are
+  /// environment-signalled sources, and the local<->global index
+  /// translation.
   struct BlockPlan {
-    std::vector<std::uint32_t> m;
-    std::uint32_t signal_sources = Scheduler::kAllSources;
+    std::vector<std::uint32_t> units;  // local unit bounds {0, ..., B}
+    std::vector<std::uint32_t> m;      // unit m-vector, m[0..U]
+    std::uint32_t signal_sources = 0;  // vertex-level prefix 1..S
+    std::uint32_t source_units = 0;    // units covering 1..S
     std::uint32_t offset = 0;     // global == local + offset
     std::uint32_t block_end = 0;  // global index of the last block vertex
   };
@@ -261,12 +330,22 @@ class Engine final : public Executor {
   std::uint32_t offset_ = 0;     // block mode: global == local + offset_
   std::uint32_t block_end_ = 0;  // block mode: last owned global index
   SinkStore* sink_target_ = nullptr;  // where workers record (usually own)
+  // The unit plan (immutable after construction). unit_bounds_[u - 1] + 1
+  // .. unit_bounds_[u] are unit u's local vertices; unit_of_[y] is local
+  // vertex y's unit.
+  std::vector<std::uint32_t> unit_bounds_;
+  std::vector<std::uint32_t> unit_of_;
+  std::uint32_t signal_sources_ = 0;  // vertex-level, local prefix 1..S
+  std::uint32_t source_units_ = 0;    // units covering 1..S
+  std::uint32_t max_unit_size_ = 1;
 
   // Environment-thread scratch (start_phase is called by one thread only):
   // reused across phases so steady-state phase starts stay allocation-light.
   std::vector<event::InputBundle> env_bundles_;
   std::vector<std::uint32_t> env_indices_;
   std::vector<std::size_t> env_counts_;
+  std::vector<std::size_t> env_cursor_;
+  std::vector<Scheduler::Delivery> env_injected_;
   std::vector<Scheduler::ReadyPair> env_ready_;
 
   mutable conc::Mutex mutex_;  // the paper's single global lock
@@ -297,9 +376,9 @@ class Engine final : public Executor {
   //
   // Staged finishes accumulate until drain_threshold_ are pending before
   // anyone volunteers to drain, so each drain amortizes its lock
-  // acquisition and frontier pass over a real batch: a couple of pairs per
-  // worker, capped so drain latency stays small relative to the window's
-  // refill rate. Liveness does not depend on it — a worker always drains
+  // acquisition and frontier pass over a real batch: one pair per worker,
+  // capped so drain latency stays small relative to the window's refill
+  // rate. Liveness does not depend on it — a worker always drains
   // everything pending before it would block on an empty run queue.
   bool use_staging_ = false;         // resolved in start()
   std::size_t drain_threshold_ = 1;  // resolved in start()
@@ -314,6 +393,7 @@ class Engine final : public Executor {
 
   // Statistics.
   conc::ShardedCounter executed_pairs_;
+  conc::ShardedCounter scheduled_pairs_;
   conc::ShardedCounter messages_delivered_;
   conc::ShardedCounter sink_records_;
   conc::ShardedCounter compute_ns_;

@@ -12,8 +12,12 @@ namespace {
 class ContextImpl final : public model::PhaseContext {
  public:
   ContextImpl(ProgramInstance& instance, std::uint32_t index,
-              event::PhaseId phase, const event::InputBundle& bundle)
-      : runtime_(instance.runtime(index)), phase_(phase), bundle_(bundle) {
+              event::PhaseId phase, const event::InputBundle& bundle,
+              std::vector<event::Message>& emissions)
+      : runtime_(instance.runtime(index)),
+        phase_(phase),
+        bundle_(bundle),
+        emissions_(emissions) {
     // Apply the bundle to the latest-value table first, so latest() already
     // reflects this phase (messages later in the bundle win per port).
     for (const event::Message& msg : bundle_) {
@@ -63,15 +67,11 @@ class ContextImpl final : public model::PhaseContext {
 
   support::Rng& rng() override { return runtime_.rng; }
 
-  std::vector<event::Message> take_emissions() {
-    return std::move(emissions_);
-  }
-
  private:
   VertexRuntime& runtime_;
   event::PhaseId phase_;
   const event::InputBundle& bundle_;
-  std::vector<event::Message> emissions_;
+  std::vector<event::Message>& emissions_;
 };
 
 }  // namespace
@@ -79,11 +79,20 @@ class ContextImpl final : public model::PhaseContext {
 ExecutionResult execute_vertex(ProgramInstance& instance, std::uint32_t index,
                                event::PhaseId phase,
                                const event::InputBundle& bundle) {
-  ContextImpl ctx(instance, index, phase, bundle);
+  ExecutionResult result;
+  execute_vertex(instance, index, phase, bundle, result);
+  return result;
+}
+
+void execute_vertex(ProgramInstance& instance, std::uint32_t index,
+                    event::PhaseId phase, const event::InputBundle& bundle,
+                    ExecutionResult& result) {
+  result.deliveries.clear();
+  result.sink_records.clear();
+  result.emissions.clear();
+  ContextImpl ctx(instance, index, phase, bundle, result.emissions);
   instance.runtime(index).module->on_phase(ctx);
 
-  ExecutionResult result;
-  result.emissions = ctx.take_emissions();
   const graph::VertexId original = instance.original_id(index);
   for (const event::Message& msg : result.emissions) {
     const std::vector<Route>& routes = instance.routes(index, msg.port);
@@ -98,7 +107,6 @@ ExecutionResult execute_vertex(ProgramInstance& instance, std::uint32_t index,
           route.to_index, route.to_port, msg.value});
     }
   }
-  return result;
 }
 
 }  // namespace df::core

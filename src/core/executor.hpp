@@ -65,10 +65,22 @@ class CallbackFeed final : public PhaseFeed {
   Fn fn_;
 };
 
-/// Counters every executor reports. "Bookkeeping" covers scheduler/set
-/// maintenance under the lock; "compute" covers module on_phase bodies.
+/// Counters every executor reports. "Compute" covers module on_phase
+/// bodies. "Bookkeeping" covers everything else an engine worker does per
+/// pair: decoding and routing its unit's deliveries, staging the finish,
+/// the global-lock wait and the scheduler transition, the run-queue push
+/// with its wake-ups, and retire()'s on_phase_complete hook — on the
+/// transport that hook is the egress flush (wire encode and channel send).
 struct ExecStats {
+  /// Vertex-phase pairs executed (module calls), whatever the unit plan.
   std::uint64_t executed_pairs = 0;
+  /// Unit-phase pairs the scheduler issued and a worker ran (DESIGN.md,
+  /// "Unit scheduling"); equals executed_pairs under the identity plan.
+  /// 0 for executors without a scheduler.
+  std::uint64_t scheduled_pairs = 0;
+  /// Scheduling units in the engine's plan, summed over a transport's
+  /// blocks; 0 for executors without a scheduler.
+  std::uint64_t units = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t sink_records = 0;
   std::uint64_t phases_completed = 0;
@@ -129,5 +141,12 @@ struct ExecutionResult {
 ExecutionResult execute_vertex(ProgramInstance& instance, std::uint32_t index,
                                event::PhaseId phase,
                                const event::InputBundle& bundle);
+/// The same, into `result`: its vectors are cleared first and keep their
+/// capacity, so a caller running many vertices reuses one result. If the
+/// module throws, `result.emissions` holds what it emitted before the
+/// throw and the other vectors are empty.
+void execute_vertex(ProgramInstance& instance, std::uint32_t index,
+                    event::PhaseId phase, const event::InputBundle& bundle,
+                    ExecutionResult& result);
 
 }  // namespace df::core

@@ -737,6 +737,8 @@ struct PartitionCheckpoint {
 /// output and wire effects, not to effort.
 void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
   total.executed_pairs += gen.executed_pairs;
+  total.scheduled_pairs += gen.scheduled_pairs;
+  total.units = gen.units;  // every generation runs the same plan
   total.messages_delivered += gen.messages_delivered;
   total.sink_records += gen.sink_records;
   total.compute_ns += gen.compute_ns;
@@ -1362,7 +1364,10 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
   protocol::ErrorRank first_rank = protocol::ErrorRank::kNone;
   stats_.phases_completed = num_phases;
   for (EngineState& state : states) {
+    block_stats_.push_back(state.stats);
     stats_.executed_pairs += state.stats.executed_pairs;
+    stats_.scheduled_pairs += state.stats.scheduled_pairs;
+    stats_.units += state.stats.units;
     stats_.messages_delivered += state.stats.messages_delivered;
     stats_.sink_records += state.stats.sink_records;
     stats_.compute_ns += state.stats.compute_ns;

@@ -185,6 +185,11 @@ class TransportEngine final : public core::Executor {
 
   const core::SinkStore& sinks() const override { return sinks_; }
   core::ExecStats stats() const override { return stats_; }
+  /// Engine counters per block, summed over the block's generations
+  /// (a restarted partition runs the same unit plan); stats() folds them.
+  const std::vector<core::ExecStats>& block_stats() const {
+    return block_stats_;
+  }
   const TransportStats& transport_stats() const { return transport_stats_; }
   const graph::Partitioning& partitioning() const { return partitioning_; }
 
@@ -205,6 +210,7 @@ class TransportEngine final : public core::Executor {
   std::vector<std::unique_ptr<Channel>> channels_;
   core::SinkStore sinks_;
   core::ExecStats stats_;
+  std::vector<core::ExecStats> block_stats_;
   TransportStats transport_stats_;
   bool ran_ = false;
 };

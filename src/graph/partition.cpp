@@ -35,35 +35,61 @@ Partitioning partition_balanced(const Numbering& numbering,
   return partitioning;
 }
 
-std::vector<std::uint32_t> block_local_m(const Dag& dag,
-                                         const Numbering& numbering,
-                                         std::uint32_t begin,
-                                         std::uint32_t end) {
+std::vector<std::uint32_t> block_local_m(
+    const Dag& dag, const Numbering& numbering, std::uint32_t begin,
+    std::uint32_t end, std::span<const std::uint32_t> unit_bounds) {
   if (begin > end) {
+    DF_CHECK(unit_bounds.size() <= 1, "units over an empty block");
     return {0};  // empty block: n = 0, m(0) = 0
   }
   DF_CHECK(begin >= 1 && end <= numbering.size(),
            "block [", begin, ", ", end, "] outside internal index range");
   const std::uint32_t b = end - begin + 1;
-  // Prefix-max of the block-local releases (see the header for why the raw
-  // local releases are not monotone and the prefix max is).
-  std::uint32_t running_release = 0;
-  std::vector<std::uint32_t> histogram(b + 1, 0);
-  for (std::uint32_t y = 1; y <= b; ++y) {
-    const VertexId v = numbering.vertex_at[begin + y - 1];
-    std::uint32_t r_loc = 0;
-    for (const Edge& e : dag.in_edges(v)) {
-      const std::uint32_t pred = numbering.index_of[e.from];
-      if (pred >= begin && pred <= end) {
-        r_loc = std::max(r_loc, pred - begin + 1);
+  // unit_of[y] = unit holding local vertex y (identity without bounds).
+  std::vector<std::uint32_t> unit_of(b + 1);
+  std::uint32_t units = b;
+  if (unit_bounds.empty()) {
+    for (std::uint32_t y = 0; y <= b; ++y) {
+      unit_of[y] = y;
+    }
+  } else {
+    DF_CHECK(unit_bounds.front() == 0 && unit_bounds.back() == b,
+             "unit bounds must cover local indices 1..", b);
+    units = static_cast<std::uint32_t>(unit_bounds.size() - 1);
+    for (std::uint32_t u = 1; u <= units; ++u) {
+      DF_CHECK(unit_bounds[u] > unit_bounds[u - 1],
+               "unit bounds must be strictly increasing");
+      for (std::uint32_t y = unit_bounds[u - 1] + 1; y <= unit_bounds[u];
+           ++y) {
+        unit_of[y] = u;
       }
     }
-    running_release = std::max(running_release, r_loc);
+  }
+  // Prefix-max of the unit releases (see the header for why the raw
+  // releases are not monotone and the prefix max is).
+  std::uint32_t running_release = 0;
+  std::vector<std::uint32_t> histogram(units + 1, 0);
+  std::uint32_t y = 1;
+  for (std::uint32_t u = 1; u <= units; ++u) {
+    std::uint32_t release = 0;
+    for (; y <= b && unit_of[y] == u; ++y) {
+      const VertexId v = numbering.vertex_at[begin + y - 1];
+      for (const Edge& e : dag.in_edges(v)) {
+        const std::uint32_t pred = numbering.index_of[e.from];
+        if (pred >= begin && pred <= end) {
+          const std::uint32_t pred_unit = unit_of[pred - begin + 1];
+          if (pred_unit != u) {
+            release = std::max(release, pred_unit);
+          }
+        }
+      }
+    }
+    running_release = std::max(running_release, release);
     ++histogram[running_release];
   }
-  std::vector<std::uint32_t> m(b + 1, 0);
+  std::vector<std::uint32_t> m(units + 1, 0);
   std::uint32_t running = 0;
-  for (std::uint32_t x = 0; x <= b; ++x) {
+  for (std::uint32_t x = 0; x <= units; ++x) {
     running += histogram[x];
     m[x] = running;
   }

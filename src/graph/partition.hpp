@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -39,27 +40,34 @@ Partitioning partition_balanced(const Numbering& numbering,
                                 std::size_t blocks);
 
 /// The m-vector of the numbering *restricted to* the block of global
-/// internal indices [begin, end], in block-local indexing (local index
-/// y == global index begin + y - 1; size end - begin + 2, i.e. m[0..B]).
+/// internal indices [begin, end] and *coarsened to units*, in unit
+/// indexing. Local index y == global index begin + y - 1 runs over 1..B;
+/// `unit_bounds` cuts 1..B into contiguous units the way
+/// Partitioning::bounds cuts 1..N: {0, b_1, ..., B}, strictly increasing,
+/// unit k covering local (b_{k-1}, b_k]. Empty `unit_bounds` means one unit
+/// per vertex. The result has U + 1 entries, m[0..U].
 ///
-/// The restriction drops every predecessor outside the block, so the local
-/// release of local vertex y is r_loc(y) = max local index among in-block
-/// predecessors (0 if none). Unlike the global release sequence, r_loc is
-/// NOT non-decreasing (a vertex whose predecessors are all remote has
-/// r_loc = 0 at any position), so m cannot be read off a histogram of
-/// r_loc directly; instead the prefix maximum R_y = max(r_loc(1..y)) is
-/// non-decreasing by construction and m_loc(x) = |{y : R_y <= x}| is a
-/// valid satisfactory m: monotone, m_loc(x) >= x + 1 for x < B (since
-/// r_loc(y) <= y - 1), and m_loc(B) = B. Promoting local vertex v when
-/// v <= m_loc(x) is sound for block-scoped scheduling because all of v's
-/// in-block predecessors are then finished and all of its remote
+/// The restriction drops every predecessor outside the block, and a unit's
+/// release R(u) is the highest-numbered *other* unit holding an in-block
+/// predecessor of one of u's members (0 if none). Unlike the global release
+/// sequence, R is NOT non-decreasing (a unit whose predecessors are all
+/// remote has R = 0 at any position), so m cannot be read off a histogram
+/// of R directly; instead the prefix maximum max(R(1..u)) is non-decreasing
+/// by construction and m(x) = |{u : max(R(1..u)) <= x}| is a valid
+/// satisfactory m: monotone, m(x) >= x + 1 for x < U (since R(u) <= u - 1:
+/// predecessors are lower-numbered and units are contiguous), and m(U) = U.
+/// Promoting unit u when u <= m(x) is sound for block-scoped scheduling
+/// because every unit holding an in-block predecessor of a member of u has
+/// then finished, predecessors inside u itself run before their successors
+/// when the unit executes its members in numbering order, and all remote
 /// predecessors' messages were injected when the phase window opened (the
 /// transport watermark handshake guarantees completeness at phase start).
-/// An empty block (begin > end) yields {0}.
-std::vector<std::uint32_t> block_local_m(const Dag& dag,
-                                         const Numbering& numbering,
-                                         std::uint32_t begin,
-                                         std::uint32_t end);
+/// With one member per unit this is the vertex-level block m; over the
+/// whole range [1, N] it equals numbering.m. An empty block (begin > end)
+/// yields {0}.
+std::vector<std::uint32_t> block_local_m(
+    const Dag& dag, const Numbering& numbering, std::uint32_t begin,
+    std::uint32_t end, std::span<const std::uint32_t> unit_bounds = {});
 
 /// Greedy cut refinement: starting from a balanced partitioning, slides
 /// each boundary within +/- `slack` positions to the location that

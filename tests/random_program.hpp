@@ -20,10 +20,11 @@
 
 namespace df::testutil {
 
-inline core::Program random_program(std::uint64_t seed) {
+/// A random program of `vertices` vertices drawn from `seed`.
+inline core::Program random_program(std::uint64_t seed,
+                                    std::uint32_t vertices) {
   support::Rng rng(seed);
-  const graph::Dag shape = graph::random_dag(
-      8 + static_cast<std::uint32_t>(seed % 16), 0.3, rng);
+  const graph::Dag shape = graph::random_dag(vertices, 0.3, rng);
 
   spec::GraphBuilder b;
   std::vector<graph::VertexId> ids;
@@ -74,6 +75,11 @@ inline core::Program random_program(std::uint64_t seed) {
     b.connect(ids[e.from], e.from_port, ids[e.to], e.to_port);
   }
   return std::move(b).build(seed * 7919 + 13);
+}
+
+/// The default corpus: 8-23 vertices, sized by the seed.
+inline core::Program random_program(std::uint64_t seed) {
+  return random_program(seed, 8 + static_cast<std::uint32_t>(seed % 16));
 }
 
 }  // namespace df::testutil

@@ -200,17 +200,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerCheckpointResume,
 
 const std::vector<event::ExternalEvent> kNoEvents;
 
-class EngineCheckpointResume : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(EngineCheckpointResume, ResumedRunMatchesUninterruptedTwin) {
-  const std::uint64_t seed = GetParam();
-  const Program program = testutil::random_program(seed);
-  const event::PhaseId phases = 24;
-  const event::PhaseId checkpoint_phase = 10;
-  EngineOptions options;
-  options.threads = 2;
-
+/// Runs `phases` phases straight through on one engine, and again as a
+/// checkpoint after `checkpoint_phase` restored into a second engine; the
+/// two sink streams must be byte-identical.
+void expect_resume_matches_twin(const Program& program,
+                                const EngineOptions& options,
+                                event::PhaseId phases,
+                                event::PhaseId checkpoint_phase,
+                                const std::string& where) {
   // The uninterrupted twin.
   Engine twin(program, options);
   twin.start();
@@ -233,7 +230,7 @@ TEST_P(EngineCheckpointResume, ResumedRunMatchesUninterruptedTwin) {
     first.quiesce();
     image = first.snapshot_state();
     first.finish();
-    EXPECT_EQ(first.completed_phases(), checkpoint_phase);
+    EXPECT_EQ(first.completed_phases(), checkpoint_phase) << where;
     combined.record_batch(first.sinks().canonical());
   }
   {
@@ -244,18 +241,53 @@ TEST_P(EngineCheckpointResume, ResumedRunMatchesUninterruptedTwin) {
       second.start_phase(kNoEvents);
     }
     second.finish();
-    EXPECT_EQ(second.completed_phases(), phases);
+    EXPECT_EQ(second.completed_phases(), phases) << where;
     combined.record_batch(second.sinks().canonical());
   }
 
   const auto report = trace::compare_sinks(twin.sinks(), combined);
-  EXPECT_TRUE(report.equivalent) << "seed " << seed << "\n"
-                                 << report.summary();
-  EXPECT_GT(twin.sinks().size(), 0U) << "workload produced no sink output";
+  EXPECT_TRUE(report.equivalent) << where << "\n" << report.summary();
+  EXPECT_GT(twin.sinks().size(), 0U) << where << ": no sink output";
+}
+
+class EngineCheckpointResume : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(EngineCheckpointResume, ResumedRunMatchesUninterruptedTwin) {
+  const std::uint64_t seed = GetParam();
+  EngineOptions options;
+  options.threads = 2;
+  expect_resume_matches_twin(testutil::random_program(seed), options, 24, 10,
+                             "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineCheckpointResume,
                          ::testing::Range<std::uint64_t>(0, 10));
+
+// The same round trip on 40-vertex programs, where every plan has
+// multi-member units (DESIGN.md, "Unit scheduling"): the image carries the
+// unit plan and the scheduler state indexes units.
+class EngineCheckpointResumeUnits
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EngineCheckpointResumeUnits, ResumedRunMatchesUninterruptedTwin) {
+  const std::uint64_t seed = GetParam();
+  const Program program = testutil::random_program(seed, 40);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    EngineOptions options;
+    options.threads = threads;
+    {
+      Engine probe(program, options);
+      EXPECT_EQ(probe.stats().units, 2 * threads) << "not two units per worker";
+    }
+    expect_resume_matches_twin(program, options, 32, 13,
+                               "seed " + std::to_string(seed) + " threads " +
+                                   std::to_string(threads));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineCheckpointResumeUnits,
+                         ::testing::Range<std::uint64_t>(0, 6));
 
 // Stateful detectors and gates (zscore history, threshold level, majority's
 // last output) must resume exactly: the random corpus above never builds
@@ -421,6 +453,41 @@ TEST(CheckpointImageRejection, WrongVersionAndMagicFailAfterReseal) {
   wrong_magic[0] ^= 0xFF;  // magic u32 LE at offset 0
   expect_restore_rejects(program, seal_image(std::move(wrong_magic)),
                          "wrong-magic image");
+}
+
+TEST(CheckpointImageRejection, VersionOneImageIsRejected) {
+  // Version 1 images predate the unit plan; a checksum-valid one must be
+  // refused, not parsed with the plan missing.
+  const Program program = testutil::random_program(1);
+  std::vector<std::uint8_t> body =
+      open_image(image_after(program, 6), "engine");
+  ASSERT_EQ(body[4], 2U) << "engine image version moved; update this test";
+  body[4] = 1;
+  expect_restore_rejects(program, seal_image(std::move(body)),
+                         "version-1 image");
+}
+
+TEST(CheckpointImageRejection, ImageFromAnotherUnitPlanIsRejected) {
+  // Taken at 2 threads (4 units), restored at 4 (8 units): the scheduler
+  // state indexes units, so the plan must match — and the check runs
+  // before any state changes, naming the plan.
+  const Program program = testutil::random_program(3, 40);
+  const std::vector<std::uint8_t> image = image_after(program, 6);
+  EngineOptions options;
+  options.threads = 4;
+  Engine engine(program, options);
+  engine.start();
+  try {
+    engine.restore_state(image);
+    ADD_FAILURE() << "a 2-thread image restored into a 4-thread engine";
+  } catch (const support::check_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unit plan"), std::string::npos)
+        << error.what();
+  }
+  // Nothing was restored: the engine still runs from phase 1.
+  engine.start_phase(kNoEvents);
+  engine.finish();
+  EXPECT_EQ(engine.completed_phases(), 1U);
 }
 
 TEST(CheckpointImageRejection, SchedulerImageGeometryAndCorruption) {

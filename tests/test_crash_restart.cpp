@@ -109,6 +109,10 @@ CrashPlan plan_crash(support::Rng& rng, std::size_t machines,
 // exercised replay, restarts, and checkpoint fallback.
 std::atomic<std::uint64_t> g_suite_replays{0};
 std::atomic<std::uint64_t> g_suite_restarts{0};
+// Restarts of a victim block that ran multi-member units (DESIGN.md, "Unit
+// scheduling"), read from the run's own per-block counters: its checkpoint
+// images carried a coarsened plan.
+std::atomic<std::uint64_t> g_suite_unit_victims{0};
 
 /// One kill-a-partition run: plans a crash from an rng stream private to
 /// this configuration (so the corpus covers the whole failure geometry),
@@ -188,6 +192,16 @@ void run_crash_case(const core::Program& program, std::uint64_t seed,
   }
   g_suite_replays.fetch_add(stats.frames_replayed);
   g_suite_restarts.fetch_add(stats.restarts);
+  // The victim's engines report their own plan size: fewer units than
+  // block vertices means its generations ran multi-member units.
+  ASSERT_EQ(transport.block_stats().size(), machines) << where;
+  const std::uint32_t victim_vertices =
+      transport.partitioning().block_end(plan.victim) + 1 -
+      transport.partitioning().block_begin(plan.victim);
+  if (stats.restarts > 0 &&
+      transport.block_stats()[plan.victim].units < victim_vertices) {
+    g_suite_unit_victims.fetch_add(1);
+  }
 }
 
 class CrashRestartDifferential
@@ -225,6 +239,8 @@ class SweepCoverage : public ::testing::Environment {
         << "no crash in the sweep caused a restart";
     EXPECT_GT(g_suite_replays.load(), 0U)
         << "no restart in the sweep replayed any frame";
+    EXPECT_GT(g_suite_unit_victims.load(), 0U)
+        << "no restart hit a block that ran multi-member units";
   }
 };
 

@@ -108,6 +108,26 @@ TEST(ExecuteVertex, SplitsDeliveriesAndSinkRecords) {
   EXPECT_EQ(mid_result.sink_records[1].value.as_string(), "aux");
 }
 
+TEST(ExecuteVertex, ReusedResultStartsEmptyAndKeepsCapacity) {
+  const Program program = two_chain_program();
+  ProgramInstance instance(program);
+  ExecutionResult result;
+  execute_vertex(instance, 1, 1, {}, result);
+  ASSERT_EQ(result.deliveries.size(), 1U);
+  EXPECT_EQ(result.emissions.size(), 1U);
+  const std::size_t capacity = result.deliveries.capacity();
+
+  // Nothing of the source's output survives into mid's result.
+  event::InputBundle bundle{event::Message{0, result.deliveries[0].value}};
+  execute_vertex(instance, 2, 1, bundle, result);
+  EXPECT_TRUE(result.deliveries.empty());
+  EXPECT_EQ(result.deliveries.capacity(), capacity);
+  EXPECT_EQ(result.emissions.size(), 2U);
+  ASSERT_EQ(result.sink_records.size(), 2U);
+  EXPECT_EQ(result.sink_records[0].value.as_int(), 2);
+  EXPECT_EQ(result.sink_records[1].value.as_string(), "aux");
+}
+
 TEST(ExecuteVertex, LatestValuesPersistAcrossPhases) {
   spec::GraphBuilder b;
   const auto probe = b.add_lambda("probe", [](model::PhaseContext& ctx) {
