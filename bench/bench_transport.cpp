@@ -18,7 +18,13 @@
 // parallelism: machines x engine_threads workers in total); it is recorded
 // in every JSON row alongside hw_concurrency so a single-core CI box's rows
 // are not mistaken for a multicore measurement.
+//
+// Socket rows also report the channels' syscalls per phase
+// (socket_writes_per_phase, socket_reads_per_phase; 0 on in-process rows):
+// with coalescing both sit below frames_per_phase. hook_us_per_phase is the
+// engines' time inside the phase-completion hook, the egress flush.
 #include <cstdio>
+#include <memory>
 #include <thread>
 
 #include "baseline/sequential.hpp"
@@ -97,11 +103,33 @@ int main(int argc, char** argv) {
       options.channel = kind;
       options.engine_threads = engine_threads;
       options.checkpoint_every = checkpoint_every;
+      // Keeps a view of every socket channel for its syscall counters; the
+      // transport owns the channels until it is destroyed.
+      std::vector<const distrib::SocketChannel*> sockets;
+      options.channel_wrapper =
+          [&sockets](std::unique_ptr<distrib::Channel> channel, std::size_t,
+                     std::size_t) {
+            if (const auto* socket =
+                    dynamic_cast<const distrib::SocketChannel*>(
+                        channel.get())) {
+              sockets.push_back(socket);
+            }
+            return channel;
+          };
       distrib::TransportEngine transport(program, options);
       transport.run(phases, nullptr);
 
       const auto stats = transport.stats();
       const auto& tstats = transport.transport_stats();
+      std::uint64_t socket_writes = 0;
+      std::uint64_t socket_reads = 0;
+      for (const distrib::SocketChannel* socket : sockets) {
+        socket_writes += socket->send_syscalls();
+        socket_reads += socket->read_syscalls();
+      }
+      const auto per_phase = [phases](std::uint64_t count) {
+        return static_cast<double>(count) / static_cast<double>(phases);
+      };
       const double remote_frac =
           stats.messages_delivered == 0
               ? 0.0
@@ -136,20 +164,18 @@ int main(int argc, char** argv) {
           .metric("bytes_sent", tstats.bytes_sent)
           .metric("batch_frames_sent", tstats.batch_frames_sent)
           .metric("batched_deliveries", tstats.batched_deliveries)
-          .metric("frames_per_phase",
-                  static_cast<double>(tstats.frames_sent) /
-                      static_cast<double>(phases))
-          .metric("bytes_per_phase",
-                  static_cast<double>(tstats.bytes_sent) /
-                      static_cast<double>(phases))
+          .metric("frames_per_phase", per_phase(tstats.frames_sent))
+          .metric("bytes_per_phase", per_phase(tstats.bytes_sent))
+          .metric("socket_writes_per_phase", per_phase(socket_writes))
+          .metric("socket_reads_per_phase", per_phase(socket_reads))
+          .metric("hook_us_per_phase", per_phase(stats.hook_ns) / 1e3)
           .metric("remote_messages", tstats.remote_messages)
           .metric("remote_frac", remote_frac)
           .metric("checkpoints_taken", tstats.checkpoints_taken)
           .metric("checkpoint_bytes", tstats.checkpoint_bytes)
           .metric("units", stats.units)
           .metric("scheduled_pairs_per_phase",
-                  static_cast<double>(stats.scheduled_pairs) /
-                      static_cast<double>(phases))
+                  per_phase(stats.scheduled_pairs))
           .emit();
 
       const auto report =

@@ -562,7 +562,9 @@ void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
   // machine drains its ingress, which needs no progress from this engine
   // (see DESIGN.md, "Two-level parallelism").
   if (completed_now != 0 && options_.on_phase_complete) {
+    const support::Stopwatch hook_timer;
     options_.on_phase_complete(completed_now);
+    hook_ns_.add(hook_timer.elapsed_ns());
   }
 }
 
@@ -887,6 +889,7 @@ ExecStats Engine::stats() const {
   stats.sink_records = sink_records_.value();
   stats.compute_ns = compute_ns_.value();
   stats.bookkeeping_ns = bookkeeping_ns_.value();
+  stats.hook_ns = hook_ns_.value();
   stats.wall_seconds = wall_seconds_;
   {
     conc::MutexLock lock(mutex_);

@@ -398,6 +398,7 @@ class Engine final : public Executor {
   conc::ShardedCounter sink_records_;
   conc::ShardedCounter compute_ns_;
   conc::ShardedCounter bookkeeping_ns_;
+  conc::ShardedCounter hook_ns_;
   std::uint64_t max_inflight_ DF_GUARDED_BY(mutex_) = 0;
   std::uint64_t inflight_samples_ DF_GUARDED_BY(mutex_) = 0;
   std::uint64_t inflight_sum_ DF_GUARDED_BY(mutex_) = 0;

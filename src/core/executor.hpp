@@ -70,7 +70,9 @@ class CallbackFeed final : public PhaseFeed {
 /// pair: decoding and routing its unit's deliveries, staging the finish,
 /// the global-lock wait and the scheduler transition, the run-queue push
 /// with its wake-ups, and retire()'s on_phase_complete hook — on the
-/// transport that hook is the egress flush (wire encode and channel send).
+/// transport that hook is the egress flush: wire encode and channel send,
+/// which on the socket channel only queues the frame for the channel's
+/// writer thread. hook_ns reports the hook's time on its own.
 struct ExecStats {
   /// Vertex-phase pairs executed (module calls), whatever the unit plan.
   std::uint64_t executed_pairs = 0;
@@ -86,6 +88,10 @@ struct ExecStats {
   std::uint64_t phases_completed = 0;
   std::uint64_t compute_ns = 0;
   std::uint64_t bookkeeping_ns = 0;
+  /// Time inside the on_phase_complete hook, wherever retire() ran it (a
+  /// worker, inside bookkeeping_ns, or the thread starting phases); 0 for
+  /// executors without a hook.
+  std::uint64_t hook_ns = 0;
   std::uint64_t max_inflight_phases = 0;
   double mean_inflight_phases = 0.0;
   double wall_seconds = 0.0;

@@ -12,9 +12,10 @@
 //     while the ring is full, which is the engine's cross-partition
 //     backpressure (an upstream partition cannot run unboundedly ahead).
 //   * SocketChannel — a loopback TCP connection carrying length-prefixed
-//     frames; backpressure comes from the kernel socket buffer. This is the
-//     configuration that proves real bytes cross the boundary; pointing the
-//     same code at a remote address is deployment, not engineering.
+//     frames; backpressure comes from its bounded send queue plus the
+//     kernel socket buffer. This is the configuration that proves real
+//     bytes cross the boundary; pointing the same code at a remote address
+//     is deployment, not engineering.
 //
 // Plus two test implementations:
 //   * FaultInjectingChannel — wraps any channel and duplicates, reorders
@@ -32,9 +33,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "concurrency/annotations.hpp"
@@ -92,42 +95,112 @@ class InProcessChannel final : public Channel {
 
 /// Loopback-TCP channel: frames travel as u32 little-endian length prefixes
 /// followed by the frame bytes. One connected socket per channel; the
-/// sender owns the write end, the receiver the read end. Each frame goes
-/// out as a *single* send() syscall — prefix and payload are assembled in
-/// a reused scratch buffer first — so TCP_NODELAY never splits a frame
-/// across segments needlessly and the per-frame syscall count is one.
+/// sender owns the write end, the receiver the read end.
+///
+/// Both directions coalesce, so syscalls are paid per burst, not per frame:
+///   * send() appends prefix and payload to a bounded user-space queue and
+///     returns. One writer thread per channel swaps out everything queued
+///     since its last write and writes it with a single send() syscall, so
+///     frames queued while a write is in the kernel leave together in the
+///     next one (and TCP_NODELAY never emits a lone 4-byte prefix). send()
+///     blocks only while the queue holds more than kSendQueueBytes
+///     (channel.cpp); a larger frame is admitted into an empty queue.
+///   * recv() reads into a per-channel buffer: one read() takes every byte
+///     the kernel holds, and later calls return the complete frames already
+///     buffered without a syscall.
+/// Coalescing sits beneath the Channel interface: wrappers still see one
+/// frame per send() and per recv().
+///
+/// Writer failures: EPIPE/ECONNRESET (the receiver closed) mark the channel
+/// broken and later sends drop; any other error is recorded on the writer
+/// thread and rethrown by every later send() and close_send().
 class SocketChannel final : public Channel {
  public:
   /// Builds a connected loopback pair (listen on 127.0.0.1:0, connect,
   /// accept) and returns the ready channel. Throws check_error on any
-  /// socket failure.
+  /// socket failure, with every descriptor opened so far closed again.
   static std::unique_ptr<SocketChannel> make_loopback();
 
   /// Wraps already-connected descriptors (ownership transfers; pass -1 for
-  /// a side this endpoint does not use, e.g. a receive-only channel). This
-  /// is the deployment seam — a remote connect/accept produces fds, this
-  /// turns them into a Channel — and the hook tests use to inject raw
-  /// stream conditions like a half-written frame.
+  /// a side this endpoint does not use, e.g. a receive-only channel, which
+  /// starts no writer thread). This is the deployment seam — a remote
+  /// connect/accept produces fds, this turns them into a Channel — and the
+  /// hook tests use to inject raw stream conditions like a half-written
+  /// frame.
   static std::unique_ptr<SocketChannel> adopt(int write_fd, int read_fd);
 
+  /// Joins the writer, then closes both descriptors. Without a preceding
+  /// close_send() the frames still queued are abandoned (no reader is left
+  /// that could want them), so destruction never blocks on a peer.
   ~SocketChannel() override;
+  SocketChannel(const SocketChannel&) = delete;
+  SocketChannel& operator=(const SocketChannel&) = delete;
 
+  /// Queues one frame. Throws check_error after close_send(), and the
+  /// writer's recorded error once it has failed.
   void send(std::span<const std::uint8_t> frame) override;
+  /// Returns once the writer has written every queued frame and exited,
+  /// then shuts the write side down, so EOF follows the last frame.
+  /// Rethrows a writer failure. Idempotent.
   void close_send() override;
   bool recv(std::vector<std::uint8_t>& frame) override;
+  /// Shuts both ends down (waking a reader blocked in read() and a writer
+  /// blocked in send()), marks the channel broken and wakes senders parked
+  /// on queue room: every queued and later frame drops.
   void close_recv() override;
+
+  /// send() syscalls the writer has issued and read() syscalls recv() has
+  /// issued — the coalescing counters.
+  std::uint64_t send_syscalls() const {
+    return send_syscalls_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t read_syscalls() const {
+    return read_syscalls_.load(std::memory_order_relaxed);
+  }
 
  private:
   SocketChannel(int write_fd, int read_fd);
 
+  /// Called by the factories once the object owns its descriptors, so a
+  /// thread-start failure still closes them (through the destructor).
+  void start_writer();
+  void writer_main();
+  /// Writes all of `bytes`; false when the peer is gone (EPIPE or
+  /// ECONNRESET), throws check_error on any other failure.
+  bool write_all(std::span<const std::uint8_t> bytes);
+
   int write_fd_;
   int read_fd_;
-  /// Sender-side scratch assembling length prefix + payload for the single
-  /// send() per frame; capacity persists across frames.
-  std::vector<std::uint8_t> send_buf_;
-  /// Set when a send hit a dead peer (EPIPE/ECONNRESET after the receiver
-  /// closed); later sends drop immediately.
-  std::atomic<bool> broken_{false};
+
+  // Send side. send_mutex_ guards the queue and the writer's lifecycle;
+  // writer_cv_ parks the writer while the queue is empty, sender_cv_
+  // parks senders waiting for queue room and close_send() waiting for the
+  // writer to finish.
+  conc::Mutex send_mutex_;
+  conc::CondVar writer_cv_;
+  conc::CondVar sender_cv_;
+  /// Length-prefixed frames not yet handed to the writer; swapped with the
+  /// writer's batch, so both keep their capacity.
+  std::vector<std::uint8_t> queue_ DF_GUARDED_BY(send_mutex_);
+  /// The writer waits on writer_cv_ and no send() has woken it yet; a
+  /// send() notifies only then.
+  bool writer_parked_ DF_GUARDED_BY(send_mutex_) = false;
+  bool send_closed_ DF_GUARDED_BY(send_mutex_) = false;
+  /// Set when the receiver is gone (close_recv(), EPIPE/ECONNRESET, or
+  /// destruction without close_send()); queued and later frames drop.
+  bool broken_ DF_GUARDED_BY(send_mutex_) = false;
+  /// The writer has exited: drained after close_send(), broken, or failed.
+  bool writer_done_ DF_GUARDED_BY(send_mutex_) = false;
+  std::exception_ptr writer_error_ DF_GUARDED_BY(send_mutex_);
+  std::atomic<std::uint64_t> send_syscalls_{0};
+  std::thread writer_;  // after everything writer_main() touches
+
+  // Receive side, owned by the one receiver thread: bytes read but not yet
+  // returned occupy in_[in_begin_, in_end_).
+  std::vector<std::uint8_t> in_;
+  std::size_t in_begin_ = 0;
+  std::size_t in_end_ = 0;
+  std::atomic<std::uint64_t> read_syscalls_{0};
   /// Set by close_recv() before it shutdown()s the stream. A mid-frame EOF
   /// is normally a fatal sender bug, but after a local teardown it is just
   /// wherever shutdown happened to truncate the reader — reclassified as

@@ -743,6 +743,7 @@ void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
   total.sink_records += gen.sink_records;
   total.compute_ns += gen.compute_ns;
   total.bookkeeping_ns += gen.bookkeeping_ns;
+  total.hook_ns += gen.hook_ns;
   total.phases_completed =
       std::max(total.phases_completed, gen.phases_completed);
   total.max_inflight_phases =
@@ -1372,6 +1373,7 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
     stats_.sink_records += state.stats.sink_records;
     stats_.compute_ns += state.stats.compute_ns;
     stats_.bookkeeping_ns += state.stats.bookkeeping_ns;
+    stats_.hook_ns += state.stats.hook_ns;
     stats_.phases_completed =
         std::min(stats_.phases_completed, state.stats.phases_completed);
     stats_.max_inflight_phases =

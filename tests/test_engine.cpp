@@ -161,6 +161,7 @@ TEST(Engine, StatsAccountForWork) {
   EXPECT_EQ(stats.executed_pairs, 5U * 40U);       // every vertex every phase
   EXPECT_EQ(stats.messages_delivered, 4U * 40U);   // chain edges
   EXPECT_EQ(stats.sink_records, 40U);
+  EXPECT_EQ(stats.hook_ns, 0U);  // no on_phase_complete hook installed
   EXPECT_GT(stats.wall_seconds, 0.0);
   EXPECT_GT(stats.pairs_per_second(), 0.0);
 }

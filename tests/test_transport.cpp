@@ -20,14 +20,24 @@
 //     and the run still terminates;
 //   * channel stress — the blocking bounded in-process channel and the
 //     loopback socket channel under a fast producer/consumer pair (the
-//     `transport` ctest label; runs under TSan in CI).
+//     `transport` ctest label; runs under TSan in CI);
+//   * socket coalescing — sends queued behind a parked writer leave in a
+//     few writes, the buffered reader returns frames however the bytes
+//     were chunked, writer errors surface on the sender, close_send()
+//     drains before EOF, and make_loopback() leaks no descriptor when a
+//     socket call fails.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -346,6 +356,8 @@ TEST(TransportAccounting, ChainCountsRemoteVsLocalMessages) {
     const auto& stats = transport.transport_stats();
     EXPECT_EQ(stats.remote_messages, 20U) << "channel=" << kind_name(kind);
     EXPECT_EQ(stats.local_messages, 90U) << "channel=" << kind_name(kind);
+    // The egress flush runs in the engines' phase-completion hook.
+    EXPECT_GT(transport.stats().hook_ns, 0U) << "channel=" << kind_name(kind);
   }
 }
 
@@ -1004,6 +1016,329 @@ TEST(ChannelStress, CloseRecvUnblocksAFullSocketSender) {
   ASSERT_TRUE(channel->recv(frame));  // let the sender make some progress
   channel->close_recv();
   sender.join();  // must not hang: shutdown(SHUT_WR) wakes the parked send
+}
+
+// --- socket coalescing (ctest labels: transport, fault) --------------------
+
+// The wire form of one frame: u32 little-endian length prefix, payload.
+std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> bytes;
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(size >> (8 * i)));
+  }
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+void write_raw(int fd, const std::uint8_t* data, std::size_t size) {
+  std::size_t written = 0;
+  while (written < size) {
+    const ssize_t result = ::write(fd, data + written, size - written);
+    ASSERT_GE(result, 0) << std::strerror(errno);
+    written += static_cast<std::size_t>(result);
+  }
+}
+
+// Polls `done` every millisecond for up to ten seconds.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  for (int i = 0; i < 10000; ++i) {
+    if (done()) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// A socket channel over a socketpair with a tiny send buffer, whose writer
+// is parked in the kernel on a frame far larger than that buffer (nobody
+// reads yet): every frame sent next queues behind the parked write.
+struct ParkedWriter {
+  std::unique_ptr<distrib::SocketChannel> channel;
+  std::vector<std::uint8_t> big = std::vector<std::uint8_t>(256 * 1024, 0x5a);
+  std::uint64_t writes_at_park = 0;
+};
+
+void park_writer(ParkedWriter& parked) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small),
+            0);
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof small),
+            0);
+  parked.channel = distrib::SocketChannel::adopt(fds[0], fds[1]);
+  parked.channel->send(parked.big);
+  // The writer counts a send() before issuing it, and this one cannot
+  // complete until a reader drains the socket.
+  ASSERT_TRUE(eventually([&] { return parked.channel->send_syscalls() >= 1; }));
+  parked.writes_at_park = parked.channel->send_syscalls();
+}
+
+TEST(SocketCoalescing, SendsQueuedBehindAParkedWriterLeaveInFewWrites) {
+  ParkedWriter parked;
+  ASSERT_NO_FATAL_FAILURE(park_writer(parked));
+  distrib::SocketChannel& channel = *parked.channel;
+  constexpr std::uint64_t kSends = 100;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    channel.send(stress_frame(i));
+  }
+  std::thread closer([&] { channel.close_send(); });
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(channel.recv(frame));
+  EXPECT_EQ(frame, parked.big);
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    ASSERT_TRUE(channel.recv(frame)) << "frame " << i;
+    ASSERT_EQ(frame, stress_frame(i)) << "frame " << i;
+  }
+  EXPECT_FALSE(channel.recv(frame));
+  closer.join();
+  EXPECT_LE(channel.send_syscalls() - parked.writes_at_park, kSends / 10)
+      << "frames queued behind a parked write must leave together";
+}
+
+TEST(SocketCoalescing, CloseSendDrainsQueuedFramesBeforeEof) {
+  ParkedWriter parked;
+  ASSERT_NO_FATAL_FAILURE(park_writer(parked));
+  distrib::SocketChannel& channel = *parked.channel;
+  constexpr std::uint64_t kSends = 50;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    channel.send(stress_frame(i));
+  }
+  std::atomic<bool> closed{false};
+  std::thread closer([&] {
+    channel.close_send();
+    closed.store(true);
+  });
+  // Nothing is read yet, so the queue cannot have drained: close_send()
+  // must still be waiting for the writer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(closed.load());
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(channel.recv(frame));
+  EXPECT_EQ(frame, parked.big);
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    ASSERT_TRUE(channel.recv(frame)) << "frame " << i << " lost at close";
+    ASSERT_EQ(frame, stress_frame(i)) << "frame " << i;
+  }
+  EXPECT_FALSE(channel.recv(frame));  // EOF only after every queued frame
+  closer.join();
+  EXPECT_TRUE(closed.load());
+}
+
+TEST(SocketCoalescing, BufferedReaderReturnsFramesHoweverTheBytesArrive) {
+  {
+    // Raw writes in random 1-7-byte chunks: prefixes and payloads split
+    // anywhere across reads.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    constexpr std::uint64_t kFrames = 300;
+    std::vector<std::uint8_t> stream;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      const std::vector<std::uint8_t> bytes = framed(stress_frame(i));
+      stream.insert(stream.end(), bytes.begin(), bytes.end());
+    }
+    auto channel = distrib::SocketChannel::adopt(-1, fds[1]);
+    std::thread writer([&] {
+      support::Rng rng(17);
+      for (std::size_t at = 0; at < stream.size();) {
+        const std::size_t chunk = std::min<std::size_t>(
+            1 + rng.next_below(7), stream.size() - at);
+        write_raw(fds[0], stream.data() + at, chunk);
+        at += chunk;
+      }
+      ::close(fds[0]);
+    });
+    std::vector<std::uint8_t> frame;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      ASSERT_TRUE(channel->recv(frame)) << "frame " << i;
+      ASSERT_EQ(frame, stress_frame(i)) << "frame " << i;
+    }
+    EXPECT_FALSE(channel->recv(frame));
+    writer.join();
+  }
+  {
+    // 200 frames in one raw write: the first read takes them all, and the
+    // other 199 recv() calls are served from the buffer.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    constexpr std::uint64_t kFrames = 200;
+    std::vector<std::uint8_t> stream;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      const std::vector<std::uint8_t> bytes = framed(stress_frame(i));
+      stream.insert(stream.end(), bytes.begin(), bytes.end());
+    }
+    ASSERT_EQ(::write(fds[0], stream.data(), stream.size()),
+              static_cast<ssize_t>(stream.size()));
+    ::close(fds[0]);
+    auto channel = distrib::SocketChannel::adopt(-1, fds[1]);
+    std::vector<std::uint8_t> frame;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      ASSERT_TRUE(channel->recv(frame)) << "frame " << i;
+      ASSERT_EQ(frame, stress_frame(i)) << "frame " << i;
+    }
+    EXPECT_FALSE(channel->recv(frame));
+    // One read for the data (a kernel may split it), one for EOF.
+    EXPECT_LE(channel->read_syscalls(), 4u);
+  }
+  {
+    // A frame larger than the reader's initial 64 KiB buffer, between two
+    // small ones.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::vector<std::uint8_t> large(300 * 1024);
+    for (std::size_t b = 0; b < large.size(); ++b) {
+      large[b] = static_cast<std::uint8_t>(b * 31);
+    }
+    std::vector<std::uint8_t> stream = framed(stress_frame(1));
+    for (const auto& payload : {large, stress_frame(2)}) {
+      const std::vector<std::uint8_t> bytes = framed(payload);
+      stream.insert(stream.end(), bytes.begin(), bytes.end());
+    }
+    auto channel = distrib::SocketChannel::adopt(-1, fds[1]);
+    std::thread writer([&] {
+      write_raw(fds[0], stream.data(), stream.size());
+      ::close(fds[0]);
+    });
+    std::vector<std::uint8_t> frame;
+    ASSERT_TRUE(channel->recv(frame));
+    EXPECT_EQ(frame, stress_frame(1));
+    ASSERT_TRUE(channel->recv(frame));
+    EXPECT_EQ(frame, large);
+    ASSERT_TRUE(channel->recv(frame));
+    EXPECT_EQ(frame, stress_frame(2));
+    EXPECT_FALSE(channel->recv(frame));
+    writer.join();
+  }
+}
+
+// A pipe's write end is no socket: the writer's send() fails with
+// ENOTSOCK, an error that is neither a dead peer nor retryable.
+TEST(SocketCoalescing, UnexpectedWriterErrorSurfacesOnTheSender) {
+  const std::vector<std::uint8_t> frame(16, 0xab);
+  const auto expect_send_failure = [](const support::check_error& error) {
+    EXPECT_NE(std::string(error.what()).find("socket send failed"),
+              std::string::npos)
+        << error.what();
+  };
+  {
+    // From close_send(), which waits for the writer — and on every later
+    // send() and close_send(): the error is never lost.
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    auto channel = distrib::SocketChannel::adopt(pipe_fds[1], -1);
+    channel->send(frame);
+    try {
+      channel->close_send();
+      FAIL() << "writer error lost at close_send";
+    } catch (const support::check_error& error) {
+      expect_send_failure(error);
+    }
+    EXPECT_THROW(channel->send(frame), support::check_error);
+    EXPECT_THROW(channel->close_send(), support::check_error);
+    ::close(pipe_fds[0]);
+  }
+  {
+    // From the next send() once the writer has failed.
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    auto channel = distrib::SocketChannel::adopt(pipe_fds[1], -1);
+    bool thrown = false;
+    ASSERT_TRUE(eventually([&] {
+      try {
+        channel->send(frame);
+      } catch (const support::check_error& error) {
+        expect_send_failure(error);
+        thrown = true;
+      }
+      return thrown;
+    }));
+    EXPECT_THROW(channel->close_send(), support::check_error);
+    ::close(pipe_fds[0]);
+  }
+}
+
+TEST(SocketCoalescing, SendAfterCloseSendThrows) {
+  auto channel = distrib::SocketChannel::make_loopback();
+  const std::vector<std::uint8_t> frame(8, 0x11);
+  channel->send(frame);
+  channel->close_send();
+  EXPECT_THROW(channel->send(frame), support::check_error);
+  std::vector<std::uint8_t> got;
+  ASSERT_TRUE(channel->recv(got));
+  EXPECT_EQ(got, frame);
+  EXPECT_FALSE(channel->recv(got));
+}
+
+// Descriptors open in this process below `limit`.
+int open_descriptors_below(int limit) {
+  int count = 0;
+  for (int fd = 0; fd < limit; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// make_loopback() opens four descriptors; a failure after the first must
+// close every one it opened. The child fills its descriptor table up to a
+// lowered RLIMIT_NOFILE but one slot, so the listener's socket() succeeds
+// and the client's fails with EMFILE.
+TEST(SocketCoalescing, MakeLoopbackLeaksNoDescriptorWhenASocketCallFails) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    int highest = 0;
+    for (int fd = 0; fd < 1024; ++fd) {
+      if (::fcntl(fd, F_GETFD) != -1) {
+        highest = fd;
+      }
+    }
+    const int limit = highest + 8;
+    rlimit lowered{};
+    if (::getrlimit(RLIMIT_NOFILE, &lowered) != 0) {
+      ::_exit(2);
+    }
+    lowered.rlim_cur = static_cast<rlim_t>(limit);
+    if (::setrlimit(RLIMIT_NOFILE, &lowered) != 0) {
+      ::_exit(2);
+    }
+    int last = -1;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY);
+      if (fd < 0) {
+        break;
+      }
+      last = fd;
+    }
+    if (errno != EMFILE || last < 0) {
+      ::_exit(3);
+    }
+    ::close(last);
+    const int before = open_descriptors_below(limit);
+    try {
+      distrib::SocketChannel::make_loopback();
+      ::_exit(4);
+    } catch (const support::check_error& error) {
+      if (std::string(error.what()).find("socket() failed") ==
+          std::string::npos) {
+        ::_exit(5);
+      }
+    } catch (...) {
+      ::_exit(6);
+    }
+    ::_exit(open_descriptors_below(limit) == before ? 0 : 7);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: setrlimit failed, 3: could not fill the descriptor table, "
+         "4: make_loopback did not throw, 5: wrong message, "
+         "6: not a check_error, 7: a descriptor leaked";
 }
 
 }  // namespace
