@@ -6,6 +6,13 @@
 // every pair completion, and prints the distribution — then compares
 // throughput against the lockstep baseline, whose pipeline depth is pinned
 // at 1 by construction.
+//
+// Each window_sweep row also prices the engine's waits: the process's
+// voluntary and involuntary context switches per phase and the kernel's
+// share of its CPU time (getrusage(RUSAGE_SELF) around the run), and the
+// engine's own window_waits, progress_wakeups and queue_parks per phase.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <thread>
 
@@ -16,6 +23,14 @@
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "trace/report.hpp"
+
+namespace {
+
+double seconds(const timeval& t) {
+  return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace df;
@@ -42,8 +57,17 @@ int main(int argc, char** argv) {
     options.max_inflight_phases = window;
     options.sample_inflight = true;
     core::Engine engine(program, options);
+    rusage before{};
+    getrusage(RUSAGE_SELF, &before);
     engine.run(phases, nullptr);
+    rusage after{};
+    getrusage(RUSAGE_SELF, &after);
     const auto stats = engine.stats();
+    const auto per_phase = [phases](double count) {
+      return count / static_cast<double>(phases);
+    };
+    const double user_s = seconds(after.ru_utime) - seconds(before.ru_utime);
+    const double sys_s = seconds(after.ru_stime) - seconds(before.ru_stime);
     table.add_row(
         {support::Table::num(static_cast<std::uint64_t>(window)),
          support::Table::num(stats.wall_seconds * 1e3, 1),
@@ -72,6 +96,18 @@ int main(int argc, char** argv) {
         .metric("scheduled_pairs_per_phase",
                 static_cast<double>(stats.scheduled_pairs) /
                     static_cast<double>(phases))
+        .metric("vcsw_per_phase", per_phase(static_cast<double>(
+                                      after.ru_nvcsw - before.ru_nvcsw)))
+        .metric("ivcsw_per_phase", per_phase(static_cast<double>(
+                                       after.ru_nivcsw - before.ru_nivcsw)))
+        .metric("sys_frac",
+                user_s + sys_s <= 0.0 ? 0.0 : sys_s / (user_s + sys_s))
+        .metric("window_waits_per_phase",
+                per_phase(static_cast<double>(stats.window_waits)))
+        .metric("progress_wakeups_per_phase",
+                per_phase(static_cast<double>(stats.progress_wakeups)))
+        .metric("queue_parks_per_phase",
+                per_phase(static_cast<double>(stats.queue_parks)))
         .emit();
   }
   std::printf("%s", table.render().c_str());

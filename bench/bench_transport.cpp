@@ -23,6 +23,13 @@
 // (socket_writes_per_phase, socket_reads_per_phase; 0 on in-process rows):
 // with coalescing both sit below frames_per_phase. hook_us_per_phase is the
 // engines' time inside the phase-completion hook, the egress flush.
+//
+// --reps=N (N >= 2) runs each configuration once as a discarded warm-up and
+// then N measured times on fresh transports. Its row reports every rate at
+// the median run time (phases_per_sec is the median rate) plus
+// phases_per_sec_min and phases_per_sec_max; the count columns come from
+// the last measured run. N = 1, the default, runs each configuration once.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -58,6 +65,11 @@ int main(int argc, char** argv) {
   // is a column, not a separate benchmark.
   const std::size_t checkpoint_every =
       flags.get("checkpoint-every", std::uint64_t{0});
+  const std::uint64_t reps = flags.get("reps", std::uint64_t{1});
+  if (reps == 0) {
+    std::printf("--reps must be >= 1\n");
+    return 2;
+  }
   flags.reject_unused();
   const std::uint64_t hw_concurrency =
       static_cast<std::uint64_t>(std::thread::hardware_concurrency());
@@ -98,35 +110,63 @@ int main(int argc, char** argv) {
          {distrib::ChannelKind::kInProcess, distrib::ChannelKind::kSocket}) {
       const char* kind_name =
           kind == distrib::ChannelKind::kInProcess ? "inproc" : "socket";
-      distrib::TransportOptions options;
-      options.machines = machines;
-      options.channel = kind;
-      options.engine_threads = engine_threads;
-      options.checkpoint_every = checkpoint_every;
-      // Keeps a view of every socket channel for its syscall counters; the
-      // transport owns the channels until it is destroyed.
-      std::vector<const distrib::SocketChannel*> sockets;
-      options.channel_wrapper =
-          [&sockets](std::unique_ptr<distrib::Channel> channel, std::size_t,
-                     std::size_t) {
-            if (const auto* socket =
-                    dynamic_cast<const distrib::SocketChannel*>(
-                        channel.get())) {
-              sockets.push_back(socket);
-            }
-            return channel;
-          };
-      distrib::TransportEngine transport(program, options);
-      transport.run(phases, nullptr);
-
-      const auto stats = transport.stats();
-      const auto& tstats = transport.transport_stats();
-      std::uint64_t socket_writes = 0;
-      std::uint64_t socket_reads = 0;
-      for (const distrib::SocketChannel* socket : sockets) {
-        socket_writes += socket->send_syscalls();
-        socket_reads += socket->read_syscalls();
+      struct Run {
+        core::ExecStats stats;
+        distrib::TransportStats tstats;
+        std::uint64_t socket_writes = 0;
+        std::uint64_t socket_reads = 0;
+      };
+      // One run on a fresh transport; every run's sinks are checked.
+      const auto run_once = [&]() {
+        distrib::TransportOptions options;
+        options.machines = machines;
+        options.channel = kind;
+        options.engine_threads = engine_threads;
+        options.checkpoint_every = checkpoint_every;
+        // Keeps a view of every socket channel for its syscall counters;
+        // the transport owns the channels until it is destroyed.
+        std::vector<const distrib::SocketChannel*> sockets;
+        options.channel_wrapper =
+            [&sockets](std::unique_ptr<distrib::Channel> channel, std::size_t,
+                       std::size_t) {
+              if (const auto* socket =
+                      dynamic_cast<const distrib::SocketChannel*>(
+                          channel.get())) {
+                sockets.push_back(socket);
+              }
+              return channel;
+            };
+        distrib::TransportEngine transport(program, options);
+        transport.run(phases, nullptr);
+        Run run{transport.stats(), transport.transport_stats()};
+        for (const distrib::SocketChannel* socket : sockets) {
+          run.socket_writes += socket->send_syscalls();
+          run.socket_reads += socket->read_syscalls();
+        }
+        const auto report =
+            trace::compare_sinks(reference.sinks(), transport.sinks());
+        if (!report.equivalent) {
+          std::printf("SERIALIZABILITY VIOLATION (machines=%zu, %s): %s\n",
+                      machines, kind_name, report.summary().c_str());
+          ok = false;
+        }
+        return run;
+      };
+      if (reps > 1) {
+        run_once();  // warm-up, discarded
       }
+      std::vector<double> walls;
+      Run last;
+      for (std::uint64_t r = 0; r < reps; ++r) {
+        last = run_once();
+        walls.push_back(last.stats.wall_seconds);
+      }
+      std::sort(walls.begin(), walls.end());
+      core::ExecStats stats = last.stats;
+      stats.wall_seconds = reps % 2 == 1
+                               ? walls[reps / 2]
+                               : (walls[reps / 2 - 1] + walls[reps / 2]) / 2;
+      const distrib::TransportStats& tstats = last.tstats;
       const auto per_phase = [phases](std::uint64_t count) {
         return static_cast<double>(count) / static_cast<double>(phases);
       };
@@ -144,8 +184,8 @@ int main(int argc, char** argv) {
            support::Table::num(
                static_cast<double>(tstats.bytes_sent) / 1e3, 1),
            support::Table::num(remote_frac, 2)});
-      bench::JsonLine("transport", std::string("transport_") + kind_name)
-          .config("machines", static_cast<std::uint64_t>(machines))
+      bench::JsonLine row("transport", std::string("transport_") + kind_name);
+      row.config("machines", static_cast<std::uint64_t>(machines))
           .config("channel", kind_name)
           .config("phases", phases)
           .config("grain_ns", grain_ns)
@@ -156,8 +196,14 @@ int main(int argc, char** argv) {
           .config("checkpoint_every",
                   static_cast<std::uint64_t>(checkpoint_every))
           .config("hw_concurrency", hw_concurrency)
-          .metric("phases_per_sec", stats.phases_per_second())
-          .metric("pairs_per_sec", stats.pairs_per_second())
+          .metric("phases_per_sec", stats.phases_per_second());
+      if (reps > 1) {
+        const double completed = static_cast<double>(stats.phases_completed);
+        row.config("reps", reps)
+            .metric("phases_per_sec_min", completed / walls.back())
+            .metric("phases_per_sec_max", completed / walls.front());
+      }
+      row.metric("pairs_per_sec", stats.pairs_per_second())
           .metric("speedup_vs_sequential",
                   reference_s / stats.wall_seconds)
           .metric("frames_sent", tstats.frames_sent)
@@ -166,8 +212,8 @@ int main(int argc, char** argv) {
           .metric("batched_deliveries", tstats.batched_deliveries)
           .metric("frames_per_phase", per_phase(tstats.frames_sent))
           .metric("bytes_per_phase", per_phase(tstats.bytes_sent))
-          .metric("socket_writes_per_phase", per_phase(socket_writes))
-          .metric("socket_reads_per_phase", per_phase(socket_reads))
+          .metric("socket_writes_per_phase", per_phase(last.socket_writes))
+          .metric("socket_reads_per_phase", per_phase(last.socket_reads))
           .metric("hook_us_per_phase", per_phase(stats.hook_ns) / 1e3)
           .metric("remote_messages", tstats.remote_messages)
           .metric("remote_frac", remote_frac)
@@ -177,14 +223,6 @@ int main(int argc, char** argv) {
           .metric("scheduled_pairs_per_phase",
                   per_phase(stats.scheduled_pairs))
           .emit();
-
-      const auto report =
-          trace::compare_sinks(reference.sinks(), transport.sinks());
-      if (!report.equivalent) {
-        std::printf("SERIALIZABILITY VIOLATION (machines=%zu, %s): %s\n",
-                    machines, kind_name, report.summary().c_str());
-        ok = false;
-      }
     }
   }
   std::printf("%s", table.render().c_str());

@@ -25,6 +25,15 @@
 //     threads; with no consumer blocked at publication time no signal is
 //     needed at all, because any later consumer re-checks the count under
 //     the mutex before sleeping.
+//   * A push_all caller that will itself pop next (the engine's drainer,
+//     which goes straight back to pop_with_preblock) names how many items
+//     it will take, and those are not signalled for: it wakes
+//     min(batch - caller_pops, waiting consumers). The caller is not
+//     waiting, so it needs no signal, and the items it leaves behind for a
+//     moment are still covered — every consumer re-checks the count under
+//     the mutex before sleeping, and the caller takes them when it pops.
+//   * parks() counts not_empty_ waits, the times a consumer blocked on the
+//     empty queue, under the queue's own mutex.
 //   * not_full_: producers block on *batch-sized* room (push_all waits for
 //     its whole batch to fit), so waiters are heterogeneous: waking one
 //     producer after one pop could select a large-batch producer that goes
@@ -40,6 +49,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -88,7 +98,9 @@ class BlockingQueue {
   /// while the batch does not fit under the capacity bound, so the batch
   /// must be no larger than the capacity. Returns false (dropping the whole
   /// batch) if the queue has been closed; never partially enqueues.
-  bool push_all(std::vector<T>& items) {
+  /// `caller_pops` is how many of the items the caller pops itself right
+  /// after this call; no consumer is woken for those.
+  bool push_all(std::vector<T>& items, std::size_t caller_pops = 0) {
     if (items.empty()) {
       return true;
     }
@@ -110,8 +122,10 @@ class BlockingQueue {
       }
       // k new items can usefully wake at most k consumers, and consumers
       // only block while the queue is empty, so min(batch, waiters) covers
-      // every consumer this batch could serve (see header comment).
-      wake = std::min(items.size(), waiting_poppers_);
+      // every consumer this batch could serve, less the items the caller
+      // will pop itself (see header comment).
+      wake = std::min(items.size() - std::min(caller_pops, items.size()),
+                      waiting_poppers_);
     }
     notify_consumers(wake);
     return true;
@@ -138,6 +152,7 @@ class BlockingQueue {
     UniqueLock lock(mutex_);
     ++waiting_poppers_;
     while (!(closed_ || count_ != 0)) {
+      ++parks_;
       not_empty_.wait(lock);
     }
     --waiting_poppers_;
@@ -190,6 +205,7 @@ class BlockingQueue {
       }
       ++waiting_poppers_;
       while (!(closed_ || count_ != 0)) {
+        ++parks_;
         not_empty_.wait(lock);
       }
       --waiting_poppers_;
@@ -236,6 +252,12 @@ class BlockingQueue {
   }
 
   bool empty() const { return size() == 0; }
+
+  /// Times a consumer blocked on the empty queue (one per not_empty_ wait).
+  std::uint64_t parks() const {
+    MutexLock lock(mutex_);
+    return parks_;
+  }
 
  private:
   /// Wakes `wake` consumers (computed under the lock as min(items added,
@@ -291,6 +313,7 @@ class BlockingQueue {
   // condvar is always visible to the peer deciding whether to signal.
   std::size_t waiting_poppers_ DF_GUARDED_BY(mutex_) = 0;
   std::size_t waiting_pushers_ DF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t parks_ DF_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace df::conc

@@ -134,7 +134,8 @@ Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
       block_end_(plan.block_end),
       unit_bounds_(std::move(plan.units)),
       signal_sources_(plan.signal_sources),
-      source_units_(plan.source_units) {
+      source_units_(plan.source_units),
+      admit_batch_(std::max<std::size_t>(1, options_.max_inflight_phases / 8)) {
   sink_target_ = options_.block.has_value() && options_.block->sinks != nullptr
                      ? options_.block->sinks
                      : &sinks_;
@@ -341,27 +342,33 @@ void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
   // alone — e.g. sink-only blocks with no local sources). Both scheduler
   // overloads then retire inside the start call, so this is a retire site
   // like the apply paths.
-  event::PhaseId completed_now = 0;
+  Retirement retired;
   {
     conc::UniqueLock lock(mutex_);
-    // Backpressure wait. Every transition that shrinks the window is a
-    // phase retirement inside retire_completed(), which always advances
-    // completed_through — and retire() notifies progress_cv_ exactly when
-    // that happens, so this wait cannot miss a shrink even with
+    // Backpressure wait (DESIGN.md, "Wake only when the waiter can
+    // proceed"). Only a full window waits, and then until admit_batch_
+    // slots are free, so a closed loop refills the window admit_batch_
+    // phases per wake-up. The waiter records itself under mutex_ before
+    // every wait, and every transition that frees a slot is a phase
+    // retirement whose note_retirement() reads that record in the same
+    // lock hold, so the wait cannot miss its wake-up even with
     // max_inflight_phases == 1. Written as an explicit loop (not a
     // wait-with-predicate lambda) because the predicate reads the
     // mutex_-guarded scheduler_.
-    while (!(options_.max_inflight_phases == 0 ||
-             scheduler_.active_phase_count() < options_.max_inflight_phases)) {
-      progress_cv_.wait(lock);
+    const std::size_t window = options_.max_inflight_phases;
+    if (window != 0 && scheduler_.active_phase_count() >= window) {
+      ++window_waits_;
+      while (scheduler_.active_phase_count() + admit_batch_ > window) {
+        admission_waiting_ = true;
+        progress_cv_.wait(lock);
+        ++progress_wakeups_;
+      }
     }
     const event::PhaseId p = scheduler_.pmax() + 1;
     const event::PhaseId completed_before = scheduler_.completed_through();
     scheduler_.start_phase(p, std::span<event::InputBundle>(env_bundles_),
                            injected, env_ready_);
-    if (scheduler_.completed_through() != completed_before) {
-      completed_now = scheduler_.completed_through();
-    }
+    retired = note_retirement(completed_before);
     max_inflight_ = std::max<std::uint64_t>(max_inflight_,
                                             scheduler_.active_phase_count());
     if (options_.observer != nullptr) {
@@ -370,7 +377,19 @@ void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
           scheduler_.snapshot());
     }
   }
-  retire(env_ready_, completed_now);
+  retire(env_ready_, retired);
+}
+
+void Engine::wait_all_complete() {
+  conc::UniqueLock lock(mutex_);
+  // Explicit loop: the predicate reads the guarded scheduler_. Recorded
+  // before every wait, so the retirement that completes the last started
+  // phase notifies, and none before it does (note_retirement).
+  while (!scheduler_.all_started_phases_complete()) {
+    completion_waiting_ = true;
+    progress_cv_.wait(lock);
+    ++progress_wakeups_;
+  }
 }
 
 void Engine::finish() {
@@ -378,13 +397,7 @@ void Engine::finish() {
   if (finished_) {
     return;
   }
-  {
-    conc::UniqueLock lock(mutex_);
-    // Explicit loop: the predicate reads the guarded scheduler_.
-    while (!scheduler_.all_started_phases_complete()) {
-      progress_cv_.wait(lock);
-    }
-  }
+  wait_all_complete();
   run_queue_.close();
   for (auto& worker : workers_) {
     worker.join();
@@ -429,14 +442,10 @@ void persist_bounds(support::StateArchive& ar,
 
 void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
-  conc::UniqueLock lock(mutex_);
-  // Explicit loop: the predicate reads the guarded scheduler_. Workers
-  // apply everything staged before blocking on an empty run queue (the
-  // pre-block hook), so completion of the last started phase is always
+  // Workers apply everything staged before blocking on an empty run queue
+  // (the pre-block hook), so completion of the last started phase is always
   // reached and notified without caller involvement.
-  while (!scheduler_.all_started_phases_complete()) {
-    progress_cv_.wait(lock);
-  }
+  wait_all_complete();
 }
 
 std::vector<std::uint8_t> Engine::snapshot_state() {
@@ -527,33 +536,58 @@ event::PhaseId Engine::completed_phases() const {
   return scheduler_.completed_through();
 }
 
-void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready) {
+void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
+                           std::size_t caller_pops) {
   if (ready.empty()) {
     return;
   }
   // One lock acquisition and a bounded number of wakeups for the whole
   // batch, instead of a push per pair.
-  const bool accepted = run_queue_.push_all(ready);
+  const bool accepted = run_queue_.push_all(ready, caller_pops);
   DF_CHECK(accepted || abandoning_.load(std::memory_order_acquire),
            "run queue closed while work was outstanding");
   ready.clear();
 }
 
+Engine::Retirement Engine::note_retirement(event::PhaseId completed_before) {
+  Retirement retired;
+  if (scheduler_.completed_through() == completed_before) {
+    return retired;
+  }
+  // Phase retirement is the only transition that shrinks the in-flight
+  // window (retire_completed always advances completed_through when it
+  // drops a slot) or completes the started phases, so it is the only one
+  // that can make a recorded waiter's condition hold.
+  retired.completed_now = scheduler_.completed_through();
+  if (admission_waiting_ && scheduler_.active_phase_count() + admit_batch_ <=
+                                options_.max_inflight_phases) {
+    admission_waiting_ = false;
+    retired.wake_progress = true;
+  }
+  if (completion_waiting_ && scheduler_.all_started_phases_complete()) {
+    completion_waiting_ = false;
+    retired.wake_progress = true;
+  }
+  return retired;
+}
+
 void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
-                    event::PhaseId completed_now) {
-  if (completed_now != 0) {
-    // Phase retirement is the only transition that shrinks the in-flight
-    // window (retire_completed always advances completed_through when it
-    // drops a slot), so this one notify covers every progress_cv_ waiter:
-    // finish()/quiesce() waiting for all phases and start_phase waiting
-    // for window room — including the max_inflight_phases == 1 case, where
-    // every retirement must wake the environment. Notifying after the
-    // transition's lock release cannot lose the wakeup: the waiters test
-    // their predicates under mutex_, and the transition changed the state
-    // under mutex_ before this call.
+                    Retirement retired, bool caller_pops_next) {
+  if (retired.wake_progress) {
+    // Notifying after the transition's lock release cannot lose the
+    // wake-up: the waiter recorded itself and began waiting within one
+    // mutex_ hold, before the transition's hold that claimed the record.
     progress_cv_.notify_all();
   }
-  enqueue_ready(ready);
+  const bool runs_hook =
+      retired.completed_now != 0 && options_.on_phase_complete != nullptr;
+  // A drainer takes one of these pairs itself when it pops next, so that
+  // one wakes no one. Not when the hook runs first: it may block on a
+  // channel send while a parked worker could be running the pair. A
+  // drainer whose maybe_drain loops for another pass leaves that pair to
+  // the workers already awake or to its own later pop; none is stranded,
+  // since it always returns to the queue.
+  enqueue_ready(ready, caller_pops_next && !runs_hook ? 1 : 0);
   // Completion hook outside every engine lock: it may block (channel send),
   // and it must never be able to deadlock against engine-internal waiters.
   // A drainer still holds draining_ here, so a blocking hook stalls
@@ -561,14 +595,14 @@ void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
   // not a deadlock: the hook's channel send completes once the downstream
   // machine drains its ingress, which needs no progress from this engine
   // (see DESIGN.md, "Two-level parallelism").
-  if (completed_now != 0 && options_.on_phase_complete) {
+  if (runs_hook) {
     const support::Stopwatch hook_timer;
-    options_.on_phase_complete(completed_now);
+    options_.on_phase_complete(retired.completed_now);
     hook_ns_.add(hook_timer.elapsed_ns());
   }
 }
 
-event::PhaseId Engine::apply_finish_locked(
+Engine::Retirement Engine::apply_finish_locked(
     Scheduler::StagedFinish& staged, std::vector<Scheduler::ReadyPair>& ready) {
   conc::MutexLock lock(mutex_);
   const event::PhaseId completed_before = scheduler_.completed_through();
@@ -587,9 +621,7 @@ event::PhaseId Engine::apply_finish_locked(
         SchedulerObserver::Transition::kPairFinished, staged.vertex,
         staged.phase, scheduler_.snapshot());
   }
-  return scheduler_.completed_through() != completed_before
-             ? scheduler_.completed_through()
-             : 0;
+  return note_retirement(completed_before);
 }
 
 std::size_t Engine::drain_staged() {
@@ -609,7 +641,7 @@ std::size_t Engine::drain_staged() {
     return 0;
   }
   drain_ready_.clear();
-  event::PhaseId completed_now = 0;
+  Retirement retired;
   {
     conc::MutexLock lock(mutex_);
     const event::PhaseId completed_before = scheduler_.completed_through();
@@ -625,13 +657,11 @@ std::size_t Engine::drain_staged() {
       }
       inflight_samples_ += drain_batch_.size();
     }
-    if (scheduler_.completed_through() != completed_before) {
-      completed_now = scheduler_.completed_through();
-    }
+    retired = note_retirement(completed_before);
   }
   const std::size_t drained = drain_batch_.size();
   staged_pending_.fetch_sub(drained);
-  retire(drain_ready_, completed_now);
+  retire(drain_ready_, retired, /*caller_pops_next=*/true);
   return drained;
 }
 
@@ -868,12 +898,12 @@ void Engine::worker_main(std::size_t worker_index) {
       maybe_drain(drain_threshold_);
     } else {
       ready.clear();
-      const event::PhaseId completed_now = apply_finish_locked(staged, ready);
+      const Retirement retired = apply_finish_locked(staged, ready);
       if (!ready.empty()) {
         local = std::move(ready.back());
         ready.pop_back();
       }
-      retire(ready, completed_now);
+      retire(ready, retired);
     }
     bookkeeping_ns_.add(pair_timer.elapsed_ns() - scratch.compute_ns);
     scheduled_pairs_.add(1);
@@ -891,8 +921,11 @@ ExecStats Engine::stats() const {
   stats.bookkeeping_ns = bookkeeping_ns_.value();
   stats.hook_ns = hook_ns_.value();
   stats.wall_seconds = wall_seconds_;
+  stats.queue_parks = run_queue_.parks();
   {
     conc::MutexLock lock(mutex_);
+    stats.window_waits = window_waits_;
+    stats.progress_wakeups = progress_wakeups_;
     stats.phases_completed = scheduler_.completed_through();
     stats.max_inflight_phases = max_inflight_;
     stats.mean_inflight_phases =

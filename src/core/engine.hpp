@@ -20,7 +20,12 @@
 //     closed queue;
 //   * backpressure: the paper's environment "sleeps for some amount of
 //     time"; we bound the number of in-flight phases instead so memory use
-//     is bounded at any event rate;
+//     is bounded at any event rate. A thread waiting on the engine
+//     (start_phase on a full window, finish(), quiesce()) is woken only
+//     once it can proceed: a full window of W phases reopens when
+//     max(1, W/8) slots are free, so a closed loop refills it in batches
+//     rather than one wake-up per retired phase (DESIGN.md, "Wake only
+//     when the waiter can proceed");
 //   * staged deliveries: with several workers, an executed pair is not
 //     applied to the sets under the lock by the worker that ran it.
 //     Instead the worker appends a StagedFinish record to its own SPSC
@@ -221,13 +226,26 @@ class Engine final : public Executor {
 
  private:
   void worker_main(std::size_t worker_index);
+  /// What a scheduler transition hands to retire(): its new
+  /// completed-through value, or 0 if it retired no phase, and whether a
+  /// recorded progress_cv_ waiter can now proceed.
+  struct Retirement {
+    event::PhaseId completed_now = 0;
+    bool wake_progress = false;
+  };
+  /// Called under mutex_ right after every scheduler transition, with the
+  /// completed-through value from before it. Only a phase retirement frees
+  /// window room or completes the started phases, so only then does it
+  /// check the recorded waiters; it claims (clears) each one whose
+  /// condition now holds, so later retirements do not wake it again.
+  Retirement note_retirement(event::PhaseId completed_before)
+      DF_REQUIRES(mutex_);
   /// Applies one finished pair under the global lock and appends the pairs
   /// it readied to `ready` — the paper's Listing 1 tail. Used with a single
   /// worker, with a per-transition observer, and when a staging ring is
-  /// full. Returns the transition's completed-through value for retire()
-  /// (0 if no phase retired).
-  event::PhaseId apply_finish_locked(Scheduler::StagedFinish& staged,
-                                     std::vector<Scheduler::ReadyPair>& ready);
+  /// full. Returns the transition's retirement for retire().
+  Retirement apply_finish_locked(Scheduler::StagedFinish& staged,
+                                 std::vector<Scheduler::ReadyPair>& ready);
   /// Staged path: drain whatever is visible in the staging rings whenever
   /// at least `threshold` entries are pending and nobody else holds the
   /// drain flag. The post-release re-check closes the classic stranding
@@ -240,22 +258,28 @@ class Engine final : public Executor {
   /// One drain pass: pops every visible staged finish (ring consumer side,
   /// exclusive via draining_), applies the whole batch to the scheduler
   /// under one short lock acquisition, then retires. Returns the number of
-  /// entries applied. Caller holds draining_.
+  /// entries applied. Caller holds draining_ and goes straight back to the
+  /// run queue afterwards.
   std::size_t drain_staged();
   /// The single phase-retire site, called outside every engine lock after
   /// each scheduler transition (phase start, per-pair apply, batched
-  /// drain). `completed_now` is the transition's new completed-through
-  /// value, or 0 if it retired no phase. On a retirement it wakes the
-  /// progress_cv_ waiters (start_phase waiting for window room, finish()
-  /// and quiesce() waiting for completion); then it hands `ready` to the
-  /// workers and, last, fires on_phase_complete — after the enqueue, so a
-  /// hook blocked on a channel send never starves the pool of the pairs
-  /// just issued.
-  void retire(std::vector<Scheduler::ReadyPair>& ready,
-              event::PhaseId completed_now);
+  /// drain). It notifies progress_cv_ only when the transition made a
+  /// recorded waiter's condition hold (`retired.wake_progress`); then it
+  /// hands `ready` to the workers and, last, fires on_phase_complete if a
+  /// phase retired — after the enqueue, so a hook blocked on a channel
+  /// send never starves the pool of the pairs just issued.
+  /// `caller_pops_next` says the calling worker goes straight back to the
+  /// run queue and will take one of the pairs itself, so that pair wakes
+  /// no one — unless the hook is about to run first, since it may block.
+  void retire(std::vector<Scheduler::ReadyPair>& ready, Retirement retired,
+              bool caller_pops_next = false);
   /// Hands every pair to the run queue with one lock acquisition and
-  /// clears `ready` so the caller can reuse the buffer.
-  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready);
+  /// clears `ready` so the caller can reuse the buffer. `caller_pops` of
+  /// the pairs are left for the caller, which pops next, and wake no one.
+  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
+                     std::size_t caller_pops);
+  /// Blocks until every started phase has completed (finish, quiesce).
+  void wait_all_complete();
   /// Shared tail of the start_phase overloads: env_bundles_ holds one laid
   /// out bundle per signal-source unit; `injected` carries block-mode
   /// remote deliveries already addressed to units.
@@ -350,6 +374,17 @@ class Engine final : public Executor {
 
   mutable conc::Mutex mutex_;  // the paper's single global lock
   conc::CondVar progress_cv_;
+  // Progress waiters (DESIGN.md, "Wake only when the waiter can proceed").
+  // A thread records what it waits for under mutex_ right before each
+  // progress_cv_ wait, and note_retirement() notifies only once that
+  // holds. An admission wait, entered only on a full window, needs
+  // admit_batch_ = max(1, W / 8) free slots; a completion wait needs every
+  // started phase complete.
+  const std::size_t admit_batch_;
+  bool admission_waiting_ DF_GUARDED_BY(mutex_) = false;
+  bool completion_waiting_ DF_GUARDED_BY(mutex_) = false;
+  std::uint64_t window_waits_ DF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t progress_wakeups_ DF_GUARDED_BY(mutex_) = 0;
   conc::BlockingQueue<Scheduler::ReadyPair> run_queue_;
   std::vector<std::thread> workers_;
   bool started_ = false;

@@ -95,9 +95,19 @@ struct ExecStats {
   std::uint64_t max_inflight_phases = 0;
   double mean_inflight_phases = 0.0;
   double wall_seconds = 0.0;
-  // Always 0: no executor steals or parks workers. Kept only because the
-  // benchmark of record (benchmark/suite.cpp) still reads both fields for
-  // its core.dispatch.* rows.
+  // Wake cadence of the engine's waits (DESIGN.md, "Wake only when the
+  // waiter can proceed"); 0 for executors without a phase window.
+  /// start_phase calls that found the phase window full and waited.
+  std::uint64_t window_waits = 0;
+  /// Returns from a wait for window room or for every started phase to
+  /// complete (start_phase, quiesce(), finish()).
+  std::uint64_t progress_wakeups = 0;
+  /// Times a worker blocked on the empty run queue.
+  std::uint64_t queue_parks = 0;
+  // Legacy dispatch counters, always 0: no executor steals work, and
+  // `parks` predates the run-queue count above — queue_parks is the real
+  // one. Kept only because the benchmark of record (benchmark/suite.cpp)
+  // still reads both fields for its core.dispatch.* rows.
   std::uint64_t steals_ok = 0;
   std::uint64_t parks = 0;
 

@@ -744,6 +744,9 @@ void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
   total.compute_ns += gen.compute_ns;
   total.bookkeeping_ns += gen.bookkeeping_ns;
   total.hook_ns += gen.hook_ns;
+  total.window_waits += gen.window_waits;
+  total.progress_wakeups += gen.progress_wakeups;
+  total.queue_parks += gen.queue_parks;
   total.phases_completed =
       std::max(total.phases_completed, gen.phases_completed);
   total.max_inflight_phases =
@@ -1374,6 +1377,9 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
     stats_.compute_ns += state.stats.compute_ns;
     stats_.bookkeeping_ns += state.stats.bookkeeping_ns;
     stats_.hook_ns += state.stats.hook_ns;
+    stats_.window_waits += state.stats.window_waits;
+    stats_.progress_wakeups += state.stats.progress_wakeups;
+    stats_.queue_parks += state.stats.queue_parks;
     stats_.phases_completed =
         std::min(stats_.phases_completed, state.stats.phases_completed);
     stats_.max_inflight_phases =

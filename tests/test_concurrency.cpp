@@ -148,6 +148,43 @@ TEST(BlockingQueue, SingleItemBatchesWakeIdleConsumersStress) {
   EXPECT_EQ(consumed.load(), kBursts * kPerBurst);
 }
 
+// A push_all caller that pops next names how many items it takes itself,
+// and the queue wakes consumers only for the rest. With all consumers
+// parked between bursts, a two-item batch with caller_pops = 1 must still
+// wake one of them for the second item, or the burst never completes.
+// parks() counts the pops that blocked.
+TEST(BlockingQueue, CallerPopsDiscountStillWakesForTheRest) {
+  constexpr int kConsumers = 3;
+  constexpr int kBursts = 400;
+  BlockingQueue<int> queue;
+  std::atomic<int> consumed{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      while (queue.pop()) {
+        consumed.fetch_add(1);
+      }
+    });
+  }
+  std::vector<int> batch;
+  for (int b = 0; b < kBursts; ++b) {
+    batch = {2 * b, 2 * b + 1};
+    ASSERT_TRUE(queue.push_all(batch, /*caller_pops=*/1));
+    if (queue.try_pop().has_value()) {
+      consumed.fetch_add(1);
+    }
+    while (consumed.load() < 2 * (b + 1)) {
+      std::this_thread::yield();  // hangs here if the rest went unsignalled
+    }
+  }
+  queue.close();
+  for (auto& t : consumers) {
+    t.join();
+  }
+  EXPECT_EQ(consumed.load(), 2 * kBursts);
+  EXPECT_GT(queue.parks(), 0U);
+}
+
 // The lost wakeup the audit actually found: producers blocked in push_all
 // wait for *batch-sized* room, so their predicates are heterogeneous. A
 // notify_one on the consumer side could wake a large-batch producer that

@@ -166,6 +166,47 @@ TEST(Engine, StatsAccountForWork) {
   EXPECT_GT(stats.pairs_per_second(), 0.0);
 }
 
+// Wake cadence (DESIGN.md, "Wake only when the waiter can proceed"): an
+// admission wait ends with at least W/8 free slots, so a closed loop waits
+// at most once per W/8 phases. Waking on every retirement instead would
+// wait about once per phase.
+TEST(Engine, ClosedLoopRefillsTheWindowInBatches) {
+  const Program program = chain_program(8, 14);
+  EngineOptions options;
+  options.threads = 3;
+  options.max_inflight_phases = 64;
+  Engine engine(program, options);
+  engine.run(4096, nullptr);
+  const ExecStats stats = engine.stats();
+  EXPECT_EQ(stats.phases_completed, 4096U);
+  EXPECT_LE(stats.window_waits, 4096U / 8);
+  EXPECT_LE(stats.max_inflight_phases, 64U);
+}
+
+// quiesce() is woken by the retirement that completes the last started
+// phase, not by each retirement before it. 48 phases never fill a window
+// of 64, so no admission wait adds wake-ups; 40 leaves one spurious
+// wake-up per round.
+TEST(Engine, QuiesceWakesOnceItsPhasesComplete) {
+  const Program program = chain_program(8, 15);
+  EngineOptions options;
+  options.threads = 3;
+  options.max_inflight_phases = 64;
+  Engine engine(program, options);
+  engine.start();
+  for (int round = 0; round < 20; ++round) {
+    for (int p = 0; p < 48; ++p) {
+      engine.start_phase({});
+    }
+    engine.quiesce();
+  }
+  engine.finish();
+  const ExecStats stats = engine.stats();
+  EXPECT_EQ(stats.phases_completed, 20U * 48U);
+  EXPECT_EQ(stats.window_waits, 0U);
+  EXPECT_LE(stats.progress_wakeups, 40U);
+}
+
 TEST(Engine, RequiresAtLeastOneThread) {
   const Program program = chain_program(2, 11);
   EXPECT_THROW(Engine(program, {.threads = 0}), support::check_error);

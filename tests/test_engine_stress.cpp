@@ -4,8 +4,11 @@
 // sink streams, since the computation is deterministic and serializable.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
+#include "baseline/sequential.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "model/detectors.hpp"
@@ -214,6 +217,56 @@ TEST(EngineStress, SingleInflightWindowSustainsThroughput) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.phases_completed, 1500U);
   EXPECT_EQ(stats.max_inflight_phases, 1U);
+}
+
+// The progress wake rule (DESIGN.md, "Wake only when the waiter can
+// proceed") at the edges of its admission batch max(1, W/8): one slot for
+// windows 1-15, two for 16 and 17, eight for 64. start_phase waits for
+// window room while quiesce() and finish() wait for completion, under
+// every apply path. The on_phase_complete hook makes retiring drains skip
+// the drainer's wake-up discount while the other drains take it; it sleeps
+// on every 5th call, holding its worker like a blocked channel send. A
+// lost wake-up hangs this test; a wrong admission target overruns the
+// window.
+TEST(EngineStress, ProgressWaitersAcrossWindowsAndApplyPaths) {
+  const Program program = stress_program(2);
+  constexpr event::PhaseId kPhases = 600;
+  baseline::SequentialExecutor reference(program);
+  reference.run(kPhases, nullptr);
+  const std::vector<SinkRecord> expected = reference.sinks().canonical();
+  ASSERT_GT(expected.size(), 100U) << "stress workload was trivial";
+  for (const std::size_t window : {1UL, 2UL, 15UL, 16UL, 17UL, 64UL}) {
+    for (const std::size_t threads : {1UL, 3UL}) {
+      for (const ApplyPath path : kApplyPaths) {
+        EngineOptions options;
+        options.threads = threads;
+        options.max_inflight_phases = window;
+        CountingObserver observer;
+        select_apply_path(path, options, observer);
+        std::atomic<std::uint64_t> hook_calls{0};
+        options.on_phase_complete = [&hook_calls](event::PhaseId) {
+          if (hook_calls.fetch_add(1) % 5 == 4) {
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+          }
+        };
+        Engine engine(program, options);
+        engine.start();
+        for (event::PhaseId p = 1; p <= kPhases; ++p) {
+          engine.start_phase({});
+          if (p % 50 == 0) {
+            engine.quiesce();
+          }
+        }
+        engine.finish();
+        const std::string config =
+            "window " + std::to_string(window) + ", threads " +
+            std::to_string(threads) + ", path " +
+            std::to_string(static_cast<int>(path));
+        EXPECT_EQ(engine.sinks().canonical(), expected) << config;
+        EXPECT_LE(engine.stats().max_inflight_phases, window) << config;
+      }
+    }
+  }
 }
 
 TEST(EngineStress, RepeatedRunsOfSameConfigAreBitIdentical) {
