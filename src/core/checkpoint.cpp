@@ -81,17 +81,6 @@ void persist_value(support::StateArchive& ar, event::Value& value) {
   }
 }
 
-void persist_message(support::StateArchive& ar, event::Message& message) {
-  ar.u16(message.port);
-  persist_value(ar, message.value);
-}
-
-void persist_bundle(support::StateArchive& ar, event::InputBundle& bundle) {
-  ar.sequence(bundle, [](support::StateArchive& a, event::Message& m) {
-    persist_message(a, m);
-  });
-}
-
 std::vector<std::uint8_t> seal_image(std::vector<std::uint8_t> body) {
   const std::uint64_t sum = support::fnv1a(body.data(), body.size());
   for (std::size_t i = 0; i < 8; ++i) {

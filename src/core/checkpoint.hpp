@@ -1,4 +1,5 @@
-// Checkpoint image helpers shared by the scheduler and engine snapshots.
+// Checkpoint image helpers behind the engine snapshot
+// (Engine::snapshot_state / restore_state).
 //
 // Crash-restart recovery (DESIGN.md "Crash-restart recovery") serializes a
 // partition's execution state into self-validating byte images: a magic +
@@ -8,17 +9,15 @@
 // the caller's discipline is to discard the half-restored object and fall
 // back to the previous intact checkpoint.
 //
-// Value/Message/InputBundle persistence lives here (not in event/) because
-// the checkpoint encoding is a core-layer concern: the wire format in
-// distrib/wire.hpp has its own, varint-based encoding with compat
-// guarantees, while checkpoint images are consumed only by the build that
-// wrote them.
+// Value persistence lives here (not in event/) because the checkpoint
+// encoding is a core-layer concern: the wire format in distrib/wire.hpp
+// has its own, varint-based encoding with compat guarantees, while
+// checkpoint images are consumed only by the build that wrote them.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "event/message.hpp"
 #include "event/value.hpp"
 #include "support/state_archive.hpp"
 
@@ -28,12 +27,6 @@ namespace df::core {
 /// stable discriminants 0..5 from event::Value::Kind; unknown tags fail
 /// loudly on load.
 void persist_value(support::StateArchive& ar, event::Value& value);
-
-/// One message: port + value.
-void persist_message(support::StateArchive& ar, event::Message& message);
-
-/// A whole input bundle (length-prefixed message sequence).
-void persist_bundle(support::StateArchive& ar, event::InputBundle& bundle);
 
 /// Appends the FNV-1a checksum trailer over `body` and returns the sealed
 /// image.

@@ -429,13 +429,12 @@ void Engine::run(event::PhaseId num_phases, PhaseFeed* feed) {
 namespace {
 
 constexpr std::uint32_t kEngineImageMagic = 0x44464547u;  // "DFEG"
-// Version 2 added the unit plan.
-constexpr std::uint32_t kEngineImageVersion = 2;
+// Version 3 holds the completed phase instead of a nested scheduler image
+// and drops the unit plan.
+constexpr std::uint32_t kEngineImageVersion = 3;
 
-void persist_bounds(support::StateArchive& ar,
-                    std::vector<std::uint32_t>& bounds) {
-  ar.sequence(bounds,
-              [](support::StateArchive& a, std::uint32_t& b) { a.u32(b); });
+void persist_m(support::StateArchive& ar, std::vector<std::uint32_t>& m) {
+  ar.sequence(m, [](support::StateArchive& a, std::uint32_t& v) { a.u32(v); });
 }
 
 }  // namespace
@@ -450,6 +449,17 @@ void Engine::quiesce() {
 
 std::vector<std::uint8_t> Engine::snapshot_state() {
   DF_CHECK(started_ && !finished_, "snapshot_state outside start()/finish()");
+  std::uint64_t completed = 0;
+  {
+    // Besides reading the phase, this lock hold orders the lock-free module
+    // reads below after the transition that retired the last started phase.
+    conc::MutexLock lock(mutex_);
+    DF_CHECK(scheduler_.all_started_phases_complete(),
+             "snapshot_state with phases in flight (", scheduler_.pmax(),
+             " started, ", scheduler_.completed_through(),
+             " complete); call quiesce() first");
+    completed = scheduler_.completed_through();
+  }
   auto ar = support::StateArchive::saver();
   std::uint32_t magic = kEngineImageMagic;
   std::uint32_t version = kEngineImageVersion;
@@ -459,18 +469,12 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
   std::uint32_t end = block_end_;
   ar.u32(begin);
   ar.u32(end);
-  std::vector<std::uint32_t> units = unit_bounds_;
-  persist_bounds(ar, units);
-  std::vector<std::uint8_t> sched;
-  {
-    conc::MutexLock lock(mutex_);
-    sched = scheduler_.snapshot_state();
-  }
-  ar.sequence(sched,
-              [](support::StateArchive& a, std::uint8_t& b) { a.u8(b); });
-  // Module/rng/latest state for every owned vertex, by global index. Read
-  // without locks: the quiescent-point precondition guarantees no worker is
-  // executing (an issued-but-unfinished pair would keep its phase active).
+  std::vector<std::uint32_t> m = instance_.m();
+  persist_m(ar, m);
+  ar.u64(completed);
+  // Module/rng/latest state for every owned vertex, by global index. No
+  // worker is executing: an issued-but-unfinished pair would keep its phase
+  // active.
   for (std::uint32_t v = begin; v <= end; ++v) {
     VertexRuntime& rt = instance_.runtime(v);
     rt.rng.persist(ar);
@@ -495,27 +499,24 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
   ar.u32(version);
   DF_CHECK(version == kEngineImageVersion,
            "engine checkpoint: unsupported version ", version);
-  // Geometry first, before any state changes: the scheduler image indexes
-  // units, so an image taken under another plan (another thread count or
-  // window) cannot be restored here.
+  // Identity first, before any state changes: the block range and the
+  // program's m-vector. Nothing in the image depends on the unit plan, so
+  // any thread count or window restores it.
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
   ar.u32(begin);
   ar.u32(end);
   DF_CHECK(begin == offset_ + 1 && end == block_end_,
            "engine checkpoint: block range mismatch");
-  std::vector<std::uint32_t> units;
-  persist_bounds(ar, units);
-  DF_CHECK(units == unit_bounds_, "engine checkpoint: unit plan mismatch (",
-           "image has ", units.size() - 1, " units, this engine ",
-           unit_bounds_.size() - 1,
-           "); restore with the threads and window the image was taken at");
-  std::vector<std::uint8_t> sched;
-  ar.sequence(sched,
-              [](support::StateArchive& a, std::uint8_t& b) { a.u8(b); });
+  std::vector<std::uint32_t> m;
+  persist_m(ar, m);
+  DF_CHECK(m == instance_.m(),
+           "engine checkpoint: m-vector mismatch (image of another program)");
+  std::uint64_t completed = 0;
+  ar.u64(completed);
   {
     conc::MutexLock lock(mutex_);
-    scheduler_.restore_state(sched);
+    scheduler_.resume_after(completed);
   }
   for (std::uint32_t v = begin; v <= end; ++v) {
     VertexRuntime& rt = instance_.runtime(v);

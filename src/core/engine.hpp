@@ -196,22 +196,25 @@ class Engine final : public Executor {
   /// needs no help from the caller). The engine stays running; this is the
   /// quiescent point snapshots are taken at.
   void quiesce();
-  /// Serializes the block's full execution state into a self-validating
-  /// "DFEG" image: the block range and unit plan, the scheduler image
-  /// (nested "DFSC" blob), and, for every owned vertex, the module state
-  /// (Module::persist_state), the rng stream, and the latest-value cache.
-  /// Call only at a quiescent point (after quiesce(), with no concurrent
-  /// start_phase) — module state is read without locks on the guarantee
-  /// that no worker is executing.
+  /// Serializes the block's execution state into a self-validating "DFEG"
+  /// image: the block range, the program's m-vector, the completed phase,
+  /// and, for every owned vertex, the rng stream, the latest-value cache
+  /// and the module state (Module::persist_state). With every started
+  /// phase retired the scheduler holds nothing but that phase number
+  /// (DESIGN.md, "Checkpoint images"). Call only at a quiescent point
+  /// (after quiesce(), with no concurrent start_phase): a phase still in
+  /// flight throws support::check_error. Module state is read without
+  /// locks after the check's lock hold, on the guarantee that no worker is
+  /// executing.
   std::vector<std::uint8_t> snapshot_state();
-  /// Rebuilds state from a snapshot_state image. Must be called after
-  /// start() (reserve_steady_state precedes the first phase) and before any
-  /// start_phase on this engine. Magic, version, checksum, block range,
-  /// unit plan, and scheduler geometry are all validated; the range and
-  /// plan are checked before any state changes (an image taken at another
-  /// thread count or window may carry another plan). Failure throws
-  /// support::check_error and leaves the engine unusable — discard it and
-  /// retry with an older image.
+  /// Rebuilds state from a snapshot_state image; the next start_phase
+  /// opens the phase after the image's. Must be called after start()
+  /// (reserve_steady_state precedes the first phase) and before any
+  /// start_phase on this engine. Magic, version, checksum, block range and
+  /// m-vector are validated, the range and m-vector before any state
+  /// changes. The image holds no unit state, so any thread count or window
+  /// restores it. Failure throws support::check_error and leaves the
+  /// engine unusable — discard it and retry with an older image.
   void restore_state(const std::vector<std::uint8_t>& image);
 
   const SinkStore& sinks() const override { return sinks_; }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "core/checkpoint.hpp"
 #include "support/check.hpp"
-#include "support/state_archive.hpp"
 
 namespace df::core {
 
@@ -96,6 +94,13 @@ void Scheduler::reserve_steady_state(std::size_t max_inflight_phases,
       (n_ + 1) * std::max<std::size_t>(1, max_inflight_phases),
       (n_ + 1) + 65536));
   pool_.prewarm(live_bundles, bundle_capacity);
+}
+
+void Scheduler::resume_after(event::PhaseId p) {
+  DF_CHECK(ring_count_ == 0 && pmax_ == 0,
+           "resume_after must precede the first start_phase");
+  pmax_ = p;
+  completed_through_ = p;
 }
 
 std::uint32_t Scheduler::x(event::PhaseId p) const {
@@ -432,170 +437,6 @@ Scheduler::Snapshot Scheduler::snapshot() const {
   std::sort(snap.full.begin(), snap.full.end(), by_phase_vertex);
   std::sort(snap.ready.begin(), snap.ready.end(), by_phase_vertex);
   return snap;
-}
-
-namespace {
-
-constexpr std::uint32_t kSchedulerImageMagic = 0x44465343u;  // "DFSC"
-constexpr std::uint32_t kSchedulerImageVersion = 1;
-
-std::uint32_t popcount_words(const std::vector<std::uint64_t>& bits) {
-  std::uint32_t total = 0;
-  for (std::uint64_t word : bits) {
-    total += static_cast<std::uint32_t>(std::popcount(word));
-  }
-  return total;
-}
-
-/// Vertex indices are 1..n: bit 0 and the tail bits above n stay clear.
-bool bits_in_range(const std::vector<std::uint64_t>& bits, std::uint32_t n) {
-  const std::uint32_t used = (n + 1) & 63;
-  const std::uint64_t above = used == 0 ? 0 : ~std::uint64_t{0} << used;
-  return (bits.front() & 1u) == 0 && (bits.back() & above) == 0;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> Scheduler::snapshot_state() {
-  auto ar = support::StateArchive::saver();
-  std::uint32_t magic = kSchedulerImageMagic;
-  std::uint32_t version = kSchedulerImageVersion;
-  ar.u32(magic);
-  ar.u32(version);
-  ar.sequence(m_, [](support::StateArchive& a, std::uint32_t& v) { a.u32(v); });
-  ar.u32(signal_sources_);
-  ar.u64(pmax_);
-  ar.u64(completed_through_);
-  std::uint64_t active = ring_count_;
-  ar.u64(active);
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    PhaseSlot& slot = slot_at(i);
-    ar.u64(slot.id);
-    ar.u32(slot.x);
-    ar.u32(slot.pending_count);
-    ar.u32(slot.partial_count);
-    ar.u32(slot.promoted_bound);
-    for (std::uint32_t w = 0; w < words_; ++w) ar.u64(slot.pending_bits[w]);
-    for (std::uint32_t w = 0; w < words_; ++w) ar.u64(slot.partial_bits[w]);
-    std::uint32_t live = 0;
-    for (std::uint32_t v = 1; v <= n_; ++v) {
-      if (slot.bundle[v] != kNoBundle) ++live;
-    }
-    ar.u32(live);
-    for (std::uint32_t v = 1; v <= n_; ++v) {
-      if (slot.bundle[v] == kNoBundle) continue;
-      std::uint32_t vertex = v;
-      ar.u32(vertex);
-      persist_bundle(ar, pool_.at(slot.bundle[v]));
-    }
-  }
-  for (std::uint32_t v = 1; v <= n_; ++v) {
-    VertexState& vs = vertices_[v];
-    std::uint64_t queued = vs.full_phases.size() - vs.full_head;
-    ar.u64(queued);
-    for (std::size_t i = vs.full_head; i < vs.full_phases.size(); ++i) {
-      ar.u64(vs.full_phases[i]);
-    }
-    ar.boolean(vs.in_ready);
-    ar.u64(vs.ready_phase);
-  }
-  return seal_image(std::move(ar).take());
-}
-
-void Scheduler::restore_state(const std::vector<std::uint8_t>& image) {
-  DF_CHECK(ring_count_ == 0 && pmax_ == 0,
-           "restore_state must be called on a fresh scheduler");
-  auto ar = support::StateArchive::loader(open_image(image, "scheduler"));
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  ar.u32(magic);
-  DF_CHECK(magic == kSchedulerImageMagic,
-           "scheduler checkpoint: bad magic (not a DFSC image)");
-  ar.u32(version);
-  DF_CHECK(version == kSchedulerImageVersion,
-           "scheduler checkpoint: unsupported version ", version);
-  std::vector<std::uint32_t> m;
-  ar.sequence(m, [](support::StateArchive& a, std::uint32_t& v) { a.u32(v); });
-  DF_CHECK(m == m_,
-           "scheduler checkpoint: m-vector mismatch (different program "
-           "or block)");
-  std::uint32_t sources = 0;
-  ar.u32(sources);
-  DF_CHECK(sources == signal_sources_,
-           "scheduler checkpoint: signal-source prefix mismatch");
-  ar.u64(pmax_);
-  ar.u64(completed_through_);
-  std::uint64_t active = 0;
-  ar.u64(active);
-  DF_CHECK(completed_through_ <= pmax_ &&
-               active == pmax_ - completed_through_,
-           "scheduler checkpoint: inconsistent phase window");
-  for (std::uint64_t i = 0; i < active; ++i) {
-    const event::PhaseId expected = completed_through_ + 1 + i;
-    PhaseSlot& slot = push_phase(expected);
-    std::uint64_t id = 0;
-    ar.u64(id);
-    DF_CHECK(id == expected, "scheduler checkpoint: phase ids not contiguous");
-    ar.u32(slot.x);
-    ar.u32(slot.pending_count);
-    ar.u32(slot.partial_count);
-    ar.u32(slot.promoted_bound);
-    for (std::uint32_t w = 0; w < words_; ++w) ar.u64(slot.pending_bits[w]);
-    for (std::uint32_t w = 0; w < words_; ++w) ar.u64(slot.partial_bits[w]);
-    DF_CHECK(slot.x <= n_ && slot.promoted_bound <= n_,
-             "scheduler checkpoint: cursor out of range");
-    DF_CHECK(popcount_words(slot.pending_bits) == slot.pending_count &&
-                 popcount_words(slot.partial_bits) == slot.partial_count,
-             "scheduler checkpoint: set counts disagree with bitsets");
-    DF_CHECK(bits_in_range(slot.pending_bits, n_) &&
-                 bits_in_range(slot.partial_bits, n_),
-             "scheduler checkpoint: set bit outside vertex range");
-    // min_pending_word restarts at 0: the hint must only under-approximate
-    // the true minimum word, and 0 always does.
-    slot.min_pending_word = 0;
-    // The frontier pass stops at the first slot whose x it leaves
-    // unchanged, trusting every later slot to already satisfy
-    // x_i = min(min pending_i - 1, x_{i-1}); an image that breaks the
-    // recurrence would silently freeze those frontiers, so reject it.
-    const std::uint32_t frontier =
-        slot.pending_count == 0 ? n_ : min_pending(slot) - 1;
-    const std::uint32_t previous = i == 0 ? n_ : slot_at(i - 1).x;
-    DF_CHECK(slot.x == std::min(frontier, previous),
-             "scheduler checkpoint: phase ", expected,
-             " breaks the frontier recurrence");
-    std::uint32_t live = 0;
-    ar.u32(live);
-    for (std::uint32_t b = 0; b < live; ++b) {
-      std::uint32_t vertex = 0;
-      ar.u32(vertex);
-      DF_CHECK(vertex >= 1 && vertex <= n_ &&
-                   slot.bundle[vertex] == kNoBundle,
-               "scheduler checkpoint: bad live-bundle vertex");
-      DF_CHECK(bit_test(slot.pending_bits, vertex),
-               "scheduler checkpoint: live bundle for a non-pending vertex");
-      event::InputBundle bundle;
-      persist_bundle(ar, bundle);
-      slot.bundle[vertex] = pool_.adopt(std::move(bundle));
-    }
-  }
-  for (std::uint32_t v = 1; v <= n_; ++v) {
-    VertexState& vs = vertices_[v];
-    ar.sequence(vs.full_phases,
-                [](support::StateArchive& a, event::PhaseId& p) { a.u64(p); });
-    vs.full_head = 0;
-    for (std::size_t i = 0; i < vs.full_phases.size(); ++i) {
-      const event::PhaseId p = vs.full_phases[i];
-      DF_CHECK(p > completed_through_ && p <= pmax_ &&
-                   (i == 0 || vs.full_phases[i - 1] < p),
-               "scheduler checkpoint: full-phase FIFO out of range");
-    }
-    ar.boolean(vs.in_ready);
-    ar.u64(vs.ready_phase);
-    DF_CHECK(!vs.in_ready || (vs.ready_phase > completed_through_ &&
-                              vs.ready_phase <= pmax_),
-             "scheduler checkpoint: issued pair out of the active window");
-  }
-  ar.finish();
 }
 
 }  // namespace df::core

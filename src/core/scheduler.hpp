@@ -193,22 +193,13 @@ class Scheduler {
 
   Snapshot snapshot() const;
 
-  /// Serializes the complete scheduler state — active-phase ring, pending/
-  /// partial bitsets, cursors, per-vertex full-phase FIFOs and issued marks,
-  /// and every live (partial or full-but-unissued) input bundle — into a
-  /// self-validating image ("DFSC" magic, version, FNV-1a trailer; see
-  /// core/checkpoint.hpp). Issued-but-unfinished pairs are recorded by
-  /// membership only: their sealed bundles travel with the caller's
-  /// ReadyPairs, which the caller must re-present after restore.
-  std::vector<std::uint8_t> snapshot_state();
-
-  /// Rebuilds the state from a snapshot_state image. Must be called on a
-  /// fresh scheduler (no phase started) constructed with the same m-vector
-  /// and signal-source prefix; both are validated against the image, as are
-  /// the magic, version, checksum, and internal set counts. Any failure
-  /// throws support::check_error and leaves the scheduler unspecified —
-  /// discard it and fall back to an older image.
-  void restore_state(const std::vector<std::uint8_t>& image);
+  /// Resumes a checkpointed run: phases 1..p count as started and retired,
+  /// so the next start_phase opens p + 1. A retired phase leaves nothing in
+  /// partial, full, ready or pending, so at a boundary where every started
+  /// phase has retired this one number is the whole scheduling state (the
+  /// engine checkpoints only there; DESIGN.md, "Checkpoint images"). Only a
+  /// fresh scheduler (no phase started) accepts it.
+  void resume_after(event::PhaseId p);
 
  private:
   // BundlePool, VertexSchedState, the bundle-table sentinel and the bitset
@@ -287,8 +278,8 @@ class Scheduler {
   /// those are the phases whose pending bits the transition may have
   /// changed. Past `newest` the walk stops at the first slot whose x did
   /// not change — that slot's pending set is untouched and so is its
-  /// predecessor's x, and every restored or previously walked slot already
-  /// satisfies the recurrence, so no later x can change either. The cost
+  /// predecessor's x, and every previously walked slot already satisfies
+  /// the recurrence, so no later x can change either. The cost
   /// is O(phases whose frontier moved), not O(window).
   std::size_t update_x_from(event::PhaseId from, event::PhaseId newest);
 

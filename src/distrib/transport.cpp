@@ -945,6 +945,13 @@ void TransportEngine::engine_main(EngineState& state,
       machine.advance(EngineEvent::kRestore);
       if (have_checkpoint) {
         engine->restore_state(last_good.engine_image);
+        // The commit record and the image both carry the phase; resuming
+        // from a phase other than the image's would re-execute the wrong
+        // phases against restored module state.
+        DF_CHECK(engine->completed_phases() == last_good.phase,
+                 "partition ", state.block, ": checkpoint image resumes "
+                 "after phase ", engine->completed_phases(),
+                 " but its commit record says ", last_good.phase);
       }
       machine.advance(EngineEvent::kStart);
     } else {

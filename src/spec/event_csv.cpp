@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/strings.hpp"
@@ -45,20 +46,23 @@ std::vector<event::TimestampedEvent> parse_event_csv(const std::string& text,
   std::string line;
   std::size_t line_number = 0;
   event::Timestamp previous = std::numeric_limits<event::Timestamp>::min();
+  bool first_row = true;
   while (std::getline(lines, line)) {
     ++line_number;
     const auto trimmed = support::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') {
       continue;
     }
+    const bool header_allowed = std::exchange(first_row, false);
     const auto fields = support::split(trimmed, ',');
     DF_CHECK(fields.size() == 5, "line ", line_number,
              ": expected 5 fields, got ", fields.size());
     const auto timestamp = support::parse_int(support::trim(fields[0]));
     if (!timestamp.has_value()) {
-      // Non-numeric first field: treat the row as the header.
-      DF_CHECK(line_number == 1 || events.empty(),
-               "line ", line_number, ": bad timestamp '", fields[0], "'");
+      // Non-numeric first field: the header, which only the first row that
+      // is neither blank nor a comment may be.
+      DF_CHECK(header_allowed, "line ", line_number, ": bad timestamp '",
+               fields[0], "'");
       continue;
     }
     DF_CHECK(*timestamp >= previous, "line ", line_number,

@@ -2,7 +2,8 @@
 // them into phases — the ingestion path a downstream user needs to run the
 // correlator over real data instead of simulated sources.
 //
-// Format (header optional, detected by a non-numeric first field):
+// Format (header optional, detected by a non-numeric first field, and
+// only on the first row that is neither blank nor a '#' comment):
 //
 //   timestamp,vertex,port,type,value
 //   100,flood_gauge,0,double,0.52

@@ -45,7 +45,6 @@ class StateArchive {
   bool loading() const { return !saving_; }
 
   void u8(std::uint8_t& v) { fixed(v); }
-  void u16(std::uint16_t& v) { fixed(v); }
   void u32(std::uint32_t& v) { fixed(v); }
   void u64(std::uint64_t& v) { fixed(v); }
   void i64(std::int64_t& v) {

@@ -1,45 +1,35 @@
 // Checkpoint round-trip tests in isolation (no transport, no crash
 // machinery) — the state-capture half of crash-restart recovery
-// (DESIGN.md, "Crash-restart recovery").
+// (DESIGN.md, "Crash-restart recovery"). An engine image holds the
+// completed phase and per-vertex state, nothing of the scheduler's sets
+// or the unit plan (DESIGN.md, "Checkpoint images").
 //
-// Layer 1 — scheduler twin differential (mirror of
-// test_scheduler_differential.cpp): a flat scheduler is driven through
-// random phase/execution interleavings; at a random mid-run transition its
-// snapshot_state image is restored into a fresh scheduler, and from then
-// on both run in lockstep over identical inputs. After *every* subsequent
-// transition the two must produce identical Snapshots and issue identical
-// ready batches with identical sealed bundles. Issued-but-unfinished pairs
-// at the checkpoint exercise the membership-only contract: the driver
-// keeps their bundles and re-presents them to both schedulers.
-//
-// Layer 2 — engine round-trip over the random Δ-program corpus: run K
+// Layer 1 — engine round-trip over the random Δ-program corpus: run K
 // phases, quiesce, snapshot; restore into a fresh engine and run the
 // remaining phases. The checkpoint's sink prefix plus the resumed run's
 // sink suffix must be byte-identical to an uninterrupted twin (module
-// state, rng streams, and the latest-value cache all resume exactly). A
-// seeded external -> zscore -> threshold -> majority graph covers the
-// stateful detector and gate modules the corpus does not build.
+// state, rng streams, and the latest-value cache all resume exactly), also
+// when the restoring engine runs another thread count, window, and hence
+// unit plan. A seeded external -> zscore -> threshold -> majority graph
+// covers the stateful detector and gate modules the corpus does not build.
 //
-// Layer 3 — image rejection (same strictness discipline as
-// test_wire.cpp): truncated, bit-flipped, wrong-version, wrong-magic,
-// wrong-geometry images, and slots whose x breaks the frontier recurrence
-// must fail restore_state with a loud
-// support::check_error (no UB under ASan/UBSan), and recovery must be able
-// to fall back to the previous intact checkpoint.
+// Layer 2 — image rejection (same strictness discipline as
+// test_wire.cpp): truncated, bit-flipped, wrong-version, wrong-magic, and
+// other-program images must fail restore_state with a loud
+// support::check_error (no UB under ASan/UBSan), a snapshot with a phase
+// in flight must throw, and recovery must be able to fall back to the
+// previous intact checkpoint.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
-#include "core/scheduler.hpp"
 #include "core/sink_store.hpp"
-#include "graph/generators.hpp"
-#include "graph/numbering.hpp"
 #include "model/detectors.hpp"
 #include "model/logic.hpp"
 #include "model/sources.hpp"
@@ -52,159 +42,16 @@
 namespace df::core {
 namespace {
 
-using graph::Dag;
-using graph::Numbering;
-
-std::vector<std::vector<std::uint32_t>> internal_successors(
-    const Dag& dag, const Numbering& numbering) {
-  std::vector<std::vector<std::uint32_t>> succs(dag.vertex_count() + 1);
-  for (const graph::Edge& e : dag.edges()) {
-    succs[numbering.index_of[e.from]].push_back(numbering.index_of[e.to]);
-  }
-  return succs;
-}
-
-// --- layer 1: scheduler snapshot -> restore -> lockstep twin ----------------
-
-class SchedulerCheckpointResume
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SchedulerCheckpointResume, RestoredTwinMatchesAfterEveryTransition) {
-  const std::uint64_t seed = GetParam();
-  support::Rng rng(seed);
-
-  const Dag dag = graph::random_dag(
-      5 + static_cast<std::uint32_t>(seed % 27), 0.3, rng);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  const auto succs = internal_successors(dag, numbering);
-
-  Scheduler live(numbering.m);
-  std::optional<Scheduler> resumed;  // engaged once the checkpoint is taken
-
-  struct Issued {
-    std::uint32_t vertex;
-    event::PhaseId phase;
-    event::InputBundle bundle;
-  };
-  std::vector<Issued> issued;
-  const event::PhaseId total_phases = 12;
-  event::PhaseId started = 0;
-  std::size_t transitions = 0;
-  // The workload performs at least total_phases * (n + 1) transitions, so
-  // this trigger always fires mid-run, usually with pairs issued (the
-  // membership-only part of the image).
-  const std::size_t checkpoint_at = 3 + rng.next_below(25);
-
-  std::vector<Scheduler::ReadyPair> live_ready;
-  std::vector<Scheduler::ReadyPair> twin_ready;
-
-  // After the live transition (and its twin copy, once engaged): compare
-  // ready batches, keep the live bundles for later finishes, and diff the
-  // full set snapshots.
-  const auto absorb = [&] {
-    if (resumed.has_value()) {
-      ASSERT_EQ(live_ready.size(), twin_ready.size());
-      for (std::size_t i = 0; i < live_ready.size(); ++i) {
-        EXPECT_EQ(live_ready[i].vertex, twin_ready[i].vertex);
-        EXPECT_EQ(live_ready[i].phase, twin_ready[i].phase);
-        EXPECT_EQ(live_ready[i].bundle, twin_ready[i].bundle)
-            << "bundle mismatch at vertex " << live_ready[i].vertex;
-      }
-      EXPECT_EQ(live.snapshot(), resumed->snapshot())
-          << "snapshot divergence after restore (seed " << seed << ")";
-    }
-    for (auto& pair : live_ready) {
-      issued.push_back(Issued{pair.vertex, pair.phase,
-                              std::move(pair.bundle)});
-    }
-    live_ready.clear();
-    twin_ready.clear();
-  };
-
-  while (started < total_phases || !issued.empty()) {
-    const bool start_now = started < total_phases &&
-                           (issued.empty() || rng.next_bernoulli(0.35));
-    if (start_now) {
-      ++started;
-      std::vector<event::InputBundle> bundles(numbering.m[0]);
-      std::vector<event::InputBundle> bundles_copy(numbering.m[0]);
-      for (std::uint32_t s = 0; s < numbering.m[0]; ++s) {
-        if (rng.next_bernoulli(0.5)) {
-          const double payload = rng.next_normal();
-          bundles[s].push_back(event::Message{0, event::Value(payload)});
-          bundles_copy[s].push_back(event::Message{0, event::Value(payload)});
-        }
-      }
-      live.start_phase(started, std::span<event::InputBundle>(bundles),
-                       live_ready);
-      if (resumed.has_value()) {
-        resumed->start_phase(started,
-                             std::span<event::InputBundle>(bundles_copy),
-                             twin_ready);
-      }
-    } else {
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.next_below(issued.size()));
-      Issued pair = std::move(issued[pick]);
-      issued.erase(issued.begin() + static_cast<std::ptrdiff_t>(pick));
-
-      std::vector<Scheduler::Delivery> deliveries;
-      std::vector<Scheduler::Delivery> deliveries_copy;
-      for (const std::uint32_t w : succs[pair.vertex]) {
-        if (rng.next_bernoulli(0.6)) {
-          const double payload = rng.next_normal();
-          deliveries.push_back(Scheduler::Delivery{w, 0,
-                                                   event::Value(payload)});
-          deliveries_copy.push_back(
-              Scheduler::Delivery{w, 0, event::Value(payload)});
-        }
-      }
-      event::InputBundle bundle_copy = pair.bundle;  // twin recycles its own
-      live.finish_execution(pair.vertex, pair.phase,
-                            std::span<Scheduler::Delivery>(deliveries),
-                            std::move(pair.bundle), live_ready);
-      if (resumed.has_value()) {
-        resumed->finish_execution(
-            pair.vertex, pair.phase,
-            std::span<Scheduler::Delivery>(deliveries_copy),
-            std::move(bundle_copy), twin_ready);
-      }
-    }
-    absorb();
-
-    ++transitions;
-    if (!resumed.has_value() && transitions >= checkpoint_at) {
-      // Checkpoint: serialize the live scheduler mid-run and rebuild a
-      // twin from the image. Issued pairs stay with the driver (`issued`)
-      // — both schedulers now expect the same finish_execution calls.
-      const std::vector<std::uint8_t> image = live.snapshot_state();
-      resumed.emplace(numbering.m);
-      resumed->restore_state(image);
-      EXPECT_EQ(live.snapshot(), resumed->snapshot())
-          << "snapshot divergence immediately after restore (seed " << seed
-          << ", " << issued.size() << " pairs issued)";
-    }
-  }
-
-  ASSERT_TRUE(resumed.has_value()) << "checkpoint trigger never fired";
-  EXPECT_TRUE(live.all_started_phases_complete());
-  EXPECT_TRUE(resumed->all_started_phases_complete());
-  EXPECT_EQ(live.completed_through(), total_phases);
-  EXPECT_EQ(resumed->completed_through(), total_phases);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerCheckpointResume,
-                         ::testing::Range<std::uint64_t>(0, 20));
-
-// --- layer 2: engine snapshot -> restore -> resume --------------------------
+// --- layer 1: engine snapshot -> restore -> resume --------------------------
 
 const std::vector<event::ExternalEvent> kNoEvents;
 
 /// Runs `phases` phases straight through on one engine, and again as a
-/// checkpoint after `checkpoint_phase` restored into a second engine; the
-/// two sink streams must be byte-identical.
+/// checkpoint after `checkpoint_phase` restored into a second engine built
+/// with `restore_options`; the two sink streams must be byte-identical.
 void expect_resume_matches_twin(const Program& program,
                                 const EngineOptions& options,
+                                const EngineOptions& restore_options,
                                 event::PhaseId phases,
                                 event::PhaseId checkpoint_phase,
                                 const std::string& where) {
@@ -234,9 +81,10 @@ void expect_resume_matches_twin(const Program& program,
     combined.record_batch(first.sinks().canonical());
   }
   {
-    Engine second(program, options);
+    Engine second(program, restore_options);
     second.start();
     second.restore_state(image);
+    EXPECT_EQ(second.completed_phases(), checkpoint_phase) << where;
     for (event::PhaseId p = checkpoint_phase + 1; p <= phases; ++p) {
       second.start_phase(kNoEvents);
     }
@@ -257,7 +105,8 @@ TEST_P(EngineCheckpointResume, ResumedRunMatchesUninterruptedTwin) {
   const std::uint64_t seed = GetParam();
   EngineOptions options;
   options.threads = 2;
-  expect_resume_matches_twin(testutil::random_program(seed), options, 24, 10,
+  expect_resume_matches_twin(testutil::random_program(seed), options,
+                             options, 24, 10,
                              "seed " + std::to_string(seed));
 }
 
@@ -265,8 +114,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineCheckpointResume,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 // The same round trip on 40-vertex programs, where every plan has
-// multi-member units (DESIGN.md, "Unit scheduling"): the image carries the
-// unit plan and the scheduler state indexes units.
+// multi-member units (DESIGN.md, "Unit scheduling"). The image holds no
+// unit state, so it also resumes under the other thread count's plan.
 class EngineCheckpointResumeUnits
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -280,14 +129,49 @@ TEST_P(EngineCheckpointResumeUnits, ResumedRunMatchesUninterruptedTwin) {
       Engine probe(program, options);
       EXPECT_EQ(probe.stats().units, 2 * threads) << "not two units per worker";
     }
-    expect_resume_matches_twin(program, options, 32, 13,
-                               "seed " + std::to_string(seed) + " threads " +
-                                   std::to_string(threads));
+    for (const std::size_t restore_threads :
+         {std::size_t{1}, std::size_t{3}}) {
+      EngineOptions restore_options;
+      restore_options.threads = restore_threads;
+      expect_resume_matches_twin(
+          program, options, restore_options, 32, 13,
+          "seed " + std::to_string(seed) + " threads " +
+              std::to_string(threads) + " -> " +
+              std::to_string(restore_threads));
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineCheckpointResumeUnits,
                          ::testing::Range<std::uint64_t>(0, 6));
+
+// An image taken at 2 threads (4 units) resumes at 1 thread (2 units), at
+// 4 threads (8 units), and at 4 threads under a window of 2, narrower than
+// the unit count, where every vertex is its own unit.
+TEST(EngineCheckpointCrossPlan, TwoThreadImageResumesAtOneAndFourThreads) {
+  const Program program = testutil::random_program(3, 40);
+  EngineOptions options;
+  options.threads = 2;
+  struct Restore {
+    std::size_t threads;
+    std::size_t window;
+    std::uint64_t units;
+  };
+  for (const Restore restore : {Restore{1, 64, 2}, Restore{4, 64, 8},
+                                Restore{4, 2, 40}}) {
+    EngineOptions restore_options;
+    restore_options.threads = restore.threads;
+    restore_options.max_inflight_phases = restore.window;
+    {
+      Engine probe(program, restore_options);
+      EXPECT_EQ(probe.stats().units, restore.units);
+    }
+    expect_resume_matches_twin(
+        program, options, restore_options, 32, 13,
+        "restored at threads " + std::to_string(restore.threads) +
+            ", window " + std::to_string(restore.window));
+  }
+}
 
 // Stateful detectors and gates (zscore history, threshold level, majority's
 // last output) must resume exactly: the random corpus above never builds
@@ -374,7 +258,7 @@ TEST(DetectorCheckpointResume, StatefulModulesMatchUninterruptedTwin) {
   EXPECT_GE(late_votes, 4U) << "the vote never changed after the checkpoint";
 }
 
-// --- layer 3: image rejection ------------------------------------------------
+// --- layer 2: image rejection ------------------------------------------------
 
 /// Runs `k` phases on a fresh engine and returns its sealed checkpoint
 /// image (and, optionally, the canonical sink prefix at the checkpoint).
@@ -456,32 +340,39 @@ TEST(CheckpointImageRejection, WrongVersionAndMagicFailAfterReseal) {
 }
 
 TEST(CheckpointImageRejection, VersionOneImageIsRejected) {
-  // Version 1 images predate the unit plan; a checksum-valid one must be
-  // refused, not parsed with the plan missing.
+  // Version 1 images predate the unit plan and version 2 images nest a
+  // scheduler image; a checksum-valid one of either must be refused, not
+  // parsed as version 3.
   const Program program = testutil::random_program(1);
-  std::vector<std::uint8_t> body =
+  const std::vector<std::uint8_t> body =
       open_image(image_after(program, 6), "engine");
-  ASSERT_EQ(body[4], 2U) << "engine image version moved; update this test";
-  body[4] = 1;
-  expect_restore_rejects(program, seal_image(std::move(body)),
-                         "version-1 image");
+  ASSERT_EQ(body[4], 3U) << "engine image version moved; update this test";
+  for (const std::uint8_t old_version : {1, 2}) {
+    std::vector<std::uint8_t> old = body;
+    old[4] = old_version;
+    expect_restore_rejects(program, seal_image(std::move(old)),
+                           old_version == 1 ? "version-1 image"
+                                            : "version-2 image");
+  }
 }
 
-TEST(CheckpointImageRejection, ImageFromAnotherUnitPlanIsRejected) {
-  // Taken at 2 threads (4 units), restored at 4 (8 units): the scheduler
-  // state indexes units, so the plan must match — and the check runs
-  // before any state changes, naming the plan.
+TEST(CheckpointImageRejection, ImageFromAnotherProgramIsRejected) {
+  // Same vertex count, so the block range matches; the program's m-vector
+  // tells them apart, and the check runs before any state changes.
   const Program program = testutil::random_program(3, 40);
-  const std::vector<std::uint8_t> image = image_after(program, 6);
+  const Program other = testutil::random_program(4, 40);
+  ASSERT_EQ(program.numbering.m.size(), other.numbering.m.size());
+  ASSERT_NE(program.numbering.m, other.numbering.m);
+  const std::vector<std::uint8_t> image = image_after(other, 6);
   EngineOptions options;
-  options.threads = 4;
+  options.threads = 2;
   Engine engine(program, options);
   engine.start();
   try {
     engine.restore_state(image);
-    ADD_FAILURE() << "a 2-thread image restored into a 4-thread engine";
+    ADD_FAILURE() << "another program's image restored";
   } catch (const support::check_error& error) {
-    EXPECT_NE(std::string(error.what()).find("unit plan"), std::string::npos)
+    EXPECT_NE(std::string(error.what()).find("m-vector"), std::string::npos)
         << error.what();
   }
   // Nothing was restored: the engine still runs from phase 1.
@@ -490,121 +381,29 @@ TEST(CheckpointImageRejection, ImageFromAnotherUnitPlanIsRejected) {
   EXPECT_EQ(engine.completed_phases(), 1U);
 }
 
-TEST(CheckpointImageRejection, SchedulerImageGeometryAndCorruption) {
-  support::Rng rng(7);
-  const Dag dag = graph::random_dag(10, 0.3, rng);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-
-  Scheduler scheduler(numbering.m);
-  std::vector<event::InputBundle> bundles(numbering.m[0]);
-  std::vector<Scheduler::ReadyPair> ready;
-  scheduler.start_phase(1, std::span<event::InputBundle>(bundles), ready);
-  const std::vector<std::uint8_t> image = scheduler.snapshot_state();
-
-  std::vector<std::uint8_t> torn = image;
-  torn.resize(image.size() / 2);
-  {
-    Scheduler fresh(numbering.m);
-    EXPECT_THROW(fresh.restore_state(torn), support::check_error);
-  }
-  std::vector<std::uint8_t> flipped = image;
-  flipped[image.size() / 2] ^= 0x01;
-  {
-    Scheduler fresh(numbering.m);
-    EXPECT_THROW(fresh.restore_state(flipped), support::check_error);
-  }
-  {
-    // Intact image into a scheduler with different geometry: the m-vector
-    // validation must reject it before any state is interpreted.
-    std::vector<std::uint32_t> other_m = numbering.m;
-    other_m.push_back(other_m.back() + 1);
-    Scheduler fresh(other_m);
-    EXPECT_THROW(fresh.restore_state(image), support::check_error);
-  }
-}
-
-TEST(CheckpointImageRejection, SlotBreakingFrontierRecurrenceIsRejected) {
-  // The frontier pass stops at the first slot whose x it leaves unchanged,
-  // so it trusts every restored slot to satisfy x_i = min(min pending_i - 1,
-  // x_{i-1}). A checksum-valid image whose slot x breaks that must fail.
-  // Chain 1 -> 2 -> 3 -> 4 with two phases active: phase 1 has x = 1
-  // (vertex 2 issued) and phase 2 has x = 0 (vertex 1 issued). Neither slot
-  // holds a live bundle, so both records have a fixed size.
-  const Dag dag = graph::chain(4);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  Scheduler scheduler(numbering.m);
-  std::vector<event::InputBundle> bundles(1);
-  std::vector<Scheduler::ReadyPair> ready;
-  scheduler.start_phase(1, std::span<event::InputBundle>(bundles), ready);
-  ASSERT_EQ(ready.size(), 1U);
-  std::vector<Scheduler::Delivery> to_two{
-      Scheduler::Delivery{2, 0, event::Value(1.0)}};
-  const Scheduler::ReadyPair first = std::move(ready.front());
-  ready.clear();
-  scheduler.finish_execution(first.vertex, first.phase,
-                             std::span<Scheduler::Delivery>(to_two), {},
-                             ready);
-  bundles.assign(1, event::InputBundle{});
-  scheduler.start_phase(2, std::span<event::InputBundle>(bundles), ready);
-  ASSERT_EQ(scheduler.x(1), 1U);
-  ASSERT_EQ(scheduler.x(2), 0U);
-  const std::vector<std::uint8_t> body =
-      open_image(scheduler.snapshot_state(), "scheduler");
-
-  // Body layout: magic, version (u32 each), m-vector (u64 length + u32
-  // per entry), signal sources (u32), pmax, completed, active (u64 each),
-  // then per slot: id (u64), x, pending/partial counts, promoted bound
-  // (u32 each), pending and partial bitsets (u64 per word), live-bundle
-  // count (u32).
-  const std::size_t words = (numbering.m.size() + 63) / 64;
-  const std::size_t slot0_x = 4 + 4 + 8 + 4 * numbering.m.size() + 4 + 24 + 8;
-  const std::size_t slot_bytes = 8 + 4 * 4 + 2 * 8 * words + 4;
-  const std::size_t slot1_x = slot0_x + slot_bytes;
-  const auto read_u32 = [&](std::size_t at) {
-    return static_cast<std::uint32_t>(body[at]) |
-           static_cast<std::uint32_t>(body[at + 1]) << 8 |
-           static_cast<std::uint32_t>(body[at + 2]) << 16 |
-           static_cast<std::uint32_t>(body[at + 3]) << 24;
-  };
-  ASSERT_EQ(read_u32(slot0_x), 1U) << "layout drifted: slot 0 x";
-  ASSERT_EQ(read_u32(slot1_x), 0U) << "layout drifted: slot 1 x";
-  const auto with_x = [&](std::size_t at, std::uint32_t x) {
-    std::vector<std::uint8_t> patched = body;
-    for (std::size_t b = 0; b < 4; ++b) {
-      patched[at + b] = static_cast<std::uint8_t>(x >> (8 * b));
+TEST(CheckpointImageRejection, SnapshotWithPhasesInFlightIsRejected) {
+  // The image records only the completed phase, so a snapshot is defined
+  // only where every started phase has retired. The one vertex holds
+  // phase 1 in flight until the gate opens.
+  std::atomic<bool> gate{false};
+  spec::GraphBuilder b;
+  b.add_lambda("held", [&gate](model::PhaseContext& ctx) {
+    while (!gate.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
     }
-    return seal_image(std::move(patched));
-  };
-  {
-    Scheduler fresh(numbering.m);
-    fresh.restore_state(with_x(slot0_x, 1));  // the untouched value
-    EXPECT_EQ(fresh.snapshot(), scheduler.snapshot());
-  }
-  {
-    // Oldest slot below its own frontier (min pending 2, so x must be 1).
-    Scheduler fresh(numbering.m);
-    EXPECT_THROW(fresh.restore_state(with_x(slot0_x, 0)),
-                 support::check_error);
-  }
-  {
-    // Later slot past its frontier and its predecessor's x.
-    Scheduler fresh(numbering.m);
-    EXPECT_THROW(fresh.restore_state(with_x(slot1_x, 1)),
-                 support::check_error);
-  }
-  // The recurrence reads min pending, so pending bits must name vertices
-  // 1..n: a bit at index 0 or above n (count kept consistent) is rejected.
-  const std::size_t slot0_pending_count = slot0_x + 4;
-  const std::size_t slot0_pending_bits = slot0_x + 16;
-  for (const std::uint32_t stray : {0U, 5U}) {
-    std::vector<std::uint8_t> patched = body;
-    patched[slot0_pending_bits] |= static_cast<std::uint8_t>(1U << stray);
-    ++patched[slot0_pending_count];
-    Scheduler fresh(numbering.m);
-    EXPECT_THROW(fresh.restore_state(seal_image(std::move(patched))),
-                 support::check_error)
-        << "pending bit " << stray;
-  }
+    ctx.emit(0, event::Value(1.0));
+  });
+  const Program program = std::move(b).build(17);
+  EngineOptions options;
+  options.threads = 2;
+  Engine engine(program, options);
+  engine.start();
+  engine.start_phase(kNoEvents);
+  EXPECT_THROW(engine.snapshot_state(), support::check_error);
+  gate.store(true, std::memory_order_release);
+  engine.finish();
+  EXPECT_EQ(engine.completed_phases(), 1U);
+  EXPECT_EQ(engine.sinks().size(), 1U);
 }
 
 TEST(CheckpointImageRejection, FallsBackToPreviousIntactCheckpoint) {

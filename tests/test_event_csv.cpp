@@ -56,6 +56,16 @@ TEST(EventCsv, RejectsBadRows) {
   EXPECT_THROW(
       parse_event_csv("10,flood,0,double,1\n5,flood,0,double,1\n", dag),
       support::check_error);  // decreasing timestamps
+  EXPECT_THROW(parse_event_csv("timestamp,vertex,port,type,value\n"
+                               "1O,flood,0,double,1.5\n"
+                               "20,flood,0,double,2.5\n",
+                               dag),
+               support::check_error);  // typo'd timestamp after the header
+  EXPECT_THROW(parse_event_csv("timestamp,vertex,port,type,value\n"
+                               "timestamp,vertex,port,type,value\n"
+                               "20,flood,0,double,2.5\n",
+                               dag),
+               support::check_error);  // second header row
 }
 
 TEST(EventCsv, AssembleBatchesGroupsEqualTimestamps) {
