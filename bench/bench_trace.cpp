@@ -1,14 +1,18 @@
 // F3 — Figure 3 reproduction: step-by-step set membership.
 //
-// Runs the paper's 6-vertex example graph for two phases with a single
-// computation thread and one scripted output pattern, printing the
-// partial/full/ready membership after every transition in the style of
-// Figure 3 (legend:  v  in no set,  <v>  partial only,  (v)  full only,
-// [v]  full and ready).
+// Replays the paper's 6-vertex example graph for two phases on one
+// scheduler (trace::trace_schedule: both phases start up front, and a
+// finished pair's last readied successor runs next, as on a one-worker
+// engine whose environment runs ahead) with one scripted output pattern,
+// printing the partial/full/ready membership after every transition in the
+// style of Figure 3 (legend:  v  in no set,  <v>  partial only,  (v)  full
+// only,  [v]  full and ready). The replay is deterministic, so every run
+// prints the same trace. Exits 1 if the replay finished a different number
+// of pairs than the sequential reference executed.
 #include <cstdio>
 
+#include "baseline/sequential.hpp"
 #include "bench_json.hpp"
-#include "core/engine.hpp"
 #include "graph/dot.hpp"
 #include "graph/generators.hpp"
 #include "model/sources.hpp"
@@ -52,29 +56,32 @@ int main(int argc, char** argv) {
   }
   const core::Program program = std::move(b).build(1);
 
-  trace::Tracer tracer;
-  core::EngineOptions options;
-  options.threads = 1;  // deterministic single-worker interleaving
-  options.observer = &tracer;
-  core::Engine engine(program, options);
-  engine.run(2, nullptr);
-
+  const std::vector<trace::Step> steps = trace::trace_schedule(program, 2);
+  std::uint64_t finished = 0;
   int step = 0;
-  for (const auto& s : tracer.steps()) {
-    std::printf("step %d: %s\n", ++step,
-                trace::Tracer::render_step(s, 6).c_str());
+  for (const trace::Step& s : steps) {
+    std::printf("step %d: %s\n", ++step, trace::render_step(s, 6).c_str());
+    finished += s.transition == trace::Transition::kPairFinished ? 1 : 0;
   }
+  baseline::SequentialExecutor sequential(program);
+  sequential.run(2, nullptr);
+  const core::ExecStats stats = sequential.stats();
   std::printf("executed pairs: %llu, messages: %llu, phases: %llu\n",
-              static_cast<unsigned long long>(engine.stats().executed_pairs),
-              static_cast<unsigned long long>(
-                  engine.stats().messages_delivered),
-              static_cast<unsigned long long>(
-                  engine.stats().phases_completed));
+              static_cast<unsigned long long>(stats.executed_pairs),
+              static_cast<unsigned long long>(stats.messages_delivered),
+              static_cast<unsigned long long>(stats.phases_completed));
   bench::JsonLine("trace", "figure3")
       .config("phases", std::uint64_t{2})
-      .metric("steps", static_cast<std::uint64_t>(tracer.steps().size()))
-      .metric("executed_pairs", engine.stats().executed_pairs)
-      .metric("messages", engine.stats().messages_delivered)
+      .metric("steps", static_cast<std::uint64_t>(steps.size()))
+      .metric("executed_pairs", stats.executed_pairs)
+      .metric("messages", stats.messages_delivered)
       .emit();
+  if (finished != stats.executed_pairs) {
+    std::fprintf(stderr,
+                 "replay finished %llu pairs, sequential executed %llu\n",
+                 static_cast<unsigned long long>(finished),
+                 static_cast<unsigned long long>(stats.executed_pairs));
+    return 1;
+  }
   return 0;
 }

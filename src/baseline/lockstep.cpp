@@ -113,7 +113,6 @@ void LockstepExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
   stats_.compute_ns = compute_ns.load();
   stats_.wall_seconds = wall.elapsed_s();
   stats_.max_inflight_phases = 1;
-  stats_.mean_inflight_phases = 1.0;
 }
 
 }  // namespace df::baseline

@@ -65,7 +65,6 @@ void SequentialExecutor::run(event::PhaseId num_phases,
   }
   stats_.wall_seconds = wall.elapsed_s();
   stats_.max_inflight_phases = 1;
-  stats_.mean_inflight_phases = 1.0;
 }
 
 }  // namespace df::baseline

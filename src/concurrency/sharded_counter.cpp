@@ -1,22 +1,10 @@
 #include "concurrency/sharded_counter.hpp"
 
-#include <chrono>
 #include <functional>
 
 #include "support/check.hpp"
 
 namespace df::conc {
-
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 ShardedCounter::ShardedCounter(std::size_t shards)
     : shards_(std::make_unique<Shard[]>(shards)), shard_count_(shards) {
@@ -45,10 +33,5 @@ void ShardedCounter::reset() {
     shards_[i].count.store(0, std::memory_order_relaxed);
   }
 }
-
-ScopedNanoTimer::ScopedNanoTimer(ShardedCounter& sink)
-    : sink_(sink), start_ns_(now_ns()) {}
-
-ScopedNanoTimer::~ScopedNanoTimer() { sink_.add(now_ns() - start_ns_); }
 
 }  // namespace df::conc

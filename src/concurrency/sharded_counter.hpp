@@ -37,20 +37,4 @@ class ShardedCounter {
   std::size_t shard_index() const;
 };
 
-/// RAII accumulator of nanoseconds into a ShardedCounter-backed total; used
-/// to split worker time into "computation" vs "bookkeeping" (paper section 4
-/// predicts near-linear speedup only when computation dominates).
-class ScopedNanoTimer {
- public:
-  explicit ScopedNanoTimer(ShardedCounter& sink);
-  ~ScopedNanoTimer();
-
-  ScopedNanoTimer(const ScopedNanoTimer&) = delete;
-  ScopedNanoTimer& operator=(const ScopedNanoTimer&) = delete;
-
- private:
-  ShardedCounter& sink_;
-  std::uint64_t start_ns_;
-};
-
 }  // namespace df::conc

@@ -1,9 +1,8 @@
 // Single-producer single-consumer lock-free ring buffer.
 //
-// Used by the tracer (each worker thread records scheduler events into its
-// own ring; the report aggregator drains them) and by the engine's staged
-// delivery rings (each worker stages finished-pair records; the current
-// drainer applies them in batches — see DESIGN.md).
+// Used by the engine's staged delivery rings (each worker stages
+// finished-pair records; the current drainer applies them in batches — see
+// DESIGN.md).
 //
 // "Single consumer" means *one consumer at a time*, not one consumer
 // thread forever: the consumer role may migrate between threads provided

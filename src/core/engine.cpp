@@ -35,18 +35,16 @@ void split_units(std::uint32_t lo, std::uint32_t hi, std::uint64_t count,
 std::vector<std::uint32_t> plan_units(std::uint32_t vertices,
                                       std::uint32_t signal_sources,
                                       std::size_t threads,
-                                      std::size_t max_inflight_phases,
-                                      bool observed) {
+                                      std::size_t max_inflight_phases) {
   DF_CHECK(signal_sources <= vertices, "signal sources (", signal_sources,
            ") exceed the scheduled vertices (", vertices, ")");
   std::vector<std::uint32_t> bounds{0};
   const std::uint64_t units = 2 * static_cast<std::uint64_t>(threads);
   // Units pipeline across phases and give up intra-phase width, so a
-  // window narrower than U cannot keep the workers busy; an observer needs
-  // vertex-level transitions; and below two members per unit there is
-  // nothing to amortize.
+  // window narrower than U cannot keep the workers busy; and below two
+  // members per unit there is nothing to amortize.
   const bool coarsen =
-      units > 0 && !observed && vertices >= 2 * units &&
+      units > 0 && vertices >= 2 * units &&
       (max_inflight_phases == 0 || max_inflight_phases >= units);
   if (!coarsen) {
     bounds.reserve(vertices + 1);
@@ -109,8 +107,7 @@ Engine::BlockPlan Engine::plan_scope(const Program& program,
   plan.offset = begin - 1;
   plan.block_end = end;
   plan.units = plan_units(end - plan.offset, plan.signal_sources,
-                          options.threads, options.max_inflight_phases,
-                          options.observer != nullptr);
+                          options.threads, options.max_inflight_phases);
   plan.m = graph::block_local_m(program.dag, program.numbering, begin, end,
                                 plan.units);
   // The plan splits at S, so the units ending at or before it cover
@@ -197,9 +194,8 @@ void Engine::start() {
         std::min<std::size_t>(2 * scheduler_.n(), 65536));
   }
   // Staging pays off by amortizing lock traffic across workers; with a
-  // single worker there is nothing to contend with, and a per-transition
-  // observer needs the per-pair path for its snapshots.
-  use_staging_ = options_.threads > 1 && options_.observer == nullptr;
+  // single worker there is nothing to contend with.
+  use_staging_ = options_.threads > 1;
   // One pair per worker under every plan: a coarsened phase stages only
   // about two units per worker, so a target of two per worker would hold
   // every unit's successors back for a whole phase, and per-vertex plans
@@ -371,11 +367,6 @@ void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
     retired = note_retirement(completed_before);
     max_inflight_ = std::max<std::uint64_t>(max_inflight_,
                                             scheduler_.active_phase_count());
-    if (options_.observer != nullptr) {
-      options_.observer->on_transition(
-          SchedulerObserver::Transition::kPhaseStarted, 0, p,
-          scheduler_.snapshot());
-    }
   }
   retire(env_ready_, retired);
 }
@@ -611,17 +602,6 @@ Engine::Retirement Engine::apply_finish_locked(
       staged.vertex, staged.phase,
       std::span<Scheduler::Delivery>(staged.deliveries),
       std::move(staged.recycled), ready);
-  if (options_.sample_inflight) {
-    const std::uint64_t active = scheduler_.active_phase_count();
-    inflight_.add(active);
-    inflight_sum_ += active;
-    ++inflight_samples_;
-  }
-  if (options_.observer != nullptr) {
-    options_.observer->on_transition(
-        SchedulerObserver::Transition::kPairFinished, staged.vertex,
-        staged.phase, scheduler_.snapshot());
-  }
   return note_retirement(completed_before);
 }
 
@@ -648,16 +628,6 @@ std::size_t Engine::drain_staged() {
     const event::PhaseId completed_before = scheduler_.completed_through();
     scheduler_.finish_execution_batch(
         std::span<Scheduler::StagedFinish>(drain_batch_), drain_ready_);
-    if (options_.sample_inflight) {
-      // One sample per drained pair, all taken at the post-batch state:
-      // keeps the Figure 1 histogram weighted per completion.
-      const std::uint64_t active = scheduler_.active_phase_count();
-      for (std::size_t i = 0; i < drain_batch_.size(); ++i) {
-        inflight_.add(active);
-        inflight_sum_ += active;
-      }
-      inflight_samples_ += drain_batch_.size();
-    }
     retired = note_retirement(completed_before);
   }
   const std::size_t drained = drain_batch_.size();
@@ -929,11 +899,6 @@ ExecStats Engine::stats() const {
     stats.progress_wakeups = progress_wakeups_;
     stats.phases_completed = scheduler_.completed_through();
     stats.max_inflight_phases = max_inflight_;
-    stats.mean_inflight_phases =
-        inflight_samples_ == 0
-            ? 0.0
-            : static_cast<double>(inflight_sum_) /
-                  static_cast<double>(inflight_samples_);
   }
   return stats;
 }

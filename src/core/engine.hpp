@@ -33,8 +33,8 @@
 //     flag) applies whole batches with a single frontier/promotion/collect
 //     pass, shrinking both the number of lock acquisitions and the work
 //     done per acquisition (DESIGN.md, "Staged delivery rings"). A single
-//     worker, a per-transition observer, and a full staging ring use the
-//     Listing 1 per-pair apply instead; the engine picks it on its own;
+//     worker and a full staging ring use the Listing 1 per-pair apply
+//     instead; the engine picks it on its own;
 //   * worker-local next pair: on the per-pair path a worker keeps one of
 //     the pairs its own finish readied and runs it next, handing only the
 //     rest to the run queue. This is the single-worker fast path every
@@ -46,10 +46,10 @@
 //     a unit's members for one phase in numbering order under the
 //     sequential executor's Δ rule (DESIGN.md, "Unit scheduling"). Members
 //     of a multi-member unit learn their inputs from run headers inside the
-//     unit's bundle. Where coarsening cannot pay — an observer is
-//     installed, the graph is too small for the pool, or the phase window
-//     is narrower than the unit count — every vertex is its own unit and
-//     the engine schedules exactly as the listings do.
+//     unit's bundle. Where coarsening cannot pay — the graph is too small
+//     for the pool, or the phase window is narrower than the unit count —
+//     every vertex is its own unit and the engine schedules exactly as the
+//     listings do.
 #pragma once
 
 #include <atomic>
@@ -66,11 +66,9 @@
 #include "concurrency/sharded_counter.hpp"
 #include "concurrency/spsc_ring.hpp"
 #include "core/executor.hpp"
-#include "core/observer.hpp"
 #include "core/program.hpp"
 #include "core/scheduler.hpp"
 #include "core/sink_store.hpp"
-#include "support/histogram.hpp"
 
 namespace df::core {
 
@@ -81,11 +79,6 @@ struct EngineOptions {
   std::size_t threads = 2;
   /// Maximum phases in flight before start_phase blocks; 0 = unbounded.
   std::size_t max_inflight_phases = 64;
-  /// Optional set-membership observer (tracing); see core/observer.hpp.
-  SchedulerObserver* observer = nullptr;
-  /// When true, records a histogram of in-flight phase counts sampled at
-  /// every pair completion (the Figure 1 pipelining measurement).
-  bool sample_inflight = false;
   /// Per-worker staging-ring capacity; rounded up to a power of two. A
   /// full ring never blocks a worker — it falls back to applying that pair
   /// directly under the lock.
@@ -123,7 +116,7 @@ struct EngineOptions {
     std::function<void(Delivery&&, event::PhaseId)> egress;
     SinkStore* sinks = nullptr;
   };
-  std::optional<BlockScope> block;
+  std::optional<BlockScope> block{};
 
   /// Fired (outside every engine lock, possibly concurrently from several
   /// worker threads and the environment thread) each time
@@ -132,7 +125,7 @@ struct EngineOptions {
   /// monotonicity (e.g. the transport's watermark flush) must impose it
   /// themselves. The callback may block (it sends on channels); it must
   /// not call back into the engine.
-  std::function<void(event::PhaseId)> on_phase_complete;
+  std::function<void(event::PhaseId)> on_phase_complete{};
 };
 
 /// The engine's unit plan (DESIGN.md, "Unit scheduling"): cuts the
@@ -140,15 +133,14 @@ struct EngineOptions {
 /// block), whose first `signal_sources` are environment-signalled, into
 /// contiguous units. Returns local bounds {0, b_1, ..., vertices}; unit k
 /// covers (b_{k-1}, b_k]. With U = 2 * threads the engine coarsens only
-/// when no observer is installed, vertices >= 2U, and the phase window is
-/// unbounded (0) or at least U; the signal-source prefix and the rest are
-/// then split separately into count-balanced units. Otherwise every
-/// vertex is its own unit (the identity plan).
+/// when vertices >= 2U and the phase window is unbounded (0) or at least
+/// U; the signal-source prefix and the rest are then split separately into
+/// count-balanced units. Otherwise every vertex is its own unit (the
+/// identity plan).
 std::vector<std::uint32_t> plan_units(std::uint32_t vertices,
                                       std::uint32_t signal_sources,
                                       std::size_t threads,
-                                      std::size_t max_inflight_phases,
-                                      bool observed);
+                                      std::size_t max_inflight_phases);
 
 class Engine final : public Executor {
  public:
@@ -220,11 +212,6 @@ class Engine final : public Executor {
   const SinkStore& sinks() const override { return sinks_; }
   ExecStats stats() const override;
 
-  /// In-flight phase distribution (only populated with sample_inflight).
-  const support::CountHistogram& inflight_histogram() const {
-    return inflight_;
-  }
-
   const ProgramInstance& instance() const { return instance_; }
 
  private:
@@ -245,8 +232,8 @@ class Engine final : public Executor {
       DF_REQUIRES(mutex_);
   /// Applies one finished pair under the global lock and appends the pairs
   /// it readied to `ready` — the paper's Listing 1 tail. Used with a single
-  /// worker, with a per-transition observer, and when a staging ring is
-  /// full. Returns the transition's retirement for retire().
+  /// worker and when a staging ring is full. Returns the transition's
+  /// retirement for retire().
   Retirement apply_finish_locked(Scheduler::StagedFinish& staged,
                                  std::vector<Scheduler::ReadyPair>& ready);
   /// Staged path: drain whatever is visible in the staging rings whenever
@@ -438,11 +425,6 @@ class Engine final : public Executor {
   conc::ShardedCounter bookkeeping_ns_;
   conc::ShardedCounter hook_ns_;
   std::uint64_t max_inflight_ DF_GUARDED_BY(mutex_) = 0;
-  std::uint64_t inflight_samples_ DF_GUARDED_BY(mutex_) = 0;
-  std::uint64_t inflight_sum_ DF_GUARDED_BY(mutex_) = 0;
-  // Written under mutex_; inflight_histogram() hands out a const reference
-  // for post-run inspection, so this stays outside the static annotation.
-  support::CountHistogram inflight_{256};
   double wall_seconds_ = 0.0;
 };
 

@@ -93,7 +93,6 @@ struct ExecStats {
   /// executors without a hook.
   std::uint64_t hook_ns = 0;
   std::uint64_t max_inflight_phases = 0;
-  double mean_inflight_phases = 0.0;
   double wall_seconds = 0.0;
   // Wake cadence of the engine's waits (DESIGN.md, "Wake only when the
   // waiter can proceed"); 0 for executors without a phase window.

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "concurrency/annotations.hpp"
+#include "concurrency/blocking_queue.hpp"
 #include "core/engine.hpp"
 #include "distrib/protocol.hpp"
 #include "distrib/wire.hpp"
@@ -521,61 +522,11 @@ struct IngressItem {
   RawFrame frame;
 };
 
-/// Bounded MPSC queue between an engine's channel readers (one producer
-/// per ingress channel) and the engine thread. The bound is part of the
-/// backpressure story: readers stop pulling once the engine falls this far
-/// behind, which in turn fills the channel and blocks the sender.
-///
-/// Why readers exist at all (DESIGN.md, "Real transport"): an engine that
-/// blocked on *one* channel's recv while another ingress channel filled up
-/// could deadlock the ensemble (sender j stuck on a full j->k while k
-/// waits for a laggard j' whose progress transitively needs j). Readers
-/// guarantee every ingress channel keeps draining no matter which sender
-/// the engine is logically waiting for; the engine itself always consumes
-/// from this queue while waiting, so the queue never stays full while
-/// anyone needs it to move.
-class IngressQueue {
- public:
-  explicit IngressQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  void push(IngressItem item) {
-    conc::UniqueLock lock(mutex_);
-    // Explicit predicate loops (not the lambda-predicate overload): the
-    // predicates read items_, which is guarded, and the analysis cannot
-    // see through a lambda's closure.
-    while (items_.size() >= capacity_) {
-      not_full_.wait(lock);
-    }
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-  }
-
-  IngressItem pop() {
-    conc::UniqueLock lock(mutex_);
-    while (items_.empty()) {
-      not_empty_.wait(lock);
-    }
-    IngressItem item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
- private:
-  const std::size_t capacity_;
-  conc::Mutex mutex_;
-  conc::CondVar not_full_;
-  conc::CondVar not_empty_;
-  std::deque<IngressItem> items_ DF_GUARDED_BY(mutex_);
-};
-
 /// Engine-side reassembly state for one ingress channel: restores the
 /// exact send order from sequence numbers, parking early arrivals in a
 /// reorder buffer and dropping duplicates — the exactly-once, in-order
 /// ingestion layer that makes fault-injected channels survivable. Fed by
-/// the engine thread only (frames arrive through the IngressQueue), so it
+/// the engine thread only (frames arrive through the ingress queue), so it
 /// needs no synchronization of its own.
 class IngressSequencer {
  public:
@@ -679,8 +630,8 @@ class IngressSequencer {
 /// dies here, off the engine's critical path, without allocating), and
 /// hand the raw bytes to the engine through the bounded queue. Always ends
 /// by pushing the channel's closed marker.
-void reader_main(Channel* channel, std::size_t src, IngressQueue& queue,
-                 BufferPool& pool) {
+void reader_main(Channel* channel, std::size_t src,
+                 conc::BlockingQueue<IngressItem>& queue, BufferPool& pool) {
   std::exception_ptr error;
   try {
     for (;;) {
@@ -769,7 +720,20 @@ struct TransportEngine::EngineState {
   std::uint32_t end = 0;
   std::vector<Channel*> ingress_channels;
   std::vector<IngressSequencer> sequencers;
-  std::unique_ptr<IngressQueue> queue;
+  /// One producer per ingress channel. The bound is part of the
+  /// backpressure story: readers stop pulling once the engine falls this
+  /// far behind, which in turn fills the channel and blocks the sender.
+  ///
+  /// Why readers exist at all (DESIGN.md, "Real transport"): an engine
+  /// that blocked on *one* channel's recv while another ingress channel
+  /// filled up could deadlock the ensemble (sender j stuck on a full
+  /// j->k while k waits for a laggard j' whose progress transitively
+  /// needs j). Readers guarantee every ingress channel keeps draining no
+  /// matter which sender the engine is logically waiting for; the engine
+  /// itself always consumes from this queue while waiting, so the queue
+  /// never stays full while anyone needs it to move. It is never closed:
+  /// every reader ends by pushing its channel's closed marker.
+  std::unique_ptr<conc::BlockingQueue<IngressItem>> queue;
   BufferPool pool;  // recycles frame buffers engine -> readers
   std::vector<Channel*> egress_channels;  // to blocks block+1.., ascending
   /// The block's egress hub, built in run() (before any engine thread
@@ -876,7 +840,7 @@ void TransportEngine::engine_main(EngineState& state,
   // sequencer, or marks the channel closed (rethrowing the reader's error,
   // e.g. a rejected frame — a root-cause protocol failure).
   const auto ingest_one = [&state, &open_channels] {
-    IngressItem item = state.queue->pop();
+    IngressItem item = *state.queue->pop();
     if (item.closed) {
       --open_channels;
       state.sequencers[item.src].mark_closed();
@@ -1149,7 +1113,7 @@ void TransportEngine::engine_main(EngineState& state,
       //    dead engine's unconsumed backlog is lost with it) and absorbing
       //    reader errors (the death itself is not an error).
       while (open_channels > 0) {
-        IngressItem item = state.queue->pop();
+        IngressItem item = *state.queue->pop();
         if (item.closed) {
           --open_channels;
         } else {
@@ -1279,7 +1243,7 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
     states[k].begin = partitioning_.bounds[k] + 1;
     states[k].end = partitioning_.bounds[k + 1];
     states[k].events.resize(num_phases);
-    states[k].queue = std::make_unique<IngressQueue>(
+    states[k].queue = std::make_unique<conc::BlockingQueue<IngressItem>>(
         std::max<std::size_t>(8, options_.channel_capacity));
   }
 
@@ -1421,7 +1385,6 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
     }
   }
   stats_.wall_seconds = wall.elapsed_s();
-  stats_.mean_inflight_phases = 0.0;
   if (first_error) {
     std::rethrow_exception(first_error);
   }

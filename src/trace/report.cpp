@@ -29,10 +29,6 @@ std::string render_stats(const std::string& label,
   }
   if (stats.max_inflight_phases > 1) {
     out << "; max in-flight phases " << stats.max_inflight_phases;
-    if (stats.mean_inflight_phases > 0.0) {
-      out << " (mean " << support::Table::num(stats.mean_inflight_phases, 2)
-          << ")";
-    }
   }
   return out.str();
 }

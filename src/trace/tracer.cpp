@@ -1,38 +1,58 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
-#include <set>
+#include <deque>
+#include <iterator>
+#include <span>
 #include <sstream>
+
+#include "core/executor.hpp"
 
 namespace df::trace {
 
-Tracer::Tracer(std::size_t max_steps) : max_steps_(max_steps) {}
-
-void Tracer::on_transition(Transition transition, std::uint32_t vertex,
-                           event::PhaseId phase,
-                           const core::Scheduler::Snapshot& snapshot) {
-  conc::MutexLock lock(mutex_);
-  if (steps_.size() >= max_steps_) {
-    steps_.erase(steps_.begin());
-    ++dropped_;
+std::vector<Step> trace_schedule(const core::Program& program,
+                                 event::PhaseId phases) {
+  core::ProgramInstance instance(program);
+  core::Scheduler scheduler(instance.m());
+  std::vector<Step> steps;
+  std::vector<core::Scheduler::ReadyPair> ready;
+  // Issued pairs in run order: a finish puts the last pair it readied at
+  // the front and the rest at the back.
+  std::deque<core::Scheduler::ReadyPair> issued;
+  std::vector<event::InputBundle> bundles;
+  for (event::PhaseId p = 1; p <= phases; ++p) {
+    bundles.assign(instance.source_count(), {});
+    scheduler.start_phase(p, std::span<event::InputBundle>(bundles), ready);
+    steps.push_back(
+        Step{Transition::kPhaseStarted, 0, p, scheduler.snapshot()});
+    std::move(ready.begin(), ready.end(), std::back_inserter(issued));
+    ready.clear();
   }
-  steps_.push_back(Step{transition, vertex, phase, snapshot});
+  core::ExecutionResult result;
+  while (!issued.empty()) {
+    core::Scheduler::ReadyPair pair = std::move(issued.front());
+    issued.pop_front();
+    core::execute_vertex(instance, pair.vertex, pair.phase, pair.bundle,
+                         result);
+    scheduler.finish_execution(
+        pair.vertex, pair.phase,
+        std::span<core::Scheduler::Delivery>(result.deliveries),
+        std::move(pair.bundle), ready);
+    steps.push_back(Step{Transition::kPairFinished, pair.vertex, pair.phase,
+                         scheduler.snapshot()});
+    if (!ready.empty()) {
+      std::move(ready.begin(), ready.end() - 1, std::back_inserter(issued));
+      issued.push_front(std::move(ready.back()));
+      ready.clear();
+    }
+  }
+  return steps;
 }
 
-std::vector<Tracer::Step> Tracer::steps() const {
-  conc::MutexLock lock(mutex_);
-  return steps_;
-}
-
-std::size_t Tracer::step_count() const {
-  conc::MutexLock lock(mutex_);
-  return steps_.size();
-}
-
-std::string Tracer::render_step(const Step& step, std::uint32_t n) {
+std::string render_step(const Step& step, std::uint32_t n) {
   using Pair = core::Scheduler::Snapshot::Pair;
   std::ostringstream out;
-  if (step.transition == core::SchedulerObserver::Transition::kPhaseStarted) {
+  if (step.transition == Transition::kPhaseStarted) {
     out << "phase " << step.phase << " initiated\n";
   } else {
     out << "(" << step.vertex << ", " << step.phase << ") executed\n";

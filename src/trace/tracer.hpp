@@ -1,7 +1,8 @@
 // Set-membership tracing (the executable form of the paper's Figure 3).
 //
-// A Tracer observes every scheduler transition and stores bounded history of
-// snapshots. render_step() prints one step in the style of Figure 3: for
+// trace_schedule() replays a program on one core::Scheduler, single
+// threaded, and records the partial/full/ready membership after every
+// transition. render_step() prints one step in the style of Figure 3: for
 // each active phase, the vertices that are in no set, partial only, full
 // only, or full-and-ready — the paper's circles, diamonds, octagons and
 // squares.
@@ -11,39 +12,34 @@
 #include <string>
 #include <vector>
 
-#include "concurrency/annotations.hpp"
-#include "core/observer.hpp"
+#include "core/program.hpp"
+#include "core/scheduler.hpp"
+#include "event/phase.hpp"
 
 namespace df::trace {
 
-class Tracer final : public core::SchedulerObserver {
- public:
-  struct Step {
-    core::SchedulerObserver::Transition transition;
-    std::uint32_t vertex;  // 0 for phase starts
-    event::PhaseId phase;
-    core::Scheduler::Snapshot snapshot;
-  };
+enum class Transition { kPhaseStarted, kPairFinished };
 
-  /// Keeps at most `max_steps` steps (older steps are dropped).
-  explicit Tracer(std::size_t max_steps = 4096);
+struct Step {
+  Transition transition;
+  std::uint32_t vertex;  // internal index of the finished pair; 0 for starts
+  event::PhaseId phase;
+  core::Scheduler::Snapshot snapshot;  // the sets after the transition
 
-  void on_transition(Transition transition, std::uint32_t vertex,
-                     event::PhaseId phase,
-                     const core::Scheduler::Snapshot& snapshot) override;
-
-  std::vector<Step> steps() const;
-  std::size_t step_count() const;
-
-  /// Renders one step as text, naming vertices 1..n (internal indices).
-  /// `n` is the vertex count of the traced program.
-  static std::string render_step(const Step& step, std::uint32_t n);
-
- private:
-  mutable conc::Mutex mutex_;
-  std::size_t max_steps_;  // immutable after construction
-  std::vector<Step> steps_ DF_GUARDED_BY(mutex_);
-  std::size_t dropped_ DF_GUARDED_BY(mutex_) = 0;
+  friend bool operator==(const Step&, const Step&) = default;
 };
+
+/// Replays `program` for phases 1..phases with no external events and
+/// returns one step per transition. Every phase starts up front; then the
+/// issued pairs run one at a time with core::execute_vertex: the last pair
+/// a finish readied runs next, and the others wait in FIFO order. That is
+/// the order a one-worker engine follows when its environment runs ahead,
+/// so the trace is deterministic and shows phases overlapping.
+std::vector<Step> trace_schedule(const core::Program& program,
+                                 event::PhaseId phases);
+
+/// Renders one step as text, naming vertices 1..n (internal indices).
+/// `n` is the vertex count of the traced program.
+std::string render_step(const Step& step, std::uint32_t n);
 
 }  // namespace df::trace

@@ -15,7 +15,6 @@
 #include "concurrency/spsc_ring.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "support/check.hpp"
-#include "support/stopwatch.hpp"
 
 namespace df::conc {
 namespace {
@@ -386,15 +385,6 @@ TEST(ShardedCounter, SumsAcrossThreads) {
   EXPECT_EQ(counter.value(), 80000U);
   counter.reset();
   EXPECT_EQ(counter.value(), 0U);
-}
-
-TEST(ScopedNanoTimer, AccumulatesElapsedTime) {
-  ShardedCounter sink;
-  {
-    ScopedNanoTimer timer(sink);
-    support::spin_for_ns(1'000'000);
-  }
-  EXPECT_GE(sink.value(), 1'000'000U);
 }
 
 }  // namespace

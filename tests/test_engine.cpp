@@ -90,7 +90,6 @@ TEST(Engine, UnboundedWindowPipelinesDeeply) {
   EngineOptions options;
   options.threads = 1;
   options.max_inflight_phases = 0;  // unbounded
-  options.sample_inflight = true;
   Engine engine(program, options);
   engine.run(100, nullptr);
   EXPECT_EQ(engine.stats().phases_completed, 100U);

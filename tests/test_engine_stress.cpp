@@ -1,7 +1,8 @@
 // Long-run stress and cross-configuration equivalence for the engine:
 // beyond matching the sequential reference, every engine configuration
-// (thread count x in-flight window x apply path) must produce *identical*
-// sink streams, since the computation is deterministic and serializable.
+// (thread count x in-flight window x staging-ring capacity) must produce
+// *identical* sink streams, since the computation is deterministic and
+// serializable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,34 +53,11 @@ Program stress_program(std::uint64_t seed) {
   return std::move(b).build(seed);
 }
 
-/// An observer that only counts transitions. Installing any observer makes
-/// the engine apply every finished pair under the lock one at a time (the
-/// per-pair path), whatever the thread count.
-class CountingObserver final : public SchedulerObserver {
- public:
-  void on_transition(Transition, std::uint32_t, event::PhaseId,
-                     const Scheduler::Snapshot&) override {
-    ++transitions;
-  }
-  std::uint64_t transitions = 0;
-};
-
-/// The three ways finished pairs reach the scheduler with several workers:
-/// batched drains of the staging rings, the per-pair path an observer
-/// forces, and staging rings so small that most pairs overflow to the
-/// per-pair fallback.
-enum class ApplyPath { kStaged, kPerPair, kTinyRing };
-constexpr ApplyPath kApplyPaths[] = {ApplyPath::kStaged, ApplyPath::kPerPair,
-                                     ApplyPath::kTinyRing};
-
-void select_apply_path(ApplyPath path, EngineOptions& options,
-                       CountingObserver& observer) {
-  if (path == ApplyPath::kPerPair) {
-    options.observer = &observer;
-  } else if (path == ApplyPath::kTinyRing) {
-    options.staging_ring_capacity = 2;
-  }
-}
+/// Staging-ring capacities that select how finished pairs reach the
+/// scheduler with several workers: the default, where batched drains apply
+/// them, and rings so small that most pairs overflow to the per-pair
+/// fallback. One worker takes the per-pair path under either.
+constexpr std::size_t kRingCapacities[] = {256, 2};
 
 TEST(EngineStress, LongRunManyThreadsMatchesReference) {
   const Program program = stress_program(1);
@@ -97,12 +75,11 @@ TEST(EngineStress, AllConfigurationsProduceIdenticalSinks) {
   std::vector<std::vector<SinkRecord>> outputs;
   for (const std::size_t threads : {1UL, 2UL, 5UL}) {
     for (const std::size_t window : {1UL, 3UL, 0UL /*unbounded*/}) {
-      for (const ApplyPath path : kApplyPaths) {
+      for (const std::size_t ring : kRingCapacities) {
         EngineOptions options;
         options.threads = threads;
         options.max_inflight_phases = window;
-        CountingObserver observer;
-        select_apply_path(path, options, observer);
+        options.staging_ring_capacity = ring;
         Engine engine(program, options);
         engine.run(800, nullptr);
         outputs.push_back(engine.sinks().canonical());
@@ -139,7 +116,7 @@ TEST(EngineStress, TinyStagingRingFallbackMatchesReference) {
 // sitting in the delivery rings. Loop many configurations, over the stress
 // workload and the randomized corpus, so destruction lands at many
 // different points of the pipeline under every apply path (threads = 1
-// also takes the per-pair path).
+// takes the per-pair path).
 TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
   for (const Program& program : {stress_program(4),
                                  testutil::random_program(27)}) {
@@ -147,8 +124,7 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
       EngineOptions options;
       options.threads = 1 + iter % 5;
       options.max_inflight_phases = 1 + iter % 9;
-      CountingObserver observer;
-      select_apply_path(kApplyPaths[iter % 3], options, observer);
+      options.staging_ring_capacity = kRingCapacities[iter % 2];
       Engine engine(program, options);
       engine.start();
       const int phases = iter % 8;
@@ -164,27 +140,22 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
 // instead of queueing it. An engine destroyed while workers hold such local
 // pairs must drop them like queued ones — never trip the "run queue closed
 // while work was outstanding" check, hang, or crash. Each configuration
-// below takes the per-pair path: a single worker, an observer, and a
-// staging ring small enough to overflow. Destruction waits until pairs are
-// flowing, so it lands mid-chain rather than before the first dequeue.
+// below takes the per-pair path: a single worker, and two and four workers
+// whose staging rings are small enough to overflow. Destruction waits
+// until pairs are flowing, so it lands mid-chain rather than before the
+// first dequeue.
 TEST(EngineStress, DestroyWhileWorkersHoldLocalPairs) {
   struct Config {
     std::size_t threads;
-    bool observe;
     std::size_t ring;
   };
   const Program program = stress_program(6);
-  for (const Config config : {Config{1, false, 256}, Config{2, true, 256},
-                              Config{2, false, 2}}) {
+  for (const Config config : {Config{1, 256}, Config{2, 2}, Config{4, 2}}) {
     for (int iter = 0; iter < 30; ++iter) {
       EngineOptions options;
       options.threads = config.threads;
       options.max_inflight_phases = 2 + static_cast<std::size_t>(iter) * 2;
       options.staging_ring_capacity = config.ring;
-      CountingObserver observer;
-      if (config.observe) {
-        options.observer = &observer;
-      }
       Engine engine(program, options);
       engine.start();
       const std::size_t phases = 8 + static_cast<std::size_t>(iter) % 16;
@@ -237,12 +208,11 @@ TEST(EngineStress, ProgressWaitersAcrossWindowsAndApplyPaths) {
   ASSERT_GT(expected.size(), 100U) << "stress workload was trivial";
   for (const std::size_t window : {1UL, 2UL, 15UL, 16UL, 17UL, 64UL}) {
     for (const std::size_t threads : {1UL, 3UL}) {
-      for (const ApplyPath path : kApplyPaths) {
+      for (const std::size_t ring : kRingCapacities) {
         EngineOptions options;
         options.threads = threads;
         options.max_inflight_phases = window;
-        CountingObserver observer;
-        select_apply_path(path, options, observer);
+        options.staging_ring_capacity = ring;
         std::atomic<std::uint64_t> hook_calls{0};
         options.on_phase_complete = [&hook_calls](event::PhaseId) {
           if (hook_calls.fetch_add(1) % 5 == 4) {
@@ -260,8 +230,7 @@ TEST(EngineStress, ProgressWaitersAcrossWindowsAndApplyPaths) {
         engine.finish();
         const std::string config =
             "window " + std::to_string(window) + ", threads " +
-            std::to_string(threads) + ", path " +
-            std::to_string(static_cast<int>(path));
+            std::to_string(threads) + ", ring " + std::to_string(ring);
         EXPECT_EQ(engine.sinks().canonical(), expected) << config;
         EXPECT_LE(engine.stats().max_inflight_phases, window) << config;
       }

@@ -1,95 +1,15 @@
-// Unit tests for histograms and the P² streaming quantile estimator.
+// Unit tests for the P² streaming quantile estimator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "support/check.hpp"
-#include "support/histogram.hpp"
 #include "support/quantile.hpp"
 #include "support/rng.hpp"
 
 namespace df::support {
 namespace {
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);
-  h.add(10.0);  // hi is exclusive -> overflow
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_EQ(h.bin(0), 1U);
-  EXPECT_EQ(h.bin(9), 1U);
-  EXPECT_EQ(h.underflow(), 1U);
-  EXPECT_EQ(h.overflow(), 1U);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.add(i + 0.5);
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, MergeAddsCounts) {
-  Histogram a(0.0, 10.0, 10);
-  Histogram b(0.0, 10.0, 10);
-  a.add(1.0);
-  b.add(1.0);
-  b.add(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3U);
-  EXPECT_EQ(a.bin(1), 2U);
-  Histogram incompatible(0.0, 5.0, 10);
-  EXPECT_THROW(a.merge(incompatible), check_error);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  const std::string text = h.render(10);
-  EXPECT_NE(text.find("2"), std::string::npos);
-}
-
-TEST(CountHistogram, DirectCounts) {
-  CountHistogram h(8);
-  h.add(0);
-  h.add(1);
-  h.add(1);
-  h.add(7);
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_EQ(h.max_seen(), 7U);
-  EXPECT_NEAR(h.mean(), 2.25, 1e-9);
-}
-
-TEST(CountHistogram, QuantileOnDirectRange) {
-  CountHistogram h(64);
-  for (std::uint64_t v = 0; v < 10; ++v) {
-    h.add(v);
-  }
-  EXPECT_EQ(h.quantile(0.1), 0U);
-  EXPECT_EQ(h.quantile(0.5), 4U);
-  EXPECT_EQ(h.quantile(1.0), 9U);
-}
-
-TEST(CountHistogram, LargeValuesGoToPow2Buckets) {
-  CountHistogram h(4);
-  h.add(1000);
-  EXPECT_EQ(h.total(), 1U);
-  EXPECT_EQ(h.max_seen(), 1000U);
-  EXPECT_GE(h.quantile(1.0), 512U);  // bucket [512, 1024)
-}
 
 TEST(P2Quantile, ExactForTinyStreams) {
   P2Quantile q(0.5);

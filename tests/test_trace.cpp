@@ -1,10 +1,14 @@
-// Tests for the tracer: Figure 3-style set-membership observation.
+// Tests for the tracer: Figure 3-style set-membership replay.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include <utility>
+#include <vector>
+
+#include "baseline/sequential.hpp"
 #include "graph/generators.hpp"
 #include "model/sources.hpp"
 #include "model/synthetic.hpp"
+#include "random_program.hpp"
 #include "spec/builder.hpp"
 #include "trace/tracer.hpp"
 
@@ -40,54 +44,44 @@ core::Program fig3_program() {
 }
 
 TEST(Tracer, RecordsEveryTransition) {
-  const core::Program program = fig3_program();
-  Tracer tracer;
-  core::EngineOptions options;
-  options.threads = 1;
-  options.observer = &tracer;
-  core::Engine engine(program, options);
-  engine.run(2, nullptr);
+  const core::Program program = testutil::random_program(7, 40);
+  const std::vector<Step> steps = trace_schedule(program, 6);
 
-  const auto steps = tracer.steps();
-  ASSERT_GT(steps.size(), 4U);
-  // First transition: phase 1 initiated.
-  EXPECT_EQ(steps[0].transition,
-            core::SchedulerObserver::Transition::kPhaseStarted);
+  // First transition: phase 1 initiated, its sources full and ready.
+  ASSERT_FALSE(steps.empty());
+  EXPECT_EQ(steps[0].transition, Transition::kPhaseStarted);
   EXPECT_EQ(steps[0].phase, 1U);
-  // Right after the start, both sources are full and ready.
-  EXPECT_EQ(steps[0].snapshot.ready.size(), 2U);
-  EXPECT_EQ(steps[0].snapshot.full.size(), 2U);
+  EXPECT_FALSE(steps[0].snapshot.ready.empty());
   EXPECT_TRUE(steps[0].snapshot.partial.empty());
-  // Engine transitions = phase starts + pair completions.
-  std::size_t finishes = 0;
-  for (const auto& step : steps) {
-    if (step.transition ==
-        core::SchedulerObserver::Transition::kPairFinished) {
-      ++finishes;
-    }
+  // Transitions = phase starts + pair completions, one pair per module
+  // call of the sequential reference.
+  std::size_t starts = 0;
+  for (const Step& step : steps) {
+    starts += step.transition == Transition::kPhaseStarted ? 1 : 0;
   }
-  EXPECT_EQ(finishes, engine.stats().executed_pairs);
+  baseline::SequentialExecutor sequential(program);
+  sequential.run(6, nullptr);
+  EXPECT_EQ(starts, 6U);
+  EXPECT_EQ(steps.size() - starts, sequential.stats().executed_pairs);
+  // Every phase retired: no active phase, nothing in any set.
+  const core::Scheduler::Snapshot& last = steps.back().snapshot;
+  EXPECT_TRUE(last.x.empty());
+  EXPECT_EQ(last.completed_through, 6U);
+  EXPECT_TRUE(last.partial.empty());
+  EXPECT_TRUE(last.full.empty());
 }
 
 TEST(Tracer, RenderShowsFigureLegend) {
-  const core::Program program = fig3_program();
-  Tracer tracer;
-  core::EngineOptions options;
-  options.threads = 1;
-  options.observer = &tracer;
-  core::Engine engine(program, options);
-  engine.run(1, nullptr);
-
-  const auto steps = tracer.steps();
+  const std::vector<Step> steps = trace_schedule(fig3_program(), 1);
   ASSERT_FALSE(steps.empty());
-  const std::string first = Tracer::render_step(steps[0], 6);
+  const std::string first = render_step(steps[0], 6);
   EXPECT_NE(first.find("phase 1 initiated"), std::string::npos);
   EXPECT_NE(first.find("[1]"), std::string::npos);  // source ready
   EXPECT_NE(first.find("[2]"), std::string::npos);
 
   bool saw_partial_marker = false;
-  for (const auto& step : steps) {
-    if (Tracer::render_step(step, 6).find('<') != std::string::npos) {
+  for (const Step& step : steps) {
+    if (render_step(step, 6).find('<') != std::string::npos) {
       saw_partial_marker = true;
     }
   }
@@ -95,17 +89,22 @@ TEST(Tracer, RenderShowsFigureLegend) {
       << "no pair was ever observed in the partial set";
 }
 
-TEST(Tracer, BoundedHistoryDropsOldest) {
-  Tracer tracer(/*max_steps=*/4);
-  core::Scheduler::Snapshot snapshot;
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    tracer.on_transition(core::SchedulerObserver::Transition::kPairFinished,
-                         i, 1, snapshot);
+// Figure 3's trace as a one-worker engine runs it when both phases start
+// before the first pair: phase 2's pairs run between phase 1's.
+TEST(Tracer, Figure3TraceIsPipelinedAndDeterministic) {
+  const core::Program program = fig3_program();
+  const std::vector<Step> steps = trace_schedule(program, 2);
+  using Named = std::pair<std::uint32_t, event::PhaseId>;
+  const std::vector<Named> expected = {
+      {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 1}, {4, 1}, {2, 2},
+      {4, 2}, {3, 1}, {6, 1}, {3, 2}, {6, 2}, {5, 1}, {5, 2}};
+  std::vector<Named> actual;
+  for (const Step& step : steps) {
+    EXPECT_EQ(step.transition == Transition::kPhaseStarted, step.vertex == 0);
+    actual.emplace_back(step.vertex, step.phase);
   }
-  const auto steps = tracer.steps();
-  ASSERT_EQ(steps.size(), 4U);
-  EXPECT_EQ(steps.front().vertex, 6U);  // oldest retained
-  EXPECT_EQ(steps.back().vertex, 9U);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(trace_schedule(program, 2), steps);
 }
 
 }  // namespace

@@ -146,8 +146,7 @@ TEST(UnitM, PlannedUnitVectorsAreSoundAndReleaseSourceUnitsAtZero) {
           trial == 0 ? n : begin + rng.next_below(n - begin + 1);
       const std::uint32_t sources = block_sources(numbering, begin, end);
       for (std::size_t threads = 1; threads <= 4; ++threads) {
-        const Bounds bounds =
-            plan_units(end - begin + 1, sources, threads, 64, false);
+        const Bounds bounds = plan_units(end - begin + 1, sources, threads, 64);
         coarse_plans += bounds.size() - 1 < end - begin + 1 ? 1 : 0;
         const Bounds m =
             graph::block_local_m(dag, numbering, begin, end, bounds);
@@ -201,27 +200,25 @@ TEST(UnitM, RejectsMalformedBoundsAndHandlesTheEmptyBlock) {
 TEST(UnitPlan, TwoUnitsPerWorkerSourcesSplitApart) {
   // engine-dense's shape: 64 vertices, 8 sources, 3 workers -> U = 6. The
   // sources get round(6 * 8 / 64) = 1 unit, the rest the other 5.
-  EXPECT_EQ(plan_units(64, 8, 3, 64, false),
-            (Bounds{0, 8, 19, 30, 41, 52, 64}));
+  EXPECT_EQ(plan_units(64, 8, 3, 64), (Bounds{0, 8, 19, 30, 41, 52, 64}));
   // No sources (a downstream transport block): all U units on the rest.
-  EXPECT_EQ(plan_units(16, 0, 2, 64, false), (Bounds{0, 4, 8, 12, 16}));
+  EXPECT_EQ(plan_units(16, 0, 2, 64), (Bounds{0, 4, 8, 12, 16}));
   // Only sources: all U units on them.
-  EXPECT_EQ(plan_units(16, 16, 2, 64, false), (Bounds{0, 4, 8, 12, 16}));
+  EXPECT_EQ(plan_units(16, 16, 2, 64), (Bounds{0, 4, 8, 12, 16}));
   // One source still gets its own unit; the rest keep U - 1.
-  EXPECT_EQ(plan_units(20, 1, 2, 64, false), (Bounds{0, 1, 7, 13, 20}));
+  EXPECT_EQ(plan_units(20, 1, 2, 64), (Bounds{0, 1, 7, 13, 20}));
   // A source share that rounds to all U units still leaves the rest one.
-  EXPECT_EQ(plan_units(16, 15, 2, 64, false), (Bounds{0, 3, 7, 11, 15, 16}));
+  EXPECT_EQ(plan_units(16, 15, 2, 64), (Bounds{0, 3, 7, 11, 15, 16}));
   // Two sources' share of 8 units over 40 vertices rounds down to one
   // unit; the rest get the other 7.
-  EXPECT_EQ(plan_units(40, 2, 4, 0, false),
-            (Bounds{0, 2, 7, 12, 18, 23, 29, 34, 40}));
+  EXPECT_EQ(plan_units(40, 2, 4, 0), (Bounds{0, 2, 7, 12, 18, 23, 29, 34, 40}));
 }
 
 TEST(UnitPlan, UnitsAreContiguousCountBalancedAndSplitAtTheSources) {
   for (std::uint32_t vertices = 0; vertices <= 80; ++vertices) {
     for (std::uint32_t sources = 0; sources <= vertices; sources += 3) {
       for (std::size_t threads = 1; threads <= 4; ++threads) {
-        const Bounds bounds = plan_units(vertices, sources, threads, 0, false);
+        const Bounds bounds = plan_units(vertices, sources, threads, 0);
         ASSERT_EQ(bounds.front(), 0U);
         ASSERT_EQ(bounds.back(), vertices);
         bool split_at_sources = sources == 0 || sources == vertices;
@@ -251,34 +248,29 @@ TEST(UnitPlan, UnitsAreContiguousCountBalancedAndSplitAtTheSources) {
   }
 }
 
-TEST(UnitPlan, IdentityUnderAnObserver) {
-  EXPECT_EQ(plan_units(64, 8, 3, 64, true), identity_bounds(64));
-  EXPECT_NE(plan_units(64, 8, 3, 64, false), identity_bounds(64));
-}
-
 TEST(UnitPlan, IdentityBelowTwoMembersPerUnit) {
   // B < 2U = 4T: fewer than two members per unit on average.
-  EXPECT_EQ(plan_units(15, 2, 4, 64, false), identity_bounds(15));
-  EXPECT_EQ(plan_units(16, 2, 4, 64, false).size(), 1U + 8U);
-  EXPECT_EQ(plan_units(3, 1, 1, 64, false), identity_bounds(3));
-  EXPECT_EQ(plan_units(4, 1, 1, 64, false), (Bounds{0, 1, 4}));
+  EXPECT_EQ(plan_units(15, 2, 4, 64), identity_bounds(15));
+  EXPECT_EQ(plan_units(16, 2, 4, 64).size(), 1U + 8U);
+  EXPECT_EQ(plan_units(3, 1, 1, 64), identity_bounds(3));
+  EXPECT_EQ(plan_units(4, 1, 1, 64), (Bounds{0, 1, 4}));
 }
 
 TEST(UnitPlan, IdentityWhenTheWindowIsNarrowerThanTheUnits) {
   // 0 < W < 2T: units pipeline across phases, so a window narrower than
   // the unit count cannot keep the workers busy.
   for (std::size_t window = 1; window < 6; ++window) {
-    EXPECT_EQ(plan_units(64, 8, 3, window, false), identity_bounds(64))
+    EXPECT_EQ(plan_units(64, 8, 3, window), identity_bounds(64))
         << "window " << window;
   }
-  EXPECT_EQ(plan_units(64, 8, 3, 6, false).size(), 1U + 6U);
-  EXPECT_EQ(plan_units(64, 8, 3, 0, false).size(), 1U + 6U);  // unbounded
+  EXPECT_EQ(plan_units(64, 8, 3, 6).size(), 1U + 6U);
+  EXPECT_EQ(plan_units(64, 8, 3, 0).size(), 1U + 6U);  // unbounded
 }
 
 TEST(UnitPlan, EmptyBlockAndBadInput) {
-  EXPECT_EQ(plan_units(0, 0, 4, 64, false), (Bounds{0}));
-  EXPECT_EQ(plan_units(0, 0, 1, 0, false), (Bounds{0}));
-  EXPECT_THROW(plan_units(4, 5, 1, 64, false), support::check_error);
+  EXPECT_EQ(plan_units(0, 0, 4, 64), (Bounds{0}));
+  EXPECT_EQ(plan_units(0, 0, 1, 0), (Bounds{0}));
+  EXPECT_THROW(plan_units(4, 5, 1, 64), support::check_error);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 // runs it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -15,7 +14,6 @@
 
 #include "baseline/sequential.hpp"
 #include "core/engine.hpp"
-#include "core/observer.hpp"
 #include "distrib/transport.hpp"
 #include "model/sources.hpp"
 #include "model/synthetic.hpp"
@@ -96,40 +94,11 @@ core::EngineOptions options_with(std::size_t threads) {
   return options;
 }
 
-TEST(UnitPlanInEngine, ObserverKeepsTransitionsPerVertex) {
-  // An observer forces the identity plan, so a trace still reports one
-  // transition per vertex-phase pair (the Figure 3 reproductions).
-  struct CountingObserver final : core::SchedulerObserver {
-    std::uint64_t finished = 0;
-    std::uint32_t max_vertex = 0;
-    void on_transition(Transition transition, std::uint32_t vertex,
-                       event::PhaseId,
-                       const core::Scheduler::Snapshot&) override {
-      if (transition == Transition::kPairFinished) {
-        ++finished;
-        max_vertex = std::max(max_vertex, vertex);
-      }
-    }
-  };
-  const core::Program program = testutil::random_program(5, 40);
-  CountingObserver observer;
-  core::EngineOptions options = options_with(4);
-  options.observer = &observer;
-  core::Engine engine(program, options);
-  engine.run(24, nullptr);
-  const core::ExecStats stats = engine.stats();
-  EXPECT_EQ(stats.units, 40U);
-  EXPECT_EQ(stats.scheduled_pairs, stats.executed_pairs);
-  EXPECT_EQ(observer.finished, stats.executed_pairs);
-  EXPECT_GT(observer.max_vertex, 8U) << "transitions named units, not vertices";
-}
-
 TEST(UnitEdgeCases, RepeatedPortsAcrossUnits) {
   // The source is its own unit and feeds forwarders in later multi-member
   // units; forwarder 0 gets a decoy and then the real value on one port.
   const core::Program program = testutil::repeated_port_program(20);
-  ASSERT_EQ(core::plan_units(21, 1, 2, 64, false),
-            (Bounds{0, 1, 7, 14, 21}));
+  ASSERT_EQ(core::plan_units(21, 1, 2, 64), (Bounds{0, 1, 7, 14, 21}));
   expect_matches_sequential(program, options_with(2), 40, {}, "fanout 20");
 }
 
@@ -162,8 +131,7 @@ TEST(UnitEdgeCases, RepeatedPortsInsideAndAcrossUnits) {
   }
   const core::Program program = std::move(b).build(3);
   ASSERT_EQ(program.numbering.index_of[relay], 2U);
-  ASSERT_EQ(core::plan_units(22, 1, 2, 64, false),
-            (Bounds{0, 1, 8, 15, 22}));
+  ASSERT_EQ(core::plan_units(22, 1, 2, 64), (Bounds{0, 1, 8, 15, 22}));
   expect_matches_sequential(program, options_with(2), 40, {}, "relay");
 }
 
@@ -195,7 +163,7 @@ TEST(UnitEdgeCases, ExternalEventsOnWidePortsToSourcesSharingAUnit) {
   }
   const core::Program program = std::move(b).build(11);
   ASSERT_EQ(program.numbering.m[0], 4U);
-  ASSERT_EQ(core::plan_units(8, 4, 1, 64, false), (Bounds{0, 4, 8}));
+  ASSERT_EQ(core::plan_units(8, 4, 1, 64), (Bounds{0, 4, 8}));
 
   constexpr event::PhaseId kPhases = 60;
   support::Rng rng(42);
@@ -236,7 +204,7 @@ TEST(UnitEdgeCases, OnlyInputTargetsTheLastMember) {
   b.connect(tick, 0, z, 0);
   const core::Program program = std::move(b).build(5);
   ASSERT_EQ(program.numbering.index_of[z], 5U);
-  ASSERT_EQ(core::plan_units(5, 2, 1, 64, false), (Bounds{0, 2, 5}));
+  ASSERT_EQ(core::plan_units(5, 2, 1, 64), (Bounds{0, 2, 5}));
   expect_matches_sequential(program, options_with(1), 40, {}, "last member");
 }
 
@@ -266,7 +234,7 @@ TEST(UnitEdgeCases, MemberThrowingMidUnitStillDrains) {
   b.connect(boom, 0, c, 0);
   const core::Program program = std::move(b).build(9);
   ASSERT_EQ(program.numbering.index_of[boom], 4U);
-  ASSERT_EQ(core::plan_units(5, 1, 1, 64, false), (Bounds{0, 1, 5}));
+  ASSERT_EQ(core::plan_units(5, 1, 1, 64), (Bounds{0, 1, 5}));
 
   constexpr event::PhaseId kPhases = 12;
   core::Engine engine(program, options_with(1));
@@ -305,7 +273,7 @@ TEST(UnitEdgeCases, RemoteOnlyFedMembersInsideBlockUnits) {
     const std::uint32_t begin = 21;
     const std::uint32_t end = 40;
     ASSERT_LT(numbering.m[0], begin);
-    const Bounds units = core::plan_units(end - begin + 1, 0, 1, 64, false);
+    const Bounds units = core::plan_units(end - begin + 1, 0, 1, 64);
     ASSERT_EQ(units, (Bounds{0, 10, 20}));
     for (std::uint32_t y = 1; y <= units[1]; ++y) {
       bool remote_only = true;
