@@ -138,60 +138,8 @@ void BM_scheduler_pair_bookkeeping_reuse(benchmark::State& state) {
 }
 BENCHMARK(BM_scheduler_pair_bookkeeping_reuse)->Arg(8)->Arg(64)->Arg(512);
 
-/// The staged-delivery drain path: the same chain workload, but with a
-/// window of phases in flight so each finish_execution_batch call applies
-/// one staged finish per active phase — one frontier/promotion/collect
-/// pass amortized over the whole batch, as in Engine::drain_staged.
-void BM_scheduler_pair_bookkeeping_staged_batch(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  constexpr std::size_t kWindow = 16;
-  const graph::Dag dag = graph::chain(n);
-  const graph::Numbering numbering =
-      graph::compute_satisfactory_numbering(dag);
-  std::uint64_t pairs = 0;
-  core::Scheduler scheduler(numbering.m);
-  scheduler.reserve_steady_state(kWindow, kWindow * 2);
-  std::vector<event::InputBundle> bundles(1);
-  std::vector<core::Scheduler::ReadyPair> queue;
-  std::vector<core::Scheduler::ReadyPair> ready;
-  std::vector<core::Scheduler::StagedFinish> batch;
-  event::PhaseId phase = 0;
-  for (auto _ : state) {
-    // Keep the phase window full: a chain holds one ready pair per active
-    // phase, so the batch below carries ~kWindow finishes.
-    while (scheduler.active_phase_count() < kWindow) {
-      bundles.assign(1, event::InputBundle{});
-      scheduler.start_phase(++phase, std::span(bundles), queue);
-    }
-    batch.clear();
-    for (auto& pair : queue) {
-      core::Scheduler::StagedFinish staged;
-      staged.vertex = pair.vertex;
-      staged.phase = pair.phase;
-      if (pair.vertex < n) {
-        staged.deliveries.push_back(core::Scheduler::Delivery{
-            pair.vertex + 1, 0, event::Value(1.0)});
-      }
-      staged.recycled = std::move(pair.bundle);
-      batch.push_back(std::move(staged));
-    }
-    pairs += batch.size();
-    queue.clear();
-    ready.clear();
-    scheduler.finish_execution_batch(std::span(batch), ready);
-    for (auto& r : ready) {
-      queue.push_back(std::move(r));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
-}
-BENCHMARK(BM_scheduler_pair_bookkeeping_staged_batch)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(512);
-
-/// The per-pair path (one Listing 1 tail per finish, as a single-worker
-/// engine runs it) with `range(0)` phases kept in flight on a chain,
+/// One Listing 1 tail per finish, as every engine worker runs it, with
+/// `range(0)` phases kept in flight on a chain,
 /// finishing pairs in FIFO order like the run queue. A finish changes one
 /// phase's pending set, so the frontier pass visits a constant number of
 /// slots (`slots_per_pair`) and the cost per pair stays flat as the window

@@ -25,13 +25,6 @@
 //     threads; with no consumer blocked at publication time no signal is
 //     needed at all, because any later consumer re-checks the count under
 //     the mutex before sleeping.
-//   * A push_all caller that will itself pop next (the engine's drainer,
-//     which goes straight back to pop_with_preblock) names how many items
-//     it will take, and those are not signalled for: it wakes
-//     min(batch - caller_pops, waiting consumers). The caller is not
-//     waiting, so it needs no signal, and the items it leaves behind for a
-//     moment are still covered — every consumer re-checks the count under
-//     the mutex before sleeping, and the caller takes them when it pops.
 //   * parks() counts not_empty_ waits, the times a consumer blocked on the
 //     empty queue, under the queue's own mutex.
 //   * not_full_: producers block on *batch-sized* room (push_all waits for
@@ -98,9 +91,7 @@ class BlockingQueue {
   /// while the batch does not fit under the capacity bound, so the batch
   /// must be no larger than the capacity. Returns false (dropping the whole
   /// batch) if the queue has been closed; never partially enqueues.
-  /// `caller_pops` is how many of the items the caller pops itself right
-  /// after this call; no consumer is woken for those.
-  bool push_all(std::vector<T>& items, std::size_t caller_pops = 0) {
+  bool push_all(std::vector<T>& items) {
     if (items.empty()) {
       return true;
     }
@@ -122,10 +113,8 @@ class BlockingQueue {
       }
       // k new items can usefully wake at most k consumers, and consumers
       // only block while the queue is empty, so min(batch, waiters) covers
-      // every consumer this batch could serve, less the items the caller
-      // will pop itself (see header comment).
-      wake = std::min(items.size() - std::min(caller_pops, items.size()),
-                      waiting_poppers_);
+      // every consumer this batch could serve (see header comment).
+      wake = std::min(items.size(), waiting_poppers_);
     }
     notify_consumers(wake);
     return true;
@@ -169,50 +158,6 @@ class BlockingQueue {
       not_full_.notify_all();
     }
     return item;
-  }
-
-  /// Blocking dequeue with a pre-block hook: like pop(), but runs `pre`
-  /// (with the lock released) every time the queue is observed empty and
-  /// open, before committing to sleep. The hook may push into this very
-  /// queue — the engine drains its staged finish rings there, which can
-  /// enqueue the pairs the caller is about to wait for — so the post-hook
-  /// re-check under the lock is what makes the sleep safe. Replaces the
-  /// old try_pop-then-pop retry: a hit costs one lock acquisition instead
-  /// of two, and the hook is skipped entirely once the queue is closed and
-  /// drained (nothing a drain produces can matter after close — see
-  /// Engine::finish()/~Engine for why both closers guarantee that).
-  template <typename PreBlock>
-  std::optional<T> pop_with_preblock(PreBlock&& pre) {
-    UniqueLock lock(mutex_);
-    for (;;) {
-      if (count_ != 0) {
-        T item = take();
-        const bool producers_waiting = waiting_pushers_ != 0;
-        lock.unlock();
-        if (producers_waiting) {
-          not_full_.notify_all();  // heterogeneous batch predicates, see pop()
-        }
-        return item;
-      }
-      if (closed_) {
-        return std::nullopt;  // closed and drained
-      }
-      lock.unlock();
-      pre();
-      lock.lock();
-      if (count_ != 0 || closed_) {
-        continue;  // the hook produced work (or the queue closed meanwhile)
-      }
-      ++waiting_poppers_;
-      while (!(closed_ || count_ != 0)) {
-        ++parks_;
-        not_empty_.wait(lock);
-      }
-      --waiting_poppers_;
-      // Loop: the hit/closed checks at the top consume whatever woke us. A
-      // spurious pass re-runs the hook, which is cheap when idle (a single
-      // atomic threshold check on the engine side).
-    }
   }
 
   /// Non-blocking dequeue.

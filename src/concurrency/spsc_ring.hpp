@@ -1,22 +1,21 @@
 // Single-producer single-consumer lock-free ring buffer.
 //
-// Used by the engine's staged delivery rings (each worker stages
-// finished-pair records; the current drainer applies them in batches — see
-// DESIGN.md).
+// Used by the in-process channel (distrib::InProcessChannel), whose frames
+// it carries from one partition to the next.
 //
-// "Single consumer" means *one consumer at a time*, not one consumer
-// thread forever: the consumer role may migrate between threads provided
+// "Single producer" means *one producer at a time*, not one producer
+// thread forever: the producer role may migrate between threads provided
 // the handoff happens through an acquire/release (or stronger) edge — the
-// engine's `draining` flag exchange is exactly that. The same applies to
-// the producer role.
+// channel's senders take turns under the egress link mutex, which is
+// exactly that. The consumer stays on one thread.
 //
 // Debug builds enforce that contract: each side's operations assert they
 // run on the role's owning thread (DF_ASSERT_PRODUCER / DF_ASSERT_CONSUMER
-// below). The first use claims the role; a legal migration must be
-// announced with adopt_producer()/adopt_consumer() *after* the
-// synchronizing handoff, so an unannounced thread switch — exactly the bug
-// class the SPSC memory orderings cannot survive — fails a DF_CHECK
-// instead of corrupting the ring. Release builds compile all of it away.
+// below). The first use claims the role; a legal producer migration must
+// be announced with adopt_producer() *after* the synchronizing handoff, so
+// an unannounced thread switch — exactly the bug class the SPSC memory
+// orderings cannot survive — fails a DF_CHECK instead of corrupting the
+// ring. Release builds compile all of it away.
 #pragma once
 
 #include <atomic>
@@ -56,9 +55,8 @@ class SpscRing {
   bool push(T item) { return try_push(item); }
 
   /// Producer side; moves from `item` only on success, so a caller holding
-  /// an expensive-to-rebuild item (a staged finish with its delivery
-  /// vector) keeps it intact when the ring is full and can fall back to a
-  /// direct path.
+  /// an expensive-to-rebuild item (a channel's frame buffer) keeps it
+  /// intact when the ring is full and can retry once there is room.
   bool try_push(T& item) {
     DF_ASSERT_PRODUCER(*this);
     const std::size_t head = head_.load(std::memory_order_relaxed);
@@ -84,24 +82,6 @@ class SpscRing {
     return item;
   }
 
-  /// Consumer side, bulk: pops every item visible on entry, invoking
-  /// `fn(T&&)` for each, and publishes the new tail once instead of per
-  /// item. Items pushed concurrently with the drain are left for the next
-  /// one. Returns the number of items consumed.
-  template <typename F>
-  std::size_t drain(F&& fn) {
-    DF_ASSERT_CONSUMER(*this);
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    for (std::size_t i = tail; i != head; ++i) {
-      fn(std::move(buffer_[i & mask_]));
-    }
-    if (head != tail) {
-      tail_.store(head, std::memory_order_release);
-    }
-    return head - tail;
-  }
-
   std::size_t size() const {
     return head_.load(std::memory_order_acquire) -
            tail_.load(std::memory_order_acquire);
@@ -116,15 +96,6 @@ class SpscRing {
   void adopt_producer() {
 #ifndef NDEBUG
     producer_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-#endif
-  }
-
-  /// Transfers the consumer role to the calling thread. Legal only after
-  /// a synchronizing handoff with the previous consumer — e.g. winning
-  /// the engine's draining_ exchange.
-  void adopt_consumer() {
-#ifndef NDEBUG
-    consumer_.store(std::this_thread::get_id(), std::memory_order_relaxed);
 #endif
   }
 
@@ -146,7 +117,7 @@ class SpscRing {
       return;  // first use claims the role
     }
     DF_CHECK(seen == self, "SPSC contract violation: ", role,
-             " used from a second thread without adopt_", role, "()");
+             " used from a second thread without an announced handoff");
   }
 #endif
 

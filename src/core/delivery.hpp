@@ -3,10 +3,9 @@
 // A Delivery is a message produced by executing a vertex-phase pair,
 // addressed by the recipient's *internal* (satisfactory-numbering) index.
 // Executors emit vectors of these and the scheduler consumes them verbatim:
-// because both sides agree on the representation, a worker moves the
-// executor's output straight into its staging ring and from there into the
-// scheduler's bundles without per-message copies (see DESIGN.md, "Staged
-// delivery rings").
+// because both sides agree on the representation, a worker hands the
+// executor's output to Scheduler::finish_execution, which moves each value
+// into its recipient's bundle without a per-message repack.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <iterator>
 #include <utility>
 
@@ -163,8 +162,7 @@ Engine::~Engine() {
     // abandoning_ check cannot read a stale false. The only other closer is
     // finish(), which runs after every started phase completed, when no
     // nonempty ready batch can exist anymore (an issued-but-unfinished pair
-    // keeps its phase active, so finish() would still be waiting). Staged
-    // finishes left in the rings are simply destroyed with the engine.
+    // keeps its phase active, so finish() would still be waiting).
     abandoning_.store(true, std::memory_order_release);
     run_queue_.close();
     for (auto& worker : workers_) {
@@ -193,27 +191,10 @@ void Engine::start() {
         std::min<std::size_t>(window, 64),
         std::min<std::size_t>(2 * scheduler_.n(), 65536));
   }
-  // Staging pays off by amortizing lock traffic across workers; with a
-  // single worker there is nothing to contend with.
-  use_staging_ = options_.threads > 1;
-  // One pair per worker under every plan: a coarsened phase stages only
-  // about two units per worker, so a target of two per worker would hold
-  // every unit's successors back for a whole phase, and per-vertex plans
-  // measured no better at two (DESIGN.md, "Staged delivery rings").
-  drain_threshold_ = std::min<std::size_t>(16, options_.threads);
-  if (use_staging_) {
-    const std::size_t capacity = std::bit_ceil(
-        std::max<std::size_t>(2, options_.staging_ring_capacity));
-    staging_.reserve(options_.threads);
-    for (std::size_t i = 0; i < options_.threads; ++i) {
-      staging_.push_back(
-          std::make_unique<conc::SpscRing<Scheduler::StagedFinish>>(capacity));
-    }
-    drain_batch_.reserve(options_.threads * capacity);
-  }
+  wall_.restart();
   workers_.reserve(options_.threads);
   for (std::size_t i = 0; i < options_.threads; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -337,7 +318,7 @@ void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
   // or a phase whose in-block work is finished by the injected deliveries
   // alone — e.g. sink-only blocks with no local sources). Both scheduler
   // overloads then retire inside the start call, so this is a retire site
-  // like the apply paths.
+  // like a worker's finish.
   Retirement retired;
   {
     conc::UniqueLock lock(mutex_);
@@ -395,6 +376,7 @@ void Engine::finish() {
   }
   workers_.clear();
   finished_ = true;
+  wall_seconds_ = wall_.elapsed_s();
   std::exception_ptr error;
   {
     conc::MutexLock lock(mutex_);
@@ -406,7 +388,6 @@ void Engine::finish() {
 }
 
 void Engine::run(event::PhaseId num_phases, PhaseFeed* feed) {
-  support::Stopwatch wall;
   NullFeed null_feed;
   PhaseFeed& source = feed != nullptr ? *feed : null_feed;
   start();
@@ -414,7 +395,6 @@ void Engine::run(event::PhaseId num_phases, PhaseFeed* feed) {
     start_phase(source.events_for(p));
   }
   finish();
-  wall_seconds_ = wall.elapsed_s();
 }
 
 namespace {
@@ -432,9 +412,6 @@ void persist_m(support::StateArchive& ar, std::vector<std::uint32_t>& m) {
 
 void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
-  // Workers apply everything staged before blocking on an empty run queue
-  // (the pre-block hook), so completion of the last started phase is always
-  // reached and notified without caller involvement.
   wait_all_complete();
 }
 
@@ -528,19 +505,6 @@ event::PhaseId Engine::completed_phases() const {
   return scheduler_.completed_through();
 }
 
-void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
-                           std::size_t caller_pops) {
-  if (ready.empty()) {
-    return;
-  }
-  // One lock acquisition and a bounded number of wakeups for the whole
-  // batch, instead of a push per pair.
-  const bool accepted = run_queue_.push_all(ready, caller_pops);
-  DF_CHECK(accepted || abandoning_.load(std::memory_order_acquire),
-           "run queue closed while work was outstanding");
-  ready.clear();
-}
-
 Engine::Retirement Engine::note_retirement(event::PhaseId completed_before) {
   Retirement retired;
   if (scheduler_.completed_through() == completed_before) {
@@ -564,110 +528,28 @@ Engine::Retirement Engine::note_retirement(event::PhaseId completed_before) {
 }
 
 void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
-                    Retirement retired, bool caller_pops_next) {
+                    Retirement retired) {
   if (retired.wake_progress) {
     // Notifying after the transition's lock release cannot lose the
     // wake-up: the waiter recorded itself and began waiting within one
     // mutex_ hold, before the transition's hold that claimed the record.
     progress_cv_.notify_all();
   }
-  const bool runs_hook =
-      retired.completed_now != 0 && options_.on_phase_complete != nullptr;
-  // A drainer takes one of these pairs itself when it pops next, so that
-  // one wakes no one. Not when the hook runs first: it may block on a
-  // channel send while a parked worker could be running the pair. A
-  // drainer whose maybe_drain loops for another pass leaves that pair to
-  // the workers already awake or to its own later pop; none is stranded,
-  // since it always returns to the queue.
-  enqueue_ready(ready, caller_pops_next && !runs_hook ? 1 : 0);
+  if (!ready.empty()) {
+    // One lock acquisition and a bounded number of wakeups for the whole
+    // batch, instead of a push per pair.
+    const bool accepted = run_queue_.push_all(ready);
+    DF_CHECK(accepted || abandoning_.load(std::memory_order_acquire),
+             "run queue closed while work was outstanding");
+    ready.clear();
+  }
   // Completion hook outside every engine lock: it may block (channel send),
-  // and it must never be able to deadlock against engine-internal waiters.
-  // A drainer still holds draining_ here, so a blocking hook stalls
-  // threshold-1 drain volunteers in their yield loop — a bounded stall,
-  // not a deadlock: the hook's channel send completes once the downstream
-  // machine drains its ingress, which needs no progress from this engine
+  // and it must never be able to deadlock against engine-internal waiters
   // (see DESIGN.md, "Two-level parallelism").
-  if (runs_hook) {
+  if (retired.completed_now != 0 && options_.on_phase_complete != nullptr) {
     const support::Stopwatch hook_timer;
     options_.on_phase_complete(retired.completed_now);
     hook_ns_.add(hook_timer.elapsed_ns());
-  }
-}
-
-Engine::Retirement Engine::apply_finish_locked(
-    Scheduler::StagedFinish& staged, std::vector<Scheduler::ReadyPair>& ready) {
-  conc::MutexLock lock(mutex_);
-  const event::PhaseId completed_before = scheduler_.completed_through();
-  scheduler_.finish_execution(
-      staged.vertex, staged.phase,
-      std::span<Scheduler::Delivery>(staged.deliveries),
-      std::move(staged.recycled), ready);
-  return note_retirement(completed_before);
-}
-
-std::size_t Engine::drain_staged() {
-  // Ring consumption happens outside the global lock (we are the exclusive
-  // consumer while holding draining_); only the batch application below
-  // takes it, and the moved-from staged shells are destroyed after release.
-  drain_batch_.clear();
-  for (auto& ring : staging_) {
-    // Winning the draining_ exchange was the consumer-role handoff; claim
-    // the role before touching the rings (debug-only SPSC owner check).
-    ring->adopt_consumer();
-    ring->drain([this](Scheduler::StagedFinish&& staged) {
-      drain_batch_.push_back(std::move(staged));
-    });
-  }
-  if (drain_batch_.empty()) {
-    return 0;
-  }
-  drain_ready_.clear();
-  Retirement retired;
-  {
-    conc::MutexLock lock(mutex_);
-    const event::PhaseId completed_before = scheduler_.completed_through();
-    scheduler_.finish_execution_batch(
-        std::span<Scheduler::StagedFinish>(drain_batch_), drain_ready_);
-    retired = note_retirement(completed_before);
-  }
-  const std::size_t drained = drain_batch_.size();
-  staged_pending_.fetch_sub(drained);
-  retire(drain_ready_, retired, /*caller_pops_next=*/true);
-  return drained;
-}
-
-void Engine::maybe_drain(std::size_t threshold) {
-  for (;;) {
-    if (staged_pending_.load() < threshold) {
-      return;
-    }
-    if (draining_.exchange(true)) {
-      // Someone else holds the drain. A lazy (batch-target) caller can
-      // leave: the holder re-checks staged_pending_ after releasing, and
-      // our increment is seq_cst-ordered before this failed exchange, so
-      // entries at or above the shared target cannot be missed. A
-      // must-drain caller (threshold 1, about to block on the run queue)
-      // cannot rely on that — the holder's re-check uses the *batch*
-      // target and may rightly leave a sub-target residue — so it waits
-      // for the flag and drains the residue itself.
-      if (threshold > 1) {
-        return;
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    // We hold the drain. An entry counted in staged_pending_ may not be
-    // ring-visible for a moment (the producer increments before pushing);
-    // the outer loop simply tries again until the counter agrees.
-    const std::size_t drained = drain_staged();
-    draining_.store(false);
-    // Re-check after release: an entry staged after our ring sweep whose
-    // owner lost the exchange above must not be stranded.
-    if (drained == 0) {
-      // Counted-but-invisible entry: give its producer a chance to finish
-      // the push instead of spinning through a whole timeslice.
-      std::this_thread::yield();
-    }
   }
 }
 
@@ -727,17 +609,16 @@ ExecutionResult& Engine::execute_member(std::uint32_t local,
   return result;
 }
 
-std::vector<Scheduler::Delivery> Engine::run_unit(Scheduler::ReadyPair& pair,
-                                                  UnitScratch& scratch) {
+void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
   const event::PhaseId phase = pair.phase;
   const std::uint32_t first = unit_bounds_[pair.vertex - 1] + 1;
   const std::uint32_t last = unit_bounds_[pair.vertex];
-  std::vector<Scheduler::Delivery> out;
-  out.reserve(scratch.out_capacity);
+  std::vector<Scheduler::Delivery>& out = scratch.out;
+  out.clear();
   // Routes one member's output by target: later members of this unit get
   // it straight into their bundles, later units of this engine get it
-  // framed into the staged finish, and the egress hook gets what lies past
-  // the block — in member order and, per member, emission order.
+  // framed into `out` for the finish, and the egress hook gets what lies
+  // past the block — in member order and, per member, emission order.
   const auto route = [&](ExecutionResult& result) {
     std::span<Scheduler::Delivery> deliveries(result.deliveries);
     for (std::size_t i = 0; i < deliveries.size();) {
@@ -799,37 +680,21 @@ std::vector<Scheduler::Delivery> Engine::run_unit(Scheduler::ReadyPair& pair,
     sink_target_->record_batch(std::move(scratch.sinks));
     scratch.sinks.clear();
   }
-  scratch.out_capacity = std::max(scratch.out_capacity, out.size());
-  return out;
 }
 
-void Engine::worker_main(std::size_t worker_index) {
-  // Listing 1: dequeue, execute outside the lock, then either stage the
-  // finished pair for batched application (staged path) or update the sets
-  // under the lock directly. The ready buffer and the unit executor's
-  // member bundles are reused across iterations; the executed pair's
-  // bundle is recycled into the scheduler's pool, so the locked
-  // bookkeeping path allocates nothing at steady state.
+void Engine::worker_main() {
+  // Listing 1: dequeue, execute outside the lock, then update the sets
+  // under the lock. The ready buffer and the unit executor's scratch are
+  // reused across iterations, and the executed pair's bundle is recycled
+  // into the scheduler's pool, so the locked bookkeeping path allocates
+  // nothing at steady state.
   std::vector<Scheduler::ReadyPair> ready;
   UnitScratch scratch;
   scratch.members.resize(max_unit_size_);
-  // Per-pair path only: one of the pairs this worker's own finish readied,
-  // run next without the round trip through run_queue_ (DESIGN.md, "Engine
-  // deviations from the paper's listings").
+  // One of the pairs this worker's own finish readied, run next without
+  // the round trip through run_queue_ (DESIGN.md, "Engine deviations from
+  // the paper's listings").
   std::optional<Scheduler::ReadyPair> local;
-  conc::SpscRing<Scheduler::StagedFinish>* ring =
-      use_staging_ ? staging_[worker_index].get() : nullptr;
-  // Pre-block hook: about to block, apply everything pending first
-  // (threshold 1), so no staged finish — possibly the one that completes a
-  // phase or readies the only runnable pair — waits on a batch that will
-  // never fill. This is what makes the lazy batch target below safe. The
-  // drain may enqueue fresh ready pairs; the queue re-checks for work
-  // after the hook.
-  const auto pre_block = [this, ring] {
-    if (ring != nullptr) {
-      maybe_drain(1);
-    }
-  };
   for (;;) {
     if (local.has_value() && abandoning_.load(std::memory_order_acquire)) {
       local.reset();  // dropped like the pairs the closed queue rejects
@@ -837,7 +702,7 @@ void Engine::worker_main(std::size_t worker_index) {
     std::optional<Scheduler::ReadyPair> item =
         std::exchange(local, std::nullopt);
     if (!item.has_value()) {
-      item = run_queue_.pop_with_preblock(pre_block);
+      item = run_queue_.pop();
       if (!item.has_value()) {
         break;  // closed and drained
       }
@@ -846,36 +711,25 @@ void Engine::worker_main(std::size_t worker_index) {
     scratch.compute_ns = 0;
     scratch.executed = 0;
     scratch.messages = 0;
-    // Deliveries unification: the unit's framed output moves straight
-    // into the staged record — no per-message repack.
-    Scheduler::StagedFinish staged{item->vertex, item->phase,
-                                   run_unit(*item, scratch),
-                                   std::move(item->bundle)};
+    run_unit(*item, scratch);
     executed_pairs_.add(scratch.executed);
     messages_delivered_.add(scratch.messages);
     compute_ns_.add(scratch.compute_ns);
-    bool staged_ok = false;
-    if (ring != nullptr) {
-      // Count first, push second: a drainer that sees the count but not
-      // yet the entry spins, whereas the reverse order could let a drain
-      // consume an uncounted entry and underflow the counter.
-      staged_pending_.fetch_add(1);
-      staged_ok = ring->try_push(staged);
-      if (!staged_ok) {
-        staged_pending_.fetch_sub(1);  // ring full: apply this one directly
-      }
+    Retirement retired;
+    {
+      conc::MutexLock lock(mutex_);
+      const event::PhaseId completed_before = scheduler_.completed_through();
+      scheduler_.finish_execution(
+          item->vertex, item->phase,
+          std::span<Scheduler::Delivery>(scratch.out),
+          std::move(item->bundle), ready);
+      retired = note_retirement(completed_before);
     }
-    if (staged_ok) {
-      maybe_drain(drain_threshold_);
-    } else {
-      ready.clear();
-      const Retirement retired = apply_finish_locked(staged, ready);
-      if (!ready.empty()) {
-        local = std::move(ready.back());
-        ready.pop_back();
-      }
-      retire(ready, retired);
+    if (!ready.empty()) {
+      local = std::move(ready.back());
+      ready.pop_back();
     }
+    retire(ready, retired);
     bookkeeping_ns_.add(pair_timer.elapsed_ns() - scratch.compute_ns);
     scheduled_pairs_.add(1);
   }

@@ -26,21 +26,9 @@
 //     max(1, W/8) slots are free, so a closed loop refills it in batches
 //     rather than one wake-up per retired phase (DESIGN.md, "Wake only
 //     when the waiter can proceed");
-//   * staged deliveries: with several workers, an executed pair is not
-//     applied to the sets under the lock by the worker that ran it.
-//     Instead the worker appends a StagedFinish record to its own SPSC
-//     staging ring and one drainer at a time (whoever wins the `draining_`
-//     flag) applies whole batches with a single frontier/promotion/collect
-//     pass, shrinking both the number of lock acquisitions and the work
-//     done per acquisition (DESIGN.md, "Staged delivery rings"). A single
-//     worker and a full staging ring use the Listing 1 per-pair apply
-//     instead; the engine picks it on its own;
-//   * worker-local next pair: on the per-pair path a worker keeps one of
-//     the pairs its own finish readied and runs it next, handing only the
-//     rest to the run queue. This is the single-worker fast path every
-//     default transport partition takes. The staged drain still hands
-//     every pair to the queue, so the drainer does not sit on work the
-//     other workers could start;
+//   * worker-local next pair: a worker keeps one of the pairs its own
+//     finish readied and runs it next, handing only the rest to the run
+//     queue, so a chain of pairs runs without a queue round trip per pair;
 //   * unit scheduling: the scheduler sees contiguous numbering runs
 //     ("units", about two per worker) as single vertices, and a worker runs
 //     a unit's members for one phase in numbering order under the
@@ -55,7 +43,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
@@ -64,11 +51,11 @@
 #include "concurrency/annotations.hpp"
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "core/executor.hpp"
 #include "core/program.hpp"
 #include "core/scheduler.hpp"
 #include "core/sink_store.hpp"
+#include "support/stopwatch.hpp"
 
 namespace df::core {
 
@@ -79,10 +66,6 @@ struct EngineOptions {
   std::size_t threads = 2;
   /// Maximum phases in flight before start_phase blocks; 0 = unbounded.
   std::size_t max_inflight_phases = 64;
-  /// Per-worker staging-ring capacity; rounded up to a power of two. A
-  /// full ring never blocks a worker — it falls back to applying that pair
-  /// directly under the lock.
-  std::size_t staging_ring_capacity = 256;
 
   /// Restricts the engine to one contiguous block [begin, end] of the
   /// program's satisfactory numbering (the transport's two-level mode: a
@@ -151,11 +134,13 @@ class Engine final : public Executor {
   Engine& operator=(const Engine&) = delete;
 
   /// Executor interface: drives the environment from `feed` for
-  /// `num_phases` phases and blocks until all of them complete.
+  /// `num_phases` phases and blocks until all of them complete — start(),
+  /// one start_phase per phase, finish().
   void run(event::PhaseId num_phases, PhaseFeed* feed) override;
 
   // Streaming interface --------------------------------------------------
-  /// Spawns the computation threads. Idempotent.
+  /// Spawns the computation threads and starts the wall clock that
+  /// finish() reads into ExecStats::wall_seconds. Idempotent.
   void start();
   /// Starts the next phase carrying `events` (may be empty: pure phase
   /// signal). Blocks while max_inflight_phases are active. The rvalue
@@ -172,10 +157,11 @@ class Engine final : public Executor {
   /// is consumed (payloads moved out).
   void start_phase(const std::vector<event::ExternalEvent>& events,
                    std::vector<Scheduler::Delivery>& remote);
-  /// Blocks until every started phase has completed, then stops workers.
-  /// If any module threw during execution, the first exception is rethrown
-  /// here (the failed pair is treated as having produced no output, so the
-  /// rest of the computation still drains deterministically).
+  /// Blocks until every started phase has completed, then stops workers
+  /// and records the wall time since start(). If any module threw during
+  /// execution, the first exception is rethrown here (the failed pair is
+  /// treated as having produced no output, so the rest of the computation
+  /// still drains deterministically).
   void finish();
 
   /// Phases fully completed so far (prefix 1..k).
@@ -183,10 +169,8 @@ class Engine final : public Executor {
 
   // Checkpointing (crash-restart recovery; DESIGN.md "Crash-restart
   // recovery").
-  /// Blocks until every started phase has completed and every staged finish
-  /// has been applied (workers drain their rings before blocking, so this
-  /// needs no help from the caller). The engine stays running; this is the
-  /// quiescent point snapshots are taken at.
+  /// Blocks until every started phase has completed. The engine stays
+  /// running; this is the quiescent point snapshots are taken at.
   void quiesce();
   /// Serializes the block's execution state into a self-validating "DFEG"
   /// image: the block range, the program's m-vector, the completed phase,
@@ -215,7 +199,10 @@ class Engine final : public Executor {
   const ProgramInstance& instance() const { return instance_; }
 
  private:
-  void worker_main(std::size_t worker_index);
+  /// Listing 1: dequeue a pair (or take the local next pair), execute it
+  /// outside the lock, apply the finish under mutex_, keep one readied pair
+  /// and retire the rest.
+  void worker_main();
   /// What a scheduler transition hands to retire(): its new
   /// completed-through value, or 0 if it retired no phase, and whether a
   /// recorded progress_cv_ waiter can now proceed.
@@ -230,44 +217,15 @@ class Engine final : public Executor {
   /// condition now holds, so later retirements do not wake it again.
   Retirement note_retirement(event::PhaseId completed_before)
       DF_REQUIRES(mutex_);
-  /// Applies one finished pair under the global lock and appends the pairs
-  /// it readied to `ready` — the paper's Listing 1 tail. Used with a single
-  /// worker and when a staging ring is full. Returns the transition's
-  /// retirement for retire().
-  Retirement apply_finish_locked(Scheduler::StagedFinish& staged,
-                                 std::vector<Scheduler::ReadyPair>& ready);
-  /// Staged path: drain whatever is visible in the staging rings whenever
-  /// at least `threshold` entries are pending and nobody else holds the
-  /// drain flag. The post-release re-check closes the classic stranding
-  /// window: a worker that staged an entry after the current drainer swept
-  /// its ring and then lost the flag race is covered by the drainer's next
-  /// staged_pending_ check. Threshold 1 = drain everything (the mandatory
-  /// pre-block call); the batch target trades a little latency for one
-  /// frontier pass per batch.
-  void maybe_drain(std::size_t threshold);
-  /// One drain pass: pops every visible staged finish (ring consumer side,
-  /// exclusive via draining_), applies the whole batch to the scheduler
-  /// under one short lock acquisition, then retires. Returns the number of
-  /// entries applied. Caller holds draining_ and goes straight back to the
-  /// run queue afterwards.
-  std::size_t drain_staged();
   /// The single phase-retire site, called outside every engine lock after
-  /// each scheduler transition (phase start, per-pair apply, batched
-  /// drain). It notifies progress_cv_ only when the transition made a
-  /// recorded waiter's condition hold (`retired.wake_progress`); then it
-  /// hands `ready` to the workers and, last, fires on_phase_complete if a
-  /// phase retired — after the enqueue, so a hook blocked on a channel
-  /// send never starves the pool of the pairs just issued.
-  /// `caller_pops_next` says the calling worker goes straight back to the
-  /// run queue and will take one of the pairs itself, so that pair wakes
-  /// no one — unless the hook is about to run first, since it may block.
-  void retire(std::vector<Scheduler::ReadyPair>& ready, Retirement retired,
-              bool caller_pops_next = false);
-  /// Hands every pair to the run queue with one lock acquisition and
-  /// clears `ready` so the caller can reuse the buffer. `caller_pops` of
-  /// the pairs are left for the caller, which pops next, and wake no one.
-  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
-                     std::size_t caller_pops);
+  /// each scheduler transition (phase start, finish). It notifies
+  /// progress_cv_ only when the transition made a recorded waiter's
+  /// condition hold (`retired.wake_progress`); then it hands `ready` to the
+  /// run queue with one lock acquisition, clearing it for reuse, and, last,
+  /// fires on_phase_complete if a phase retired — after the enqueue, so a
+  /// hook blocked on a channel send never starves the pool of the pairs
+  /// just issued.
+  void retire(std::vector<Scheduler::ReadyPair>& ready, Retirement retired);
   /// Blocks until every started phase has completed (finish, quiesce).
   void wait_all_complete();
   /// Shared tail of the start_phase overloads: env_bundles_ holds one laid
@@ -295,23 +253,22 @@ class Engine final : public Executor {
     std::vector<event::InputBundle> members;  // one bundle per member
     ExecutionResult result;  // the member being routed; capacity reused
     std::vector<SinkRecord> sinks;
-    /// The largest framed output this worker has produced: each unit's
-    /// output vector (handed on to the scheduler) is allocated once at
-    /// that size instead of growing through reallocations.
-    std::size_t out_capacity = 0;
+    /// The unit's deliveries for later units of this engine, framed for
+    /// the scheduler; the finish moves the values out and the capacity is
+    /// reused by the next unit.
+    std::vector<Scheduler::Delivery> out;
     std::uint64_t compute_ns = 0;
     std::uint64_t executed = 0;
     std::uint64_t messages = 0;
   };
   /// The unit executor: runs unit pair `pair` — every member that is a
-  /// signal source or received input, in numbering order — and returns
-  /// the deliveries for later units of this engine, framed for the
-  /// scheduler. Deliveries inside the unit go straight to the later
+  /// signal source or received input, in numbering order — and leaves the
+  /// deliveries for later units of this engine in `scratch.out`, framed for
+  /// the scheduler. Deliveries inside the unit go straight to the later
   /// member's bundle and deliveries past the block go to the egress hook.
   /// Records the unit's sink output with one batch. Called from the worker
   /// loop outside any engine lock.
-  std::vector<Scheduler::Delivery> run_unit(Scheduler::ReadyPair& pair,
-                                            UnitScratch& scratch);
+  void run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch);
   /// Executes local vertex `local` at its global index into
   /// `scratch.result`. A throwing module records the first error and
   /// produces nothing.
@@ -390,32 +347,6 @@ class Engine final : public Executor {
   std::atomic<bool> abandoning_{false};
   std::exception_ptr first_error_ DF_GUARDED_BY(mutex_);
 
-  // Staged delivery rings (DESIGN.md "Staged delivery rings"). Worker i is
-  // the only producer of staging_[i]; the consumer side of every ring
-  // belongs to whoever holds draining_ (the flag exchange is the
-  // acquire/release handoff SpscRing requires).
-  // staged_pending_ counts entries staged but not yet applied; it is
-  // incremented *before* the ring push so a drainer's pending check can
-  // never miss an entry it might also fail to see in the ring (it spins
-  // through the sub-nanosecond publication window instead of exiting).
-  //
-  // Staged finishes accumulate until drain_threshold_ are pending before
-  // anyone volunteers to drain, so each drain amortizes its lock
-  // acquisition and frontier pass over a real batch: one pair per worker,
-  // capped so drain latency stays small relative to the window's refill
-  // rate. Liveness does not depend on it — a worker always drains
-  // everything pending before it would block on an empty run queue.
-  bool use_staging_ = false;         // resolved in start()
-  std::size_t drain_threshold_ = 1;  // resolved in start()
-  std::vector<std::unique_ptr<conc::SpscRing<Scheduler::StagedFinish>>>
-      staging_;
-  std::atomic<std::size_t> staged_pending_{0};
-  std::atomic<bool> draining_{false};
-  // Drain-pass scratch, reused across drains; owned by the draining_
-  // holder, so unsynchronized access is safe.
-  std::vector<Scheduler::StagedFinish> drain_batch_;
-  std::vector<Scheduler::ReadyPair> drain_ready_;
-
   // Statistics.
   conc::ShardedCounter executed_pairs_;
   conc::ShardedCounter scheduled_pairs_;
@@ -425,6 +356,9 @@ class Engine final : public Executor {
   conc::ShardedCounter bookkeeping_ns_;
   conc::ShardedCounter hook_ns_;
   std::uint64_t max_inflight_ DF_GUARDED_BY(mutex_) = 0;
+  /// Restarted by start(); finish() stores its reading in wall_seconds_.
+  /// Both run on the thread driving the engine, like start_phase.
+  support::Stopwatch wall_;
   double wall_seconds_ = 0.0;
 };
 

@@ -67,9 +67,9 @@ class CallbackFeed final : public PhaseFeed {
 
 /// Counters every executor reports. "Compute" covers module on_phase
 /// bodies. "Bookkeeping" covers everything else an engine worker does per
-/// pair: decoding and routing its unit's deliveries, staging the finish,
-/// the global-lock wait and the scheduler transition, the run-queue push
-/// with its wake-ups, and retire()'s on_phase_complete hook — on the
+/// pair: decoding and routing its unit's deliveries, the global-lock wait
+/// and the scheduler transition, the run-queue push with its wake-ups, and
+/// retire()'s on_phase_complete hook — on the
 /// transport that hook is the egress flush: wire encode and channel send,
 /// which on the socket channel only queues the frame for the channel's
 /// writer thread. hook_ns reports the hook's time on its own.
@@ -139,10 +139,9 @@ class Executor {
 /// (used by the eager baseline to forward last outputs every phase).
 struct ExecutionResult {
   /// (to_internal_index, to_port, value) triples, in emission order. The
-  /// type is the scheduler's own delivery type (core::Delivery), so engine
-  /// workers move the vector wholesale into a staged finish — no per-pair
-  /// repack between "what execution produced" and "what the scheduler
-  /// applies".
+  /// type is the scheduler's own delivery type (core::Delivery), so there
+  /// is no per-pair repack between "what execution produced" and "what the
+  /// scheduler applies".
   using Delivery = core::Delivery;
   std::vector<Delivery> deliveries;
   std::vector<SinkRecord> sink_records;

@@ -144,8 +144,9 @@ void Scheduler::start_phase(event::PhaseId p,
     affected_.push_back(s);
   }
 
-  // Remote deliveries enter partial exactly like apply_finish's delivery
-  // loop — as if a virtual index-0 vertex finished before any local pair.
+  // Remote deliveries enter partial exactly like finish_execution's
+  // delivery loop — as if a virtual index-0 vertex finished before any
+  // local pair.
   for (Delivery& d : injected) {
     DF_CHECK(d.to_index > signal_sources_ && d.to_index <= n_,
              "injected delivery must target a non-source block vertex, got ",
@@ -168,15 +169,16 @@ void Scheduler::start_phase(event::PhaseId p,
     // may ever reference this phase), and a phase that started with nothing
     // pending retires on the spot. The pass is phase-p-local: p is the
     // newest phase, so no other slot is visited.
-    advance_frontier(p, p);
+    advance_frontier(p);
   }
   collect_ready(out_ready);
 }
 
-void Scheduler::apply_finish(std::uint32_t vertex, event::PhaseId p,
-                             std::span<Delivery> deliveries,
-                             event::InputBundle recycled) {
-  // Listing 1, statements 4-11.
+void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
+                                 std::span<Delivery> deliveries,
+                                 event::InputBundle recycled,
+                                 std::vector<ReadyPair>& out_ready) {
+  // Listing 1, statements 4-31.
   DF_CHECK(vertex >= 1 && vertex <= n_, "vertex index out of range");
   VertexState& vs = vertices_[vertex];
   DF_CHECK(vs.in_ready && vs.ready_phase == p,
@@ -218,45 +220,11 @@ void Scheduler::apply_finish(std::uint32_t vertex, event::PhaseId p,
   bit_clear(slot.pending_bits, vertex);
   --slot.pending_count;
   affected_.push_back(vertex);  // vertex may have a later full phase queued
-}
 
-void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
-                                 std::span<Delivery> deliveries,
-                                 event::InputBundle recycled,
-                                 std::vector<ReadyPair>& out_ready) {
-  // Listing 1, statements 4-31.
-  apply_finish(vertex, p, deliveries, std::move(recycled));
   // Statements 12-26: only phase p's pending set changed, so the frontier
-  // pass starts at p and stops past it once an x is unchanged.
-  advance_frontier(p, p);
+  // pass starts at p and stops at the first x that does not change.
+  advance_frontier(p);
   // Statements 27-30: issue newly ready pairs.
-  collect_ready(out_ready);
-}
-
-void Scheduler::finish_execution_batch(std::span<StagedFinish> batch,
-                                       std::vector<ReadyPair>& out_ready) {
-  if (batch.empty()) {
-    return;
-  }
-  // Apply every pair's set updates first. Within a batch each vertex
-  // appears at most once (a vertex has at most one issued pair, and no pair
-  // is re-issued before collect_ready below), so applications commute; the
-  // deferred frontier only under-approximates in between, which every
-  // invariant tolerates (see apply_finish).
-  event::PhaseId from = batch.front().phase;
-  event::PhaseId newest = from;
-  for (StagedFinish& staged : batch) {
-    apply_finish(staged.vertex, staged.phase,
-                 std::span<Delivery>(staged.deliveries),
-                 std::move(staged.recycled));
-    from = std::min(from, staged.phase);
-    newest = std::max(newest, staged.phase);
-  }
-  // One frontier/promotion/retire/collect pass for the whole batch, over
-  // every phase the batch touched and on past the newest while x moves.
-  // None of the staged phases can have retired before this point — each
-  // kept a pending bit set until its apply above — so `from` is active.
-  advance_frontier(from, newest);
   collect_ready(out_ready);
 }
 
@@ -270,12 +238,10 @@ std::uint32_t Scheduler::min_pending(PhaseSlot& slot) {
          static_cast<std::uint32_t>(std::countr_zero(slot.pending_bits[w]));
 }
 
-std::size_t Scheduler::update_x_from(event::PhaseId from,
-                                     event::PhaseId newest) {
-  DF_CHECK(from >= first_active_ && newest < first_active_ + ring_count_,
+std::size_t Scheduler::update_x_from(event::PhaseId p) {
+  DF_CHECK(p >= first_active_ && p < first_active_ + ring_count_,
            "frontier pass outside the active window");
-  const std::size_t last_touched = newest - first_active_;
-  std::size_t i = from - first_active_;
+  std::size_t i = p - first_active_;
   for (; i < ring_count_; ++i) {
     PhaseSlot& slot = slot_at(i);
     ++frontier_visits_;
@@ -288,7 +254,7 @@ std::size_t Scheduler::update_x_from(event::PhaseId from,
         i == 0 ? x(slot.id - 1) : slot_at(i - 1).x;
     candidate = std::min(candidate, previous);
     DF_CHECK(candidate >= slot.x, "x must be monotone within a phase");
-    if (candidate == slot.x && i >= last_touched) {
+    if (candidate == slot.x) {
       return i + 1;  // every later slot keeps its x (see the header)
     }
     slot.x = candidate;
@@ -347,9 +313,9 @@ void Scheduler::promote_newly_full(std::size_t begin, std::size_t end) {
   }
 }
 
-void Scheduler::advance_frontier(event::PhaseId from, event::PhaseId newest) {
-  const std::size_t begin = from - first_active_;
-  const std::size_t end = update_x_from(from, newest);
+void Scheduler::advance_frontier(event::PhaseId p) {
+  const std::size_t begin = p - first_active_;
+  const std::size_t end = update_x_from(p);
   promote_newly_full(begin, end);
   // Phases whose frontier reached N are complete; retire from the front.
   retire_completed();

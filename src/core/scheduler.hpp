@@ -63,18 +63,6 @@ class Scheduler {
   /// the scheduler without a per-message copy.
   using Delivery = core::Delivery;
 
-  /// One executed pair whose application to the sets has been deferred: the
-  /// arguments of a finish_execution call, recorded by a worker outside the
-  /// global lock. `deliveries` is moved straight from the executor's output
-  /// and `recycled` is the executed pair's input bundle (donated back to
-  /// the pool on application). See DESIGN.md, "Staged delivery rings".
-  struct StagedFinish {
-    std::uint32_t vertex = 0;
-    event::PhaseId phase = 0;
-    std::vector<Delivery> deliveries;
-    event::InputBundle recycled;
-  };
-
   /// Set-membership snapshot for tracing (Figure 3 reproductions) and for
   /// property tests that re-evaluate the set definitions from scratch.
   struct Snapshot {
@@ -146,18 +134,6 @@ class Scheduler {
                         std::span<Delivery> deliveries,
                         event::InputBundle recycled,
                         std::vector<ReadyPair>& out_ready);
-
-  /// Applies a whole batch of staged finishes, then runs the frontier
-  /// recomputation, promotion scan, retirement, and ready collection once
-  /// for the entire batch instead of once per pair. Equivalent to calling
-  /// finish_execution for each entry in order (the issued ready set and all
-  /// bundle contents are identical — the batched frontier only lags inside
-  /// the call, never at return), but the per-pair critical-section cost
-  /// collapses to the delivery bit-flips. Entries are moved from. Every
-  /// staged pair must still be outstanding (issued, not finished); batches
-  /// may mix phases in any order.
-  void finish_execution_batch(std::span<StagedFinish> batch,
-                              std::vector<ReadyPair>& out_ready);
 
   event::PhaseId pmax() const { return pmax_; }
   /// All phases <= completed_through() have fully finished (x_p = N).
@@ -256,32 +232,20 @@ class Scheduler {
   const PhaseSlot* find_phase(event::PhaseId p) const;
   PhaseSlot& push_phase(event::PhaseId p);
 
-  /// Statements 4-11 of Listing 1 plus the pending-bit clear: everything
-  /// finish_execution does for one pair *before* the frontier/promotion/
-  /// collect pass. Safe to run repeatedly before a single deferred pass:
-  /// the delivery invariants (recipient above the promotion bound, no
-  /// insertion below the pending minimum) are statements about actual set
-  /// membership and hold regardless of how far x lags, because x and the
-  /// promotion bound only ever under-approximate between passes.
-  void apply_finish(std::uint32_t vertex, event::PhaseId p,
-                    std::span<Delivery> deliveries,
-                    event::InputBundle recycled);
-
   /// Smallest pending vertex; advances the slot's word cursor (valid because
   /// insertions never land below the current minimum: deliveries go to
   /// higher indices than the finishing vertex, which is itself pending).
   std::uint32_t min_pending(PhaseSlot& slot);
 
   /// Statements 1.12-1.23: recompute x_i = min(min pending_i - 1, x_{i-1})
-  /// for the active phases from `from` on, and return the ring ordinal one
-  /// past the last slot visited. Every phase in [from, newest] is visited:
-  /// those are the phases whose pending bits the transition may have
-  /// changed. Past `newest` the walk stops at the first slot whose x did
-  /// not change — that slot's pending set is untouched and so is its
+  /// for the active phases from `p` on, and return the ring ordinal one
+  /// past the last slot visited. Phase p is the one whose pending bits the
+  /// transition changed. The walk stops at the first slot whose x did not
+  /// change — a later slot's pending set is untouched and so is its
   /// predecessor's x, and every previously walked slot already satisfies
-  /// the recurrence, so no later x can change either. The cost
-  /// is O(phases whose frontier moved), not O(window).
-  std::size_t update_x_from(event::PhaseId from, event::PhaseId newest);
+  /// the recurrence, so no later x can change either. The cost is
+  /// O(phases whose frontier moved), not O(window).
+  std::size_t update_x_from(event::PhaseId p);
 
   /// Statements 1.24-1.26: move partial pairs with vertex <= m(x_q) into
   /// full for the ring ordinals [begin, end) — the slots the frontier pass
@@ -290,10 +254,10 @@ class Scheduler {
   /// vertices.
   void promote_newly_full(std::size_t begin, std::size_t end);
 
-  /// The Listing 1 tail every transition shares: frontier pass over
-  /// [from, newest] and beyond, promotion over the visited slots, and
-  /// retirement of completed phases from the front.
-  void advance_frontier(event::PhaseId from, event::PhaseId newest);
+  /// The Listing 1 tail every transition shares: frontier pass from phase
+  /// p, the one the transition touched, promotion over the visited slots,
+  /// and retirement of completed phases from the front.
+  void advance_frontier(event::PhaseId p);
 
   /// Statements 1.27-1.30 / 2.16-2.19: for each affected vertex (sorted,
   /// deduplicated), if it has no issued pair and a non-empty full set,

@@ -1011,11 +1011,10 @@ void TransportEngine::engine_main(EngineState& state,
       engine->start_phase(state.events[p - 1], remote);
 
       if (checkpoint_every > 0 && p % checkpoint_every == 0) {
-        // Checkpoint: quiesce the block (all started phases complete, all
-        // staged finishes applied), make the egress cursors final (the
-        // completion hook may still be in flight on a worker; the
-        // coordinator's own idempotent flush closes that window), then
-        // snapshot everything a restart needs.
+        // Checkpoint: quiesce the block (all started phases complete),
+        // make the egress cursors final (the completion hook may still be
+        // in flight on a worker; the coordinator's own idempotent flush
+        // closes that window), then snapshot everything a restart needs.
         engine->quiesce();
         hub.flush_through(p);
         if (hub.error() != nullptr) {

@@ -165,6 +165,24 @@ TEST(Engine, StatsAccountForWork) {
   EXPECT_GT(stats.pairs_per_second(), 0.0);
 }
 
+// A streaming caller gets the same wall time as run(): start() starts the
+// clock and finish() stops it.
+TEST(Engine, StreamingRunReportsWallTime) {
+  const Program program = chain_program(5, 16);
+  EngineOptions options;
+  options.threads = 2;
+  Engine engine(program, options);
+  engine.start();
+  for (int p = 0; p < 200; ++p) {
+    engine.start_phase({});
+  }
+  engine.finish();
+  const ExecStats stats = engine.stats();
+  EXPECT_EQ(stats.phases_completed, 200U);
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_GT(stats.phases_per_second(), 0.0);
+}
+
 // Wake cadence (DESIGN.md, "Wake only when the waiter can proceed"): an
 // admission wait ends with at least W/8 free slots, so a closed loop waits
 // at most once per W/8 phases. Waking on every retirement instead would

@@ -1,8 +1,7 @@
 // Long-run stress and cross-configuration equivalence for the engine:
 // beyond matching the sequential reference, every engine configuration
-// (thread count x in-flight window x staging-ring capacity) must produce
-// *identical* sink streams, since the computation is deterministic and
-// serializable.
+// (thread count x in-flight window) must produce *identical* sink streams,
+// since the computation is deterministic and serializable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -53,12 +52,8 @@ Program stress_program(std::uint64_t seed) {
   return std::move(b).build(seed);
 }
 
-/// Staging-ring capacities that select how finished pairs reach the
-/// scheduler with several workers: the default, where batched drains apply
-/// them, and rings so small that most pairs overflow to the per-pair
-/// fallback. One worker takes the per-pair path under either.
-constexpr std::size_t kRingCapacities[] = {256, 2};
-
+// Eight workers contend for the global lock, each applying its own finish
+// pair by pair, over 5000 phases.
 TEST(EngineStress, LongRunManyThreadsMatchesReference) {
   const Program program = stress_program(1);
   EngineOptions options;
@@ -75,15 +70,12 @@ TEST(EngineStress, AllConfigurationsProduceIdenticalSinks) {
   std::vector<std::vector<SinkRecord>> outputs;
   for (const std::size_t threads : {1UL, 2UL, 5UL}) {
     for (const std::size_t window : {1UL, 3UL, 0UL /*unbounded*/}) {
-      for (const std::size_t ring : kRingCapacities) {
-        EngineOptions options;
-        options.threads = threads;
-        options.max_inflight_phases = window;
-        options.staging_ring_capacity = ring;
-        Engine engine(program, options);
-        engine.run(800, nullptr);
-        outputs.push_back(engine.sinks().canonical());
-      }
+      EngineOptions options;
+      options.threads = threads;
+      options.max_inflight_phases = window;
+      Engine engine(program, options);
+      engine.run(800, nullptr);
+      outputs.push_back(engine.sinks().canonical());
     }
   }
   for (std::size_t i = 1; i < outputs.size(); ++i) {
@@ -94,29 +86,13 @@ TEST(EngineStress, AllConfigurationsProduceIdenticalSinks) {
   EXPECT_GT(outputs[0].size(), 100U) << "stress workload was trivial";
 }
 
-// A staging ring too small for the workload forces the try_push-failure
-// fallback (apply directly under the lock) to interleave with batched
-// drains; results must be unchanged.
-TEST(EngineStress, TinyStagingRingFallbackMatchesReference) {
-  const Program program = stress_program(1);
-  EngineOptions options;
-  options.threads = 6;
-  options.max_inflight_phases = 16;
-  options.staging_ring_capacity = 2;
-  Engine engine(program, options);
-  const auto report = trace::check_against_sequential(program, engine, 1200);
-  EXPECT_TRUE(report.equivalent) << report.summary();
-}
-
 // Teardown-race regression (the abandoning_/close() ordering audit): an
 // engine destroyed with phases outstanding must let in-flight workers
 // finish their current pair, observe the closed queue, read abandoning_ ==
 // true, and exit — never trip the "run queue closed while work was
-// outstanding" check, deadlock, or crash while staged finishes are still
-// sitting in the delivery rings. Loop many configurations, over the stress
-// workload and the randomized corpus, so destruction lands at many
-// different points of the pipeline under every apply path (threads = 1
-// takes the per-pair path).
+// outstanding" check, deadlock, or crash. Loop many configurations, over
+// the stress workload and the randomized corpus, so destruction lands at
+// many different points of the pipeline.
 TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
   for (const Program& program : {stress_program(4),
                                  testutil::random_program(27)}) {
@@ -124,7 +100,6 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
       EngineOptions options;
       options.threads = 1 + iter % 5;
       options.max_inflight_phases = 1 + iter % 9;
-      options.staging_ring_capacity = kRingCapacities[iter % 2];
       Engine engine(program, options);
       engine.start();
       const int phases = iter % 8;
@@ -136,26 +111,19 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
   }
 }
 
-// The per-pair path keeps one pair its own finish readied and runs it next
-// instead of queueing it. An engine destroyed while workers hold such local
-// pairs must drop them like queued ones — never trip the "run queue closed
-// while work was outstanding" check, hang, or crash. Each configuration
-// below takes the per-pair path: a single worker, and two and four workers
-// whose staging rings are small enough to overflow. Destruction waits
-// until pairs are flowing, so it lands mid-chain rather than before the
-// first dequeue.
+// A worker keeps one pair its own finish readied and runs it next instead
+// of queueing it. An engine destroyed while workers hold such local pairs
+// must drop them like queued ones — never trip the "run queue closed while
+// work was outstanding" check, hang, or crash. Destruction waits until
+// pairs are flowing, so it lands mid-chain rather than before the first
+// dequeue.
 TEST(EngineStress, DestroyWhileWorkersHoldLocalPairs) {
-  struct Config {
-    std::size_t threads;
-    std::size_t ring;
-  };
   const Program program = stress_program(6);
-  for (const Config config : {Config{1, 256}, Config{2, 2}, Config{4, 2}}) {
+  for (const std::size_t threads : {1UL, 2UL, 4UL}) {
     for (int iter = 0; iter < 30; ++iter) {
       EngineOptions options;
-      options.threads = config.threads;
+      options.threads = threads;
       options.max_inflight_phases = 2 + static_cast<std::size_t>(iter) * 2;
-      options.staging_ring_capacity = config.ring;
       Engine engine(program, options);
       engine.start();
       const std::size_t phases = 8 + static_cast<std::size_t>(iter) % 16;
@@ -174,10 +142,9 @@ TEST(EngineStress, DestroyWhileWorkersHoldLocalPairs) {
 
 // Backpressure regression for the 1-phase window: start_phase may only
 // proceed when the window has room, and the only transition that makes
-// room is a phase retirement. If any apply path retired a phase without
+// room is a phase retirement. If a worker's finish retired a phase without
 // notifying progress_cv_, this configuration would deadlock on the second
-// phase; with staged deliveries the retirement happens inside a batched
-// drain, so this pins the drain path's notify too.
+// phase.
 TEST(EngineStress, SingleInflightWindowSustainsThroughput) {
   const Program program = stress_program(5);
   EngineOptions options;
@@ -193,13 +160,11 @@ TEST(EngineStress, SingleInflightWindowSustainsThroughput) {
 // The progress wake rule (DESIGN.md, "Wake only when the waiter can
 // proceed") at the edges of its admission batch max(1, W/8): one slot for
 // windows 1-15, two for 16 and 17, eight for 64. start_phase waits for
-// window room while quiesce() and finish() wait for completion, under
-// every apply path. The on_phase_complete hook makes retiring drains skip
-// the drainer's wake-up discount while the other drains take it; it sleeps
-// on every 5th call, holding its worker like a blocked channel send. A
-// lost wake-up hangs this test; a wrong admission target overruns the
-// window.
-TEST(EngineStress, ProgressWaitersAcrossWindowsAndApplyPaths) {
+// window room while quiesce() and finish() wait for completion, with one
+// worker and with three. The on_phase_complete hook sleeps on every 5th
+// call, holding its worker like a blocked channel send. A lost wake-up
+// hangs this test; a wrong admission target overruns the window.
+TEST(EngineStress, ProgressWaitersAcrossWindowsAndThreadCounts) {
   const Program program = stress_program(2);
   constexpr event::PhaseId kPhases = 600;
   baseline::SequentialExecutor reference(program);
@@ -208,32 +173,28 @@ TEST(EngineStress, ProgressWaitersAcrossWindowsAndApplyPaths) {
   ASSERT_GT(expected.size(), 100U) << "stress workload was trivial";
   for (const std::size_t window : {1UL, 2UL, 15UL, 16UL, 17UL, 64UL}) {
     for (const std::size_t threads : {1UL, 3UL}) {
-      for (const std::size_t ring : kRingCapacities) {
-        EngineOptions options;
-        options.threads = threads;
-        options.max_inflight_phases = window;
-        options.staging_ring_capacity = ring;
-        std::atomic<std::uint64_t> hook_calls{0};
-        options.on_phase_complete = [&hook_calls](event::PhaseId) {
-          if (hook_calls.fetch_add(1) % 5 == 4) {
-            std::this_thread::sleep_for(std::chrono::microseconds(20));
-          }
-        };
-        Engine engine(program, options);
-        engine.start();
-        for (event::PhaseId p = 1; p <= kPhases; ++p) {
-          engine.start_phase({});
-          if (p % 50 == 0) {
-            engine.quiesce();
-          }
+      EngineOptions options;
+      options.threads = threads;
+      options.max_inflight_phases = window;
+      std::atomic<std::uint64_t> hook_calls{0};
+      options.on_phase_complete = [&hook_calls](event::PhaseId) {
+        if (hook_calls.fetch_add(1) % 5 == 4) {
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
         }
-        engine.finish();
-        const std::string config =
-            "window " + std::to_string(window) + ", threads " +
-            std::to_string(threads) + ", ring " + std::to_string(ring);
-        EXPECT_EQ(engine.sinks().canonical(), expected) << config;
-        EXPECT_LE(engine.stats().max_inflight_phases, window) << config;
+      };
+      Engine engine(program, options);
+      engine.start();
+      for (event::PhaseId p = 1; p <= kPhases; ++p) {
+        engine.start_phase({});
+        if (p % 50 == 0) {
+          engine.quiesce();
+        }
       }
+      engine.finish();
+      const std::string config = "window " + std::to_string(window) +
+                                 ", threads " + std::to_string(threads);
+      EXPECT_EQ(engine.sinks().canonical(), expected) << config;
+      EXPECT_LE(engine.stats().max_inflight_phases, window) << config;
     }
   }
 }

@@ -21,14 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
-#include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <new>
 #include <set>
@@ -37,7 +34,6 @@
 #include <vector>
 
 #include "concurrency/blocking_queue.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "core/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/numbering.hpp"
@@ -286,9 +282,9 @@ void expect_same_ready(const std::vector<Scheduler::ReadyPair>& flat,
 /// Shape of one randomized differential run. A shallow run starts phases
 /// with a fixed probability, so only a few are ever active. A deep run keeps
 /// starting phases until `deep_active` are in flight and picks the oldest or
-/// newest issued pair as often as a random one, so finishes (and staged
-/// batches) span the whole window: the frontier pass's early exit then meets
-/// many active slots beyond the ones a transition touched.
+/// newest issued pair as often as a random one, so finishes span the whole
+/// window: the frontier pass's early exit then meets many active slots
+/// beyond the ones a transition touched.
 struct DiffShape {
   std::uint32_t min_vertices;
   std::uint32_t vertex_spread;  // vertices = min_vertices + seed % spread
@@ -454,200 +450,6 @@ TEST_P(FlatVsReferenceDeepWindow, IdenticalSnapshotsAfterEveryTransition) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceDeepWindow,
                          ::testing::Range<std::uint64_t>(0, 8));
 
-// --- layer 1b: staged-delivery differential ---------------------------------
-//
-// Drives the batched path the engine's delivery rings use: executed pairs
-// are staged into a few simulated per-worker FIFOs and applied in random
-// drain batches through finish_execution_batch, while the node-based
-// reference applies the same finishes one at a time in drain order. After
-// every drain the snapshots must match exactly and the issued ready sets
-// (including sealed bundle contents) must be identical — the batched
-// frontier may lag only *inside* the call, never across it. Deep runs
-// stage the oldest and newest issued pairs often, so single batches span
-// the window from its oldest active phase to its newest.
-
-void run_staged_differential(std::uint64_t seed, const DiffShape& shape) {
-  support::Rng rng(seed);
-
-  const Dag dag = graph::random_dag(
-      shape.min_vertices +
-          static_cast<std::uint32_t>(seed % shape.vertex_spread),
-      0.3, rng);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  const auto succs = internal_successors(dag, numbering);
-
-  Scheduler flat(numbering.m);
-  ReferenceScheduler reference(numbering.m);
-
-  constexpr std::size_t kRings = 3;  // simulated workers
-  struct Issued {
-    std::uint32_t vertex;
-    event::PhaseId phase;
-    event::InputBundle bundle;
-  };
-  std::vector<Issued> issued;
-  // Per-"worker" staging FIFOs: flat-side entry plus the reference-side
-  // copy of the same finish, kept in lockstep.
-  std::array<std::deque<Scheduler::StagedFinish>, kRings> rings;
-  std::array<std::deque<Scheduler::StagedFinish>, kRings> rings_ref;
-  std::size_t staged_count = 0;
-  event::PhaseId started = 0;
-  std::size_t deepest = 0;
-  event::PhaseId widest_batch = 0;  // newest - oldest phase in one drain
-
-  const auto absorb = [&](std::vector<Scheduler::ReadyPair>& flat_ready,
-                          std::vector<Scheduler::ReadyPair>& ref_ready) {
-    expect_same_ready(flat_ready, ref_ready);
-    for (auto& pair : flat_ready) {
-      issued.push_back(
-          Issued{pair.vertex, pair.phase, std::move(pair.bundle)});
-    }
-    flat_ready.clear();
-    ref_ready.clear();
-  };
-
-  std::vector<Scheduler::ReadyPair> flat_ready;
-  std::vector<Scheduler::ReadyPair> ref_ready;
-  std::vector<Scheduler::StagedFinish> batch;
-
-  const auto drain = [&](std::size_t limit_per_ring) {
-    // Pop a prefix of every ring (respecting each worker's FIFO order,
-    // like SpscRing::drain) into one batch, apply it to the flat scheduler
-    // in a single call and to the reference pair-by-pair in drain order.
-    batch.clear();
-    for (std::size_t r = 0; r < kRings; ++r) {
-      const std::size_t take = std::min(limit_per_ring, rings[r].size());
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(rings[r].front()));
-        rings[r].pop_front();
-      }
-    }
-    if (!batch.empty()) {
-      const auto [oldest, newest] = std::minmax_element(
-          batch.begin(), batch.end(),
-          [](const Scheduler::StagedFinish& a,
-             const Scheduler::StagedFinish& b) { return a.phase < b.phase; });
-      widest_batch = std::max(widest_batch, newest->phase - oldest->phase);
-    }
-    for (const Scheduler::StagedFinish& staged : batch) {
-      // Reference applies the identical finish sequence, one at a time.
-      std::size_t r = 0;
-      for (; r < kRings; ++r) {
-        if (!rings_ref[r].empty() &&
-            rings_ref[r].front().vertex == staged.vertex &&
-            rings_ref[r].front().phase == staged.phase) {
-          break;
-        }
-      }
-      ASSERT_LT(r, kRings) << "reference ring desynchronized";
-      Scheduler::StagedFinish ref_staged = std::move(rings_ref[r].front());
-      rings_ref[r].pop_front();
-      auto ready = reference.finish_execution(
-          ref_staged.vertex, ref_staged.phase,
-          std::move(ref_staged.deliveries));
-      for (auto& pair : ready) {
-        ref_ready.push_back(std::move(pair));
-      }
-    }
-    staged_count -= batch.size();
-    flat.finish_execution_batch(std::span<Scheduler::StagedFinish>(batch),
-                                flat_ready);
-    // Both sides issue in ascending vertex order per collect, but the
-    // reference collects once per finish; canonicalize before comparing.
-    const auto by_vertex = [](const Scheduler::ReadyPair& a,
-                              const Scheduler::ReadyPair& b) {
-      return a.vertex != b.vertex ? a.vertex < b.vertex : a.phase < b.phase;
-    };
-    std::sort(flat_ready.begin(), flat_ready.end(), by_vertex);
-    std::sort(ref_ready.begin(), ref_ready.end(), by_vertex);
-    absorb(flat_ready, ref_ready);
-    ASSERT_EQ(flat.snapshot(), reference.snapshot())
-        << "snapshot divergence after drain (seed " << seed << ")";
-  };
-
-  std::vector<event::InputBundle> bundles;
-  std::vector<event::InputBundle> bundles_copy;
-  while (started < shape.phases || !issued.empty() || staged_count > 0) {
-    const double roll = rng.next_double();
-    const double start_p =
-        start_probability(shape, 0.25, flat.active_phase_count());
-    if (started < shape.phases &&
-        (roll < start_p || (issued.empty() && staged_count == 0))) {
-      // Start a phase (goes through the lock directly, as in the engine).
-      ++started;
-      random_bundles(numbering, rng, bundles, bundles_copy);
-      auto fr = start_phase_vec(flat, started, std::move(bundles));
-      auto rr = reference.start_phase(started, std::move(bundles_copy));
-      absorb(fr, rr);
-      EXPECT_EQ(flat.snapshot(), reference.snapshot());
-    } else if (!issued.empty() &&
-               (roll < start_p + (1.0 - start_p) * 2.0 / 3.0 ||
-                staged_count == 0)) {
-      // "Execute" an issued pair and stage the finish.
-      const std::size_t pick = pick_issued(issued, shape, rng);
-      Issued pair = std::move(issued[pick]);
-      issued.erase(issued.begin() + static_cast<std::ptrdiff_t>(pick));
-      Scheduler::StagedFinish staged;
-      Scheduler::StagedFinish staged_ref;
-      staged.vertex = staged_ref.vertex = pair.vertex;
-      staged.phase = staged_ref.phase = pair.phase;
-      for (const std::uint32_t w : succs[pair.vertex]) {
-        if (rng.next_bernoulli(0.6)) {
-          const double payload = rng.next_normal();
-          staged.deliveries.push_back(
-              Scheduler::Delivery{w, 0, event::Value(payload)});
-          staged_ref.deliveries.push_back(
-              Scheduler::Delivery{w, 0, event::Value(payload)});
-        }
-      }
-      staged.recycled = std::move(pair.bundle);
-      const std::size_t r = static_cast<std::size_t>(rng.next_below(kRings));
-      rings[r].push_back(std::move(staged));
-      rings_ref[r].push_back(std::move(staged_ref));
-      ++staged_count;
-    } else {
-      // Drain: sometimes everything visible, sometimes partial prefixes.
-      drain(rng.next_bernoulli(0.5)
-                ? std::numeric_limits<std::size_t>::max()
-                : 1 + static_cast<std::size_t>(rng.next_below(3)));
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-    deepest = std::max(deepest, flat.active_phase_count());
-  }
-
-  EXPECT_TRUE(flat.all_started_phases_complete());
-  EXPECT_TRUE(reference.all_started_phases_complete());
-  EXPECT_EQ(flat.completed_through(), shape.phases);
-  EXPECT_EQ(reference.completed_through(), shape.phases);
-  if (shape.deep_active != 0) {
-    EXPECT_GE(deepest, shape.deep_active) << "the window never got deep";
-    EXPECT_GE(widest_batch, shape.deep_active / 2)
-        << "no drain mixed old and new phases";
-  }
-}
-
-class FlatVsReferenceStaged : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
-  run_staged_differential(GetParam(), DiffShape{6, 23, 12, 0});
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceStaged,
-                         ::testing::Range<std::uint64_t>(0, 25));
-
-class FlatVsReferenceStagedDeepWindow
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FlatVsReferenceStagedDeepWindow, BatchedDrainsMatchPerPairReference) {
-  run_staged_differential(GetParam(), DiffShape{5, 12, 200, 64});
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceStagedDeepWindow,
-                         ::testing::Range<std::uint64_t>(0, 8));
-
 // --- layer 2: zero-allocation steady state ----------------------------------
 
 /// Drives one scheduler like the engine does (window of in-flight phases,
@@ -758,75 +560,6 @@ TEST(ZeroAllocation, FanInWithEventBundlesStaysBounded) {
          "is compounding instead of bounded";
 }
 
-TEST(ZeroAllocation, StagedBatchApplicationDoesNotAllocateUnderLock) {
-  // The engine's drain path: staged finishes accumulate outside the lock
-  // and finish_execution_batch applies them in one critical section. Only
-  // the batched call is measured — batch assembly is off-lock by design.
-  support::Rng rng(11);
-  const Dag dag = graph::layered(4, 6, 2, rng);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  const auto succs = internal_successors(dag, numbering);
-
-  Scheduler scheduler(numbering.m);
-  const std::size_t window = 4;
-  scheduler.reserve_steady_state(window,
-                                 window * (dag.vertex_count() + 1));
-  std::vector<event::InputBundle> bundles;
-  std::vector<Scheduler::ReadyPair> queue;
-  std::vector<Scheduler::ReadyPair> ready;
-  std::vector<Scheduler::StagedFinish> batch;
-  const event::PhaseId phases = 80;
-  const event::PhaseId warmup = 30;
-  std::uint64_t steady_allocs = 0;
-  std::uint64_t steady_batches = 0;
-  event::PhaseId next_phase = 1;
-
-  while (next_phase <= phases || !queue.empty()) {
-    if (next_phase <= phases &&
-        (queue.empty() || scheduler.active_phase_count() < window)) {
-      bundles.clear();
-      bundles.resize(numbering.m[0]);
-      ready.clear();
-      scheduler.start_phase(next_phase,
-                            std::span<event::InputBundle>(bundles), ready);
-      ++next_phase;
-    } else {
-      // Stage every currently-issued pair, then drain them as one batch.
-      batch.clear();
-      for (auto& pair : queue) {
-        Scheduler::StagedFinish staged;
-        staged.vertex = pair.vertex;
-        staged.phase = pair.phase;
-        for (const std::uint32_t w : succs[pair.vertex]) {
-          staged.deliveries.push_back(
-              Scheduler::Delivery{w, 0, event::Value(1.0)});
-        }
-        staged.recycled = std::move(pair.bundle);
-        batch.push_back(std::move(staged));
-      }
-      queue.clear();
-      ready.clear();
-      const bool steady = next_phase > warmup;
-      const std::uint64_t before = g_thread_allocs;
-      scheduler.finish_execution_batch(
-          std::span<Scheduler::StagedFinish>(batch), ready);
-      if (steady) {
-        steady_allocs += g_thread_allocs - before;
-        ++steady_batches;
-      }
-    }
-    for (auto& r : ready) {
-      queue.push_back(std::move(r));
-    }
-    ready.clear();
-  }
-  EXPECT_TRUE(scheduler.all_started_phases_complete());
-  EXPECT_EQ(scheduler.completed_through(), phases);
-  EXPECT_GT(steady_batches, 0U);
-  EXPECT_EQ(steady_allocs, 0U)
-      << "batched applications allocated after warm-up";
-}
-
 TEST(ZeroAllocation, MultiThreadStressStaysAllocationFreeUnderLock) {
   support::Rng rng(7);
   const Dag dag = graph::layered(4, 4, 2, rng);
@@ -925,151 +658,6 @@ TEST(ZeroAllocation, MultiThreadStressStaysAllocationFreeUnderLock) {
   }
   EXPECT_EQ(locked_steady_allocs.load(), 0U)
       << "allocations under the global lock after warm-up";
-}
-
-// --- layer 3: multi-worker staged rings (run under TSan in CI) --------------
-//
-// The engine's staged-delivery drain protocol at scheduler level (the
-// eager-drain variant: every stage volunteers, threshold 1): workers
-// execute pairs from a shared run queue, stage finishes into their own
-// SPSC rings, and whoever wins the `draining` flag applies batches under
-// the lock. Exercises the producer/consumer handoff, the increment-before-
-// push accounting, and the post-release re-check against stranded entries.
-// Correctness signal: exactly the expected number of pairs is executed and
-// every phase completes (a stranded staged entry deadlocks the run).
-TEST(StagedRings, MultiWorkerDrainProtocolCompletesEveryPhase) {
-  support::Rng rng(13);
-  const Dag dag = graph::layered(4, 4, 2, rng);
-  const Numbering numbering = graph::compute_satisfactory_numbering(dag);
-  const auto succs = internal_successors(dag, numbering);
-  const auto n = static_cast<std::uint64_t>(dag.vertex_count());
-
-  const event::PhaseId phases = 300;
-  const std::size_t window = 8;
-  const std::size_t num_threads = 4;
-  const std::uint64_t expected_pairs = n * phases;
-
-  Scheduler scheduler(numbering.m);
-  scheduler.reserve_steady_state(window, n * window);
-  std::mutex mutex;
-  std::condition_variable window_cv;
-  conc::BlockingQueue<Scheduler::ReadyPair> run_queue;
-  std::vector<std::unique_ptr<conc::SpscRing<Scheduler::StagedFinish>>>
-      rings;
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    rings.push_back(
-        std::make_unique<conc::SpscRing<Scheduler::StagedFinish>>(64));
-  }
-  std::atomic<std::size_t> staged_pending{0};
-  std::atomic<bool> draining{false};
-  std::atomic<std::uint64_t> executed{0};
-
-  std::vector<Scheduler::StagedFinish> drain_batch;
-  std::vector<Scheduler::ReadyPair> drain_ready;  // guarded by `draining`
-
-  const auto drain_once = [&]() -> std::size_t {
-    drain_batch.clear();
-    for (auto& ring : rings) {
-      // Winning the draining exchange was the consumer handoff; announce
-      // it to the debug-only SPSC owner check (as Engine::drain_staged
-      // does).
-      ring->adopt_consumer();
-      ring->drain([&](Scheduler::StagedFinish&& staged) {
-        drain_batch.push_back(std::move(staged));
-      });
-    }
-    if (drain_batch.empty()) {
-      return 0;
-    }
-    drain_ready.clear();
-    {
-      std::lock_guard lock(mutex);
-      scheduler.finish_execution_batch(
-          std::span<Scheduler::StagedFinish>(drain_batch), drain_ready);
-    }
-    window_cv.notify_all();
-    staged_pending.fetch_sub(drain_batch.size());
-    if (!drain_ready.empty()) {
-      run_queue.push_all(drain_ready);
-    }
-    return drain_batch.size();
-  };
-  const auto maybe_drain = [&] {
-    for (;;) {
-      if (staged_pending.load() == 0) {
-        return;
-      }
-      if (draining.exchange(true)) {
-        return;
-      }
-      const std::size_t drained = drain_once();
-      draining.store(false);
-      if (drained == 0) {
-        std::this_thread::yield();
-      }
-    }
-  };
-
-  const auto worker = [&](std::size_t index) {
-    while (auto item = run_queue.pop()) {
-      Scheduler::StagedFinish staged;
-      staged.vertex = item->vertex;
-      staged.phase = item->phase;
-      for (const std::uint32_t w : succs[item->vertex]) {
-        staged.deliveries.push_back(
-            Scheduler::Delivery{w, 0, event::Value(1.0)});
-      }
-      staged.recycled = std::move(item->bundle);
-      staged_pending.fetch_add(1);
-      while (!rings[index]->try_push(staged)) {
-        maybe_drain();  // ring full: help drain, then retry
-      }
-      maybe_drain();
-      if (executed.fetch_add(1) + 1 == expected_pairs) {
-        // Final pair staged; drain everything left before closing so the
-        // run ends with the scheduler fully settled.
-        while (staged_pending.load() != 0) {
-          maybe_drain();
-          std::this_thread::yield();
-        }
-        run_queue.close();
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    threads.emplace_back(worker, i);
-  }
-
-  std::vector<event::InputBundle> bundles;
-  std::vector<Scheduler::ReadyPair> ready;
-  for (event::PhaseId p = 1; p <= phases; ++p) {
-    bundles.clear();
-    bundles.resize(numbering.m[0]);
-    ready.clear();
-    {
-      std::unique_lock lock(mutex);
-      window_cv.wait(lock, [&] {
-        return scheduler.active_phase_count() < window;
-      });
-      scheduler.start_phase(p, std::span<event::InputBundle>(bundles),
-                            ready);
-    }
-    if (!ready.empty()) {
-      run_queue.push_all(ready);
-    }
-  }
-
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(executed.load(), expected_pairs);
-  {
-    std::lock_guard lock(mutex);
-    EXPECT_TRUE(scheduler.all_started_phases_complete());
-    EXPECT_EQ(scheduler.completed_through(), phases);
-  }
 }
 
 }  // namespace

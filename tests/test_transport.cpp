@@ -156,8 +156,8 @@ TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
     // Window 4 makes the inner pipeline's backpressure (start_phase
     // blocking while the egress hub holds future-phase batches) real, not
     // just theoretical. Window 64 is the TransportOptions default and the
-    // benchmark's: there a one-thread block runs the per-pair path with a
-    // deep window, keeping its next pair worker-local.
+    // benchmark's: there a one-thread block runs a deep window, keeping
+    // its next pair worker-local.
     for (const std::size_t window : {std::size_t{4}, std::size_t{64}}) {
       for (const std::size_t engine_threads :
            {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
