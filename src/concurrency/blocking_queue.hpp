@@ -18,6 +18,14 @@
 // traffic").
 //
 // Wakeup discipline (audited for under-wake/lost-wakeup):
+//   * pop() spins before it takes the lock (DESIGN.md, "Spin before
+//     parking"): for up to kPopSpinRounds CPU-relax rounds it polls
+//     poppable_, a relaxed atomic mirror of (closed_ || count_ != 0) that
+//     is written under the mutex wherever count_ or closed_ changes. The
+//     mirror is only a hint about when to take the lock. pop() then runs
+//     the locked path below unchanged, re-checking the real predicate under
+//     the mutex, so the spin cannot lose a wake-up, and a spinning consumer
+//     is not counted in waiting_poppers_ because it is not yet waiting;
 //   * not_empty_: consumers block only while the queue is empty, so k items
 //     added need at most k wakeups, and one item needs exactly one — the
 //     per-item notify_one in push()/single-item push_all() is sufficient,
@@ -26,7 +34,7 @@
 //     needed at all, because any later consumer re-checks the count under
 //     the mutex before sleeping.
 //   * parks() counts not_empty_ waits, the times a consumer blocked on the
-//     empty queue, under the queue's own mutex.
+//     empty queue after its spin, under the queue's own mutex.
 //   * not_full_: producers block on *batch-sized* room (push_all waits for
 //     its whole batch to fit), so waiters are heterogeneous: waking one
 //     producer after one pop could select a large-batch producer that goes
@@ -41,6 +49,7 @@
 // concurrency/annotations.hpp for the conventions).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -135,9 +144,21 @@ class BlockingQueue {
     return true;
   }
 
+  /// CPU-relax rounds pop() polls the occupancy mirror before it locks and
+  /// parks: about 3.5 us on the guest Mutex::kSpinRounds was measured on,
+  /// the same order as a park and its wake-up. A one-worker engine at
+  /// window 2 then finds the environment's next pair instead of parking on
+  /// about half its phases (DESIGN.md, "Spin before parking").
+  static constexpr int kPopSpinRounds = 200;
+
   /// Blocks until an item is available or the queue is closed and drained.
   /// nullopt signals "closed and empty" — the worker-thread exit condition.
   std::optional<T> pop() {
+    for (int round = 0; round < kPopSpinRounds &&
+                        !poppable_.load(std::memory_order_relaxed);
+         ++round) {
+      cpu_relax();
+    }
     UniqueLock lock(mutex_);
     ++waiting_poppers_;
     while (!(closed_ || count_ != 0)) {
@@ -181,6 +202,7 @@ class BlockingQueue {
     {
       MutexLock lock(mutex_);
       closed_ = true;
+      poppable_.store(true, std::memory_order_relaxed);
     }
     not_empty_.notify_all();
     not_full_.notify_all();
@@ -226,12 +248,14 @@ class BlockingQueue {
     }
     ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(item);
     ++count_;
+    poppable_.store(true, std::memory_order_relaxed);
   }
 
   T take() DF_REQUIRES(mutex_) {
     T item = std::move(ring_[head_]);
     head_ = (head_ + 1) & (ring_.size() - 1);
     --count_;
+    poppable_.store(closed_ || count_ != 0, std::memory_order_relaxed);
     return item;
   }
 
@@ -259,6 +283,10 @@ class BlockingQueue {
   std::size_t waiting_poppers_ DF_GUARDED_BY(mutex_) = 0;
   std::size_t waiting_pushers_ DF_GUARDED_BY(mutex_) = 0;
   std::uint64_t parks_ DF_GUARDED_BY(mutex_) = 0;
+  // Mirror of (closed_ || count_ != 0), stored under mutex_ by place(),
+  // take() and close(); pop()'s spin reads it without the lock (see the
+  // header comment).
+  std::atomic<bool> poppable_{false};
 };
 
 }  // namespace df::conc

@@ -751,6 +751,7 @@ ExecStats Engine::stats() const {
     conc::MutexLock lock(mutex_);
     stats.window_waits = window_waits_;
     stats.progress_wakeups = progress_wakeups_;
+    stats.lock_waits = mutex_.lock_waits();
     stats.phases_completed = scheduler_.completed_through();
     stats.max_inflight_phases = max_inflight_;
   }

@@ -29,6 +29,13 @@
 //   * worker-local next pair: a worker keeps one of the pairs its own
 //     finish readied and runs it next, handing only the rest to the run
 //     queue, so a chain of pairs runs without a queue round trip per pair;
+//   * spin before parking: a worker that finds the global lock held, or
+//     the run queue empty, spins for about what a park and wake-up cost
+//     before it blocks in the kernel (conc::Mutex::lock, BlockingQueue::pop;
+//     DESIGN.md, "Spin before parking"). The paper's dequeue "suspends
+//     until an item is available"; here a wait shorter than the spin never
+//     reaches the kernel. ExecStats::lock_waits counts the lock
+//     acquisitions that blocked;
 //   * unit scheduling: the scheduler sees contiguous numbering runs
 //     ("units", about two per worker) as single vertices, and a worker runs
 //     a unit's members for one phase in numbering order under the

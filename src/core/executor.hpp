@@ -101,8 +101,11 @@ struct ExecStats {
   /// Returns from a wait for window room or for every started phase to
   /// complete (start_phase, quiesce(), finish()).
   std::uint64_t progress_wakeups = 0;
-  /// Times a worker blocked on the empty run queue.
+  /// Times a worker blocked on the empty run queue after its spin.
   std::uint64_t queue_parks = 0;
+  /// Acquisitions of the engine's global lock that spun out and blocked
+  /// (conc::Mutex::lock_waits; DESIGN.md, "Spin before parking").
+  std::uint64_t lock_waits = 0;
   // Legacy dispatch counters, always 0: no executor steals work, and
   // `parks` predates the run-queue count above — queue_parks is the real
   // one. Kept only because the benchmark of record (benchmark/suite.cpp)

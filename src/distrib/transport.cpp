@@ -698,6 +698,7 @@ void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
   total.window_waits += gen.window_waits;
   total.progress_wakeups += gen.progress_wakeups;
   total.queue_parks += gen.queue_parks;
+  total.lock_waits += gen.lock_waits;
   total.phases_completed =
       std::max(total.phases_completed, gen.phases_completed);
   total.max_inflight_phases =
@@ -1350,6 +1351,7 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
     stats_.window_waits += state.stats.window_waits;
     stats_.progress_wakeups += state.stats.progress_wakeups;
     stats_.queue_parks += state.stats.queue_parks;
+    stats_.lock_waits += state.stats.lock_waits;
     stats_.phases_completed =
         std::min(stats_.phases_completed, state.stats.phases_completed);
     stats_.max_inflight_phases =

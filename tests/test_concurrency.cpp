@@ -1,15 +1,19 @@
-// Unit and stress tests for the concurrency substrate: blocking MPMC queue
-// (the paper's run queue), thread pool, SPSC ring, sharded counters.
+// Unit and stress tests for the concurrency substrate: the spinning mutex
+// and its guards, blocking MPMC queue (the paper's run queue), thread pool,
+// SPSC ring, sharded counters.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "concurrency/annotations.hpp"
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
 #include "concurrency/spsc_ring.hpp"
@@ -18,6 +22,73 @@
 
 namespace df::conc {
 namespace {
+
+// Every guard acquires through Mutex::lock(), which spins on try_lock()
+// before it falls back to the blocking lock. A plain counter bumped under
+// MutexLock, and under a UniqueLock released and retaken mid-section, must
+// come out exact (and TSan reports any unguarded bump).
+TEST(Mutex, GuardsExcludeUnderContention) {
+  constexpr int kThreads = 6;
+  constexpr int kIters = 5000;
+  Mutex mutex;
+  std::uint64_t counter = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        {
+          MutexLock lock(mutex);
+          ++counter;
+        }
+        UniqueLock lock(mutex);
+        ++counter;
+        lock.unlock();
+        lock.lock();
+        ++counter;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter, std::uint64_t{3} * kThreads * kIters);
+}
+
+// A holder that keeps the lock far longer than the spin makes the next
+// acquisition fall back to the blocking lock: it counts as a lock wait, and
+// it returns only once the holder has released the lock.
+TEST(Mutex, LongHoldCountsOneLockWait) {
+  Mutex mutex;
+  std::atomic<bool> held{false};
+  bool released = false;  // written by the holder under the lock
+  std::thread holder([&] {
+    MutexLock lock(mutex);
+    held.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    released = true;
+  });
+  while (!held.load()) {
+    std::this_thread::yield();
+  }
+  {
+    MutexLock lock(mutex);
+    EXPECT_TRUE(released);
+    EXPECT_EQ(mutex.lock_waits(), 1U);
+  }
+  holder.join();
+}
+
+// pop() parks only on an open empty queue: a queued item or a close ends
+// its spin, and the locked re-check returns without waiting.
+TEST(BlockingQueue, PopWithItemOrOnClosedQueueDoesNotPark) {
+  BlockingQueue<int> queue;
+  queue.push(5);
+  EXPECT_EQ(queue.pop(), 5);
+  EXPECT_EQ(queue.parks(), 0U);
+  queue.close();
+  EXPECT_FALSE(queue.pop().has_value());
+  EXPECT_EQ(queue.parks(), 0U);
+}
 
 TEST(BlockingQueue, FifoOrder) {
   BlockingQueue<int> queue;
