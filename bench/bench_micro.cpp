@@ -12,7 +12,6 @@
 
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "core/scheduler.hpp"
 #include "event/value.hpp"
 #include "graph/generators.hpp"
@@ -32,16 +31,6 @@ void BM_blocking_queue_push_pop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_blocking_queue_push_pop);
-
-void BM_spsc_ring_push_pop(benchmark::State& state) {
-  conc::SpscRing<int> ring(1024);
-  for (auto _ : state) {
-    ring.push(1);
-    benchmark::DoNotOptimize(ring.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_spsc_ring_push_pop);
 
 void BM_mutex_lock_unlock(benchmark::State& state) {
   std::mutex mutex;

@@ -24,11 +24,11 @@
 // Conventions used across the codebase:
 //   * fields owned by exactly one mutex are DF_GUARDED_BY(that_mutex_);
 //   * private helpers called with the lock held are DF_REQUIRES(mutex_);
-//   * fields protected by something other than one mutex (e.g. the
-//     in-process channel's SPSC ring, whose producer role passes between
-//     engine workers under the egress link mutex) cannot be expressed
-//     statically and stay unannotated with a comment naming the
-//     discipline — TSan remains the check for those;
+//   * fields protected by something other than one mutex (e.g. the egress
+//     link's ack_floor, a monotone atomic raised without the link mutex
+//     and applied only by its holders) cannot be expressed statically and
+//     stay unannotated with a comment naming the discipline — TSan
+//     remains the check for those;
 //   * condition-variable predicates that read guarded fields are written as
 //     explicit `while (!pred) cv.wait(lock);` loops inside the annotated
 //     method, never as lambdas (clang analyzes lambdas as separate,

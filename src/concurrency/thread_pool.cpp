@@ -21,16 +21,10 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  const bool accepted = tasks_.push(std::move(task));
-  DF_CHECK(accepted, "submit on a destroyed thread pool");
-}
-
 void ThreadPool::run_on_all(const std::function<void(std::size_t)>& task) {
   std::latch done(static_cast<std::ptrdiff_t>(workers_.size()));
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    submit([&task, &done, i] {
+    tasks_.push([&task, &done, i] {
       task(i);
       done.count_down();
     });
@@ -38,21 +32,9 @@ void ThreadPool::run_on_all(const std::function<void(std::size_t)>& task) {
   done.wait();
 }
 
-void ThreadPool::wait_idle() {
-  UniqueLock lock(idle_mutex_);
-  // Predicate reads only the atomic, so the lambda form is analysis-safe.
-  idle_cv_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
 void ThreadPool::worker_main() {
   while (auto task = tasks_.pop()) {
     (*task)();
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      MutexLock lock(idle_mutex_);
-      idle_cv_.notify_all();
-    }
   }
 }
 

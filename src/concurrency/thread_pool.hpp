@@ -1,56 +1,39 @@
-// Fixed-size worker pool.
+// Fixed-size worker pool for the lockstep baseline (baseline/lockstep.cpp).
 //
 // The paper's prototype used java.util.concurrent.ThreadPoolExecutor for its
-// "pool of computation threads". This pool serves two roles here:
-//  * run_loops(): dedicates every worker to one long-running function — the
-//    shape of the paper's computation processes (Listing 1);
-//  * submit(): task-queue mode used by the lockstep baseline executor.
+// "pool of computation threads". The lockstep executor needs one operation
+// from a pool: run_on_all() runs a task on every worker and waits for all of
+// them, once per level of the graph.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
-#include "concurrency/annotations.hpp"
 #include "concurrency/blocking_queue.hpp"
 
 namespace df::conc {
 
 class ThreadPool {
  public:
-  /// Spawns `worker_count` threads that consume submitted tasks.
+  /// Spawns `worker_count` threads that wait for run_on_all() tasks.
   explicit ThreadPool(std::size_t worker_count);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t worker_count() const { return workers_.size(); }
-
-  /// Enqueues a task. Tasks must not throw; exceptions terminate.
-  void submit(std::function<void()> task);
-
   /// Runs `task` on every worker concurrently and returns when all complete.
-  /// The task receives the worker index [0, worker_count).
+  /// The task receives the worker index [0, worker_count). Tasks must not
+  /// throw; exceptions terminate.
   void run_on_all(const std::function<void(std::size_t)>& task);
-
-  /// Blocks until all submitted tasks have finished executing.
-  void wait_idle();
 
  private:
   void worker_main();
 
   BlockingQueue<std::function<void()>> tasks_;
   std::vector<std::thread> workers_;
-  std::atomic<std::size_t> in_flight_{0};
-  // idle_mutex_ guards no fields (in_flight_ is atomic); it only serializes
-  // the wait/notify handshake so the last worker's notify cannot slip
-  // between wait_idle's predicate check and its sleep.
-  Mutex idle_mutex_;
-  CondVar idle_cv_;
 };
 
 /// Spawns `count` threads each running `body(index)`, joins them all before

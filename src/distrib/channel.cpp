@@ -17,89 +17,32 @@
 
 namespace df::distrib {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t result = 2;
-  while (result < v) {
-    result <<= 1;
-  }
-  return result;
-}
-
-}  // namespace
-
 // --- InProcessChannel -------------------------------------------------------
 
 InProcessChannel::InProcessChannel(std::size_t capacity_frames)
-    : ring_(round_up_pow2(capacity_frames)) {}
+    : queue_(capacity_frames) {
+  DF_CHECK(capacity_frames >= 1,
+           "in-process channel capacity must be at least one frame");
+}
 
 void InProcessChannel::send(std::span<const std::uint8_t> frame) {
-  // The sender role migrates between engine workers (whichever completes a
-  // phase flushes), serialized by the egress link mutex — announce the
-  // handoff to the ring's debug-only SPSC owner check.
-  ring_.adopt_producer();
-  std::vector<std::uint8_t> buffer(frame.begin(), frame.end());
-  for (;;) {
-    if (recv_closed_.load(std::memory_order_acquire)) {
-      return;  // receiver abandoned the channel; drop
-    }
-    if (ring_.try_push(buffer)) {
-      break;
-    }
-    conc::UniqueLock lock(mutex_);
-    can_send_.wait(lock, [&] {
-      return ring_.size() < ring_.capacity() ||
-             recv_closed_.load(std::memory_order_acquire);
-    });
-  }
-  {
-    conc::MutexLock lock(mutex_);
-  }
-  can_recv_.notify_one();
+  // A closed queue drops the frame: the receiver is gone or the run is
+  // tearing down.
+  queue_.push(std::vector<std::uint8_t>(frame.begin(), frame.end()));
 }
 
-void InProcessChannel::close_send() {
-  send_closed_.store(true, std::memory_order_release);
-  {
-    conc::MutexLock lock(mutex_);
-  }
-  can_recv_.notify_all();
-}
+void InProcessChannel::close_send() { queue_.close(); }
 
 bool InProcessChannel::recv(std::vector<std::uint8_t>& frame) {
-  for (;;) {
-    if (auto item = ring_.pop()) {
-      frame = std::move(*item);
-      {
-        conc::MutexLock lock(mutex_);
-      }
-      can_send_.notify_one();
-      return true;
-    }
-    if (send_closed_.load(std::memory_order_acquire)) {
-      // The closed flag was stored after the final push; re-check the ring
-      // so a frame racing the close is not lost.
-      if (auto item = ring_.pop()) {
-        frame = std::move(*item);
-        return true;
-      }
-      return false;
-    }
-    conc::UniqueLock lock(mutex_);
-    can_recv_.wait(lock, [&] {
-      return !ring_.empty() || send_closed_.load(std::memory_order_acquire);
-    });
+  auto item = queue_.pop();
+  if (!item) {
+    return false;
   }
+  frame = std::move(*item);
+  return true;
 }
 
-void InProcessChannel::close_recv() {
-  recv_closed_.store(true, std::memory_order_release);
-  {
-    conc::MutexLock lock(mutex_);
-  }
-  can_send_.notify_all();
-}
+void InProcessChannel::close_recv() { queue_.close(); }
 
 // --- SocketChannel ----------------------------------------------------------
 

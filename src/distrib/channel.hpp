@@ -1,16 +1,16 @@
 // Frame channels between partition engines (DESIGN.md, "Real transport").
 //
 // A Channel is a unidirectional, order-preserving pipe of byte frames with
-// exactly one sender thread and one receiver thread (the roles may migrate
-// like SpscRing's, through a stronger-than-acquire/release handoff). The
-// TransportEngine creates one channel per ordered partition pair (j, k),
-// j < k — cross-partition traffic is forward-only, so no backward channels
-// exist at all.
+// one sender and one receiver at a time (the transport's senders take turns
+// under the egress link mutex). The TransportEngine creates one channel per
+// ordered partition pair (j, k), j < k — cross-partition traffic is
+// forward-only, so no backward channels exist at all.
 //
 // Two production implementations:
-//   * InProcessChannel — a bounded SPSC-ring of frames; the sender blocks
-//     while the ring is full, which is the engine's cross-partition
-//     backpressure (an upstream partition cannot run unboundedly ahead).
+//   * InProcessChannel — a conc::BlockingQueue of at most capacity_frames
+//     frames; the sender blocks while it is full, which is the engine's
+//     cross-partition backpressure (an upstream partition cannot run
+//     unboundedly ahead).
 //   * SocketChannel — a loopback TCP connection carrying length-prefixed
 //     frames; backpressure comes from its bounded send queue plus the
 //     kernel socket buffer. This is the configuration that proves real
@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "concurrency/annotations.hpp"
-#include "concurrency/spsc_ring.hpp"
+#include "concurrency/blocking_queue.hpp"
 #include "support/rng.hpp"
 
 namespace df::distrib {
@@ -67,13 +67,15 @@ class Channel {
   virtual void close_recv() = 0;
 };
 
-/// Bounded in-process channel over conc::SpscRing. The ring itself is
-/// lock-free; the mutex/condvars only park threads that found it full or
-/// empty (the state predicates read the ring's atomics, and notifiers take
-/// the empty lock before notifying so a wakeup can never be lost).
+/// Bounded in-process channel: one conc::BlockingQueue of frames, so the
+/// hand-off between partitions is the same mutex-guarded queue as the run
+/// queue and the ingress queue. Either close wakes a blocked sender (whose
+/// frame then drops) and a blocked receiver; recv() still returns every
+/// frame queued before the close, then false.
 class InProcessChannel final : public Channel {
  public:
-  /// `capacity_frames` is rounded up to a power of two (ring requirement).
+  /// Holds at most `capacity_frames` frames; 0 throws check_error (it would
+  /// make the queue unbounded and remove the backpressure).
   explicit InProcessChannel(std::size_t capacity_frames);
 
   void send(std::span<const std::uint8_t> frame) override;
@@ -82,15 +84,7 @@ class InProcessChannel final : public Channel {
   void close_recv() override;
 
  private:
-  conc::SpscRing<std::vector<std::uint8_t>> ring_;
-  // Pure parking lot: guards no fields (the wait predicates read the ring's
-  // atomics and the closed flags), it only pairs waits with notifies so a
-  // wakeup cannot be lost between predicate check and sleep.
-  conc::Mutex mutex_;
-  conc::CondVar can_send_;
-  conc::CondVar can_recv_;
-  std::atomic<bool> send_closed_{false};
-  std::atomic<bool> recv_closed_{false};
+  conc::BlockingQueue<std::vector<std::uint8_t>> queue_;
 };
 
 /// Loopback-TCP channel: frames travel as u32 little-endian length prefixes

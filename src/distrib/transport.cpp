@@ -774,6 +774,8 @@ TransportEngine::TransportEngine(const core::Program& program,
            "transport needs at least one engine thread per block");
   DF_CHECK(options_.max_inflight_phases >= 1,
            "transport block engines need a finite phase window");
+  DF_CHECK(options_.channel_capacity >= 1,
+           "transport channels need a capacity of at least one frame");
   DF_CHECK(!options_.crash_hook || options_.checkpoint_every > 0,
            "crash_hook requires checkpoint_every > 0 (recovery replays from "
            "retained frames)");

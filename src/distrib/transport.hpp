@@ -32,8 +32,9 @@
 //     frame into the final event::Value, and steady-state ingestion
 //     recycles every buffer it touches;
 //   * pipelining happens *across* blocks: block 0 may be phases ahead of
-//     block k, bounded by channel capacity (in-process ring) or the kernel
-//     socket buffer — the transport's backpressure.
+//     block k, bounded by the in-process channel's frame capacity or the
+//     socket channel's send queue plus the kernel socket buffer — the
+//     transport's backpressure.
 //
 // Within a block, execution is a full core::Engine — the paper's multicore
 // worker pool — scoped to the block (DESIGN.md, "Two-level parallelism"):
@@ -79,7 +80,7 @@
 namespace df::distrib {
 
 enum class ChannelKind {
-  kInProcess,  // bounded SPSC-ring channel, frames still wire-encoded
+  kInProcess,  // bounded in-process queue, frames still wire-encoded
   kSocket,     // loopback TCP, length-prefixed frames
 };
 
@@ -108,7 +109,7 @@ struct TransportOptions {
   std::size_t machines = 2;
   ChannelKind channel = ChannelKind::kInProcess;
   /// Frames buffered per in-process channel before the sender blocks (the
-  /// cross-partition backpressure bound). Rounded up to a power of two.
+  /// cross-partition backpressure bound), exactly. Must be >= 1.
   std::size_t channel_capacity = 256;
   /// Explicit cut; if empty bounds, a balanced one is computed. Validated
   /// by graph::validate_partition_cut (empty blocks are legal).

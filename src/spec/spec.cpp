@@ -1,6 +1,7 @@
 #include "spec/spec.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -11,15 +12,19 @@ namespace df::spec {
 
 namespace {
 
-graph::Port parse_port(const XmlNode& node, const std::string& key,
-                       graph::Port fallback) {
+/// The unsigned attribute `key` of `node`: `fallback` when absent, and a
+/// check_error naming it when present but malformed or above `max`.
+std::uint64_t uint_attribute(
+    const XmlNode& node, const std::string& key, std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (!node.has_attribute(key)) {
     return fallback;
   }
   const auto parsed = support::parse_uint(node.attribute(key));
-  DF_CHECK(parsed.has_value() && *parsed <= 0xffff, "edge attribute '", key,
-           "' is not a valid port: ", node.attribute(key));
-  return static_cast<graph::Port>(*parsed);
+  DF_CHECK(parsed.has_value() && *parsed <= max, "<", node.name,
+           "> attribute '", key, "' must be an unsigned integer <= ", max,
+           ", got '", node.attribute(key), "'");
+  return *parsed;
 }
 
 }  // namespace
@@ -32,18 +37,12 @@ ComputationSpec parse_spec(const std::string& xml_text) {
 
   ComputationSpec spec;
   if (const XmlNode* sim = root.child("simulation")) {
-    spec.simulation.timesteps = support::parse_uint(
-        sim->attribute_or("timesteps", "100")).value_or(100);
-    spec.simulation.seed =
-        support::parse_uint(sim->attribute_or("seed", "14675309"))
-            .value_or(14675309);
-    spec.simulation.threads =
-        support::parse_uint(sim->attribute_or("threads", "2")).value_or(2);
+    spec.simulation.timesteps = uint_attribute(*sim, "timesteps", 100);
+    spec.simulation.seed = uint_attribute(*sim, "seed", 14675309);
+    spec.simulation.threads = uint_attribute(*sim, "threads", 2);
     spec.simulation.max_inflight_phases =
-        support::parse_uint(sim->attribute_or("max_inflight", "64"))
-            .value_or(64);
-    spec.simulation.machines =
-        support::parse_uint(sim->attribute_or("machines", "1")).value_or(1);
+        uint_attribute(*sim, "max_inflight", 64);
+    spec.simulation.machines = uint_attribute(*sim, "machines", 1);
     DF_CHECK(spec.simulation.machines >= 1,
              "simulation machines must be >= 1");
   }
@@ -68,8 +67,10 @@ ComputationSpec parse_spec(const std::string& xml_text) {
       EdgeSpec edge;
       edge.from = child.attribute("from");
       edge.to = child.attribute("to");
-      edge.from_port = parse_port(child, "from_port", 0);
-      edge.to_port = parse_port(child, "to_port", next_in_port[edge.to]);
+      edge.from_port = static_cast<graph::Port>(
+          uint_attribute(child, "from_port", 0, 0xffff));
+      edge.to_port = static_cast<graph::Port>(
+          uint_attribute(child, "to_port", next_in_port[edge.to], 0xffff));
       next_in_port[edge.to] =
           std::max<graph::Port>(next_in_port[edge.to],
                                 static_cast<graph::Port>(edge.to_port + 1));

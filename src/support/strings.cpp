@@ -57,7 +57,10 @@ std::optional<std::int64_t> parse_int(std::string_view text) {
 }
 
 std::optional<std::uint64_t> parse_uint(std::string_view text) {
-  if (text.empty() || text.front() == '-') {
+  // strtoull skips leading whitespace and then negates a '-' number into a
+  // huge unsigned one, so the sign is looked for past that whitespace.
+  const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
+  if (first == std::string_view::npos || text[first] == '-') {
     return std::nullopt;
   }
   std::string owned(text);

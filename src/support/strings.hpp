@@ -19,6 +19,8 @@ bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
 
 /// Strict parsers: the whole string must be consumed, otherwise nullopt.
+/// Leading whitespace and a '+' sign are accepted; parse_uint rejects a '-'
+/// sign, also after leading whitespace.
 std::optional<std::int64_t> parse_int(std::string_view text);
 std::optional<std::uint64_t> parse_uint(std::string_view text);
 std::optional<double> parse_double(std::string_view text);

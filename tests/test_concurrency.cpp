@@ -1,6 +1,6 @@
 // Unit and stress tests for the concurrency substrate: the spinning mutex
 // and its guards, blocking MPMC queue (the paper's run queue), thread pool,
-// SPSC ring, sharded counters.
+// sharded counters.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +16,6 @@
 #include "concurrency/annotations.hpp"
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "support/check.hpp"
 
@@ -266,16 +265,6 @@ TEST(BlockingQueue, HeterogeneousBatchPushersDoNotLoseWakeups) {
   EXPECT_EQ(consumed.load(), total);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, RunOnAllPassesDistinctIndices) {
   ThreadPool pool(4);
   std::array<std::atomic<int>, 4> hits{};
@@ -289,73 +278,12 @@ TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool(0), support::check_error);
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  SUCCEED();
-}
-
 TEST(ParallelForThreads, RunsEachIndexOnce) {
   std::array<std::atomic<int>, 8> hits{};
   parallel_for_threads(8, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
-}
-
-TEST(SpscRing, CapacityMustBePowerOfTwo) {
-  EXPECT_THROW(SpscRing<int>(3), support::check_error);
-  EXPECT_THROW(SpscRing<int>(1), support::check_error);
-  SpscRing<int> ok(8);
-  EXPECT_EQ(ok.capacity(), 8U);
-}
-
-TEST(SpscRing, FifoAndFullness) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.push(i));
-  }
-  EXPECT_FALSE(ring.push(99));  // full
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.pop(), i);
-  }
-  EXPECT_FALSE(ring.pop().has_value());
-}
-
-TEST(SpscRing, ConcurrentProducerConsumer) {
-  constexpr int kItems = 100000;
-  SpscRing<int> ring(1024);
-  std::vector<int> received;
-  received.reserve(kItems);
-  std::thread consumer([&] {
-    while (received.size() < kItems) {
-      if (auto item = ring.pop()) {
-        received.push_back(*item);
-      }
-    }
-  });
-  for (int i = 0; i < kItems; ++i) {
-    while (!ring.push(i)) {
-    }
-  }
-  consumer.join();
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(received[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(SpscRing, TryPushKeepsItemOnFullRing) {
-  SpscRing<std::vector<int>> ring(2);
-  std::vector<int> payload = {1, 2, 3};
-  std::vector<int> a = payload;
-  std::vector<int> b = payload;
-  std::vector<int> c = payload;
-  EXPECT_TRUE(ring.try_push(a));
-  EXPECT_TRUE(ring.try_push(b));
-  EXPECT_FALSE(ring.try_push(c));
-  // Failure must leave the caller's item intact for a fallback path.
-  EXPECT_EQ(c, payload);
 }
 
 TEST(ShardedCounter, SumsAcrossThreads) {

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "baseline/sequential.hpp"
 #include "core/engine.hpp"
@@ -108,6 +109,55 @@ TEST(Spec, RejectsMalformedSpecs) {
       <widget/>
     </graph></computation>)"),
                support::check_error);
+}
+
+// A <simulation> attribute that is present but malformed is an error naming
+// it, never a silent default. These specs are only parsed, never run.
+void expect_simulation_attribute_rejected(const std::string& key,
+                                          const std::string& value) {
+  const std::string text = "<computation><simulation " + key + "=\"" +
+                           value +
+                           "\"/><graph><vertex id=\"a\" type=\"counter\"/>"
+                           "</graph></computation>";
+  try {
+    parse_spec(text);
+    ADD_FAILURE() << key << "=\"" << value << "\" was accepted";
+  } catch (const support::check_error& error) {
+    EXPECT_NE(std::string(error.what()).find("'" + key + "'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SpecSimulation, MalformedTimestepsIsAnError) {
+  expect_simulation_attribute_rejected("timesteps", "ten");
+}
+
+TEST(SpecSimulation, MalformedSeedIsAnError) {
+  expect_simulation_attribute_rejected("seed", "x");
+}
+
+TEST(SpecSimulation, MalformedThreadsIsAnError) {
+  expect_simulation_attribute_rejected("threads", "four");
+  expect_simulation_attribute_rejected("threads", " -1");
+}
+
+TEST(SpecSimulation, MalformedMaxInflightIsAnError) {
+  expect_simulation_attribute_rejected("max_inflight", "lots");
+}
+
+TEST(SpecSimulation, MalformedMachinesIsAnError) {
+  expect_simulation_attribute_rejected("machines", "two");
+}
+
+TEST(SpecSimulation, AbsentAttributesKeepTheirDefaults) {
+  const ComputationSpec spec = parse_spec(R"(<computation><simulation/>
+    <graph><vertex id="a" type="counter"/></graph></computation>)");
+  EXPECT_EQ(spec.simulation.timesteps, 100U);
+  EXPECT_EQ(spec.simulation.seed, 14675309U);
+  EXPECT_EQ(spec.simulation.threads, 2U);
+  EXPECT_EQ(spec.simulation.max_inflight_phases, 64U);
+  EXPECT_EQ(spec.simulation.machines, 1U);
 }
 
 TEST(Spec, UnknownModuleTypeFails) {

@@ -44,6 +44,13 @@ TEST(Strings, ParseIntStrict) {
 TEST(Strings, ParseUintRejectsNegative) {
   EXPECT_EQ(parse_uint("42"), 42U);
   EXPECT_FALSE(parse_uint("-1").has_value());
+  // strtoull skips leading whitespace before it negates, so a sign there
+  // is rejected too instead of wrapping to a huge count.
+  EXPECT_FALSE(parse_uint(" -1").has_value());
+  EXPECT_FALSE(parse_uint("\t-2").has_value());
+  EXPECT_FALSE(parse_uint(" -0").has_value());
+  EXPECT_EQ(parse_uint(" 7"), 7U);
+  EXPECT_EQ(parse_uint("+5"), 5U);
 }
 
 TEST(Strings, ParseDoubleStrict) {

@@ -264,7 +264,7 @@ TEST(TransportTwoLevel, CrossBoundaryStressUnderWorkerPools) {
 }
 
 // Degenerate knobs are rejected loudly instead of silently falling back.
-TEST(TransportTwoLevel, RejectsZeroThreadsAndWindow) {
+TEST(TransportTwoLevel, RejectsDegenerateKnobs) {
   const core::Program program = testutil::random_program(2);
   {
     TransportOptions options;
@@ -280,6 +280,14 @@ TEST(TransportTwoLevel, RejectsZeroThreadsAndWindow) {
     TransportOptions options;
     options.max_inflight_phases = 0;
     EXPECT_THROW(TransportEngine(program, options), support::check_error);
+  }
+  {
+    // Capacity 0 would make an in-process channel unbounded and remove the
+    // backpressure between partitions. Only constructed, never run.
+    TransportOptions options;
+    options.channel_capacity = 0;
+    EXPECT_THROW(TransportEngine(program, options), support::check_error);
+    EXPECT_THROW(distrib::InProcessChannel(0), support::check_error);
   }
 }
 
@@ -972,10 +980,36 @@ void stress_channel(distrib::Channel& channel, std::uint64_t frames) {
 }
 
 TEST(ChannelStress, InProcessBoundedChannelDeliversEverythingInOrder) {
-  // Tiny capacity: the sender blocks constantly, exercising both condvar
-  // directions and the close-after-final-push race re-check.
+  // Tiny capacity: the sender blocks constantly, exercising the queue's
+  // full and empty waits and a close right behind the final frame.
   distrib::InProcessChannel channel(4);
   stress_channel(channel, 50000);
+}
+
+TEST(ChannelStress, InProcessCapacityIsAnExactFrameBound) {
+  // Three frames fit with no receiver; the fourth send returns only after a
+  // recv() made room.
+  distrib::InProcessChannel channel(3);
+  const std::vector<std::uint8_t> frame(16, 0xcd);
+  for (int i = 0; i < 3; ++i) {
+    channel.send(frame);
+  }
+  std::atomic<bool> receiving{false};
+  std::thread sender([&] {
+    channel.send(frame);
+    EXPECT_TRUE(receiving.load()) << "a fourth frame fit into capacity 3";
+    channel.close_send();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  receiving.store(true);
+  std::vector<std::uint8_t> got;
+  int frames = 0;
+  while (channel.recv(got)) {
+    EXPECT_EQ(got, frame);
+    ++frames;
+  }
+  sender.join();
+  EXPECT_EQ(frames, 4);
 }
 
 TEST(ChannelStress, SocketChannelDeliversEverythingInOrder) {
