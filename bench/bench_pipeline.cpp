@@ -13,8 +13,10 @@
 // context switches per phase and the kernel's share of its CPU time
 // (getrusage(RUSAGE_SELF) around the measured runs), the host's steal
 // share of all CPU time over them (/proc/stat), and the executor's own
-// window_waits, progress_wakeups, queue_parks and lock_waits per phase (0
-// on the lockstep row, which has no window, run queue or global lock).
+// window_waits, progress_wakeups, queue_parks and lock_waits per phase,
+// and its sampled global-lock wait and hold per scheduled pair
+// (lock_wait_ns_per_pair, lock_hold_ns_per_pair) (all 0 on the lockstep
+// row, which has no window, run queue or global lock).
 //
 // --reps=N (N >= 2) runs each row, the lockstep row included, once as a
 // discarded warm-up and then N measured times. The row reports the median
@@ -95,6 +97,9 @@ struct Measured {
   double progress_wakeups = 0.0;
   double queue_parks = 0.0;
   double lock_waits = 0.0;
+  double lock_wait_ns = 0.0;
+  double lock_hold_ns = 0.0;
+  double scheduled_pairs = 0.0;
 };
 
 /// Runs `run_once` once as a discarded warm-up when reps > 1, then `reps`
@@ -120,6 +125,9 @@ Measured measure(std::uint64_t reps, RunOnce&& run_once) {
     m.progress_wakeups += static_cast<double>(run.stats.progress_wakeups);
     m.queue_parks += static_cast<double>(run.stats.queue_parks);
     m.lock_waits += static_cast<double>(run.stats.lock_waits);
+    m.lock_wait_ns += static_cast<double>(run.stats.lock_wait_ns);
+    m.lock_hold_ns += static_cast<double>(run.stats.lock_hold_ns);
+    m.scheduled_pairs += static_cast<double>(run.stats.scheduled_pairs);
   }
   m.user_s = seconds(after.ru_utime) - seconds(before.ru_utime);
   m.sys_s = seconds(after.ru_stime) - seconds(before.ru_stime);
@@ -154,6 +162,9 @@ void add_measurement(df::bench::JsonLine& row, const Measured& m,
   const auto per_phase = [&](double count) {
     return count / static_cast<double>(phases * reps);
   };
+  const auto per_pair = [&](double ns) {
+    return m.scheduled_pairs == 0.0 ? 0.0 : ns / m.scheduled_pairs;
+  };
   row.config("hw_concurrency",
              static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
       .metric("wall_ms", stats.wall_seconds * 1e3)
@@ -178,7 +189,9 @@ void add_measurement(df::bench::JsonLine& row, const Measured& m,
       .metric("window_waits_per_phase", per_phase(m.window_waits))
       .metric("progress_wakeups_per_phase", per_phase(m.progress_wakeups))
       .metric("queue_parks_per_phase", per_phase(m.queue_parks))
-      .metric("lock_waits_per_phase", per_phase(m.lock_waits));
+      .metric("lock_waits_per_phase", per_phase(m.lock_waits))
+      .metric("lock_wait_ns_per_pair", per_pair(m.lock_wait_ns))
+      .metric("lock_hold_ns_per_pair", per_pair(m.lock_hold_ns));
 }
 
 /// Runs `phases` empty phases through the streaming API and measures the

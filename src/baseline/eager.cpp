@@ -19,6 +19,7 @@ void EagerExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
   const std::uint32_t n = instance_.n();
 
   support::Stopwatch wall;
+  support::SampledStopwatch compute_timer(0);
   std::vector<event::InputBundle> pending(n + 1);
 
   for (event::PhaseId p = 1; p <= num_phases; ++p) {
@@ -34,10 +35,10 @@ void EagerExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
       const event::InputBundle bundle = std::move(pending[v]);
       pending[v] = event::InputBundle{};
 
-      support::Stopwatch compute_timer;
+      compute_timer.start();
       core::ExecutionResult result =
           core::execute_vertex(instance_, v, p, bundle);
-      stats_.compute_ns += compute_timer.elapsed_ns();
+      stats_.compute_ns += compute_timer.stop();
       ++stats_.executed_pairs;
 
       // Record fresh emissions per port (the last one wins), then forward

@@ -46,6 +46,9 @@ void LockstepExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
 
   std::atomic<std::uint64_t> compute_ns{0};
   std::atomic<std::uint64_t> executed{0};
+  // Numbers the run_on_all rounds, so that every worker's sampled timer
+  // draws a fresh sequence in every round.
+  std::uint64_t round = 0;
 
   for (event::PhaseId p = 1; p <= num_phases; ++p) {
     for (const event::ExternalEvent& ev : source.events_for(p)) {
@@ -72,7 +75,9 @@ void LockstepExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
 
       // Execute the level in parallel; results land in per-vertex slots.
       std::atomic<std::size_t> cursor{0};
-      pool.run_on_all([&](std::size_t) {
+      ++round;
+      pool.run_on_all([&](std::size_t worker) {
+        support::SampledStopwatch compute_timer(round * threads_ + worker);
         for (;;) {
           const std::size_t i = cursor.fetch_add(1);
           if (i >= work.size()) {
@@ -83,9 +88,9 @@ void LockstepExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
               pending[v].has_value() ? std::move(*pending[v])
                                      : event::InputBundle{};
           pending[v].reset();
-          support::Stopwatch compute_timer;
+          compute_timer.start();
           results[v] = core::execute_vertex(instance_, v, p, bundle);
-          compute_ns.fetch_add(compute_timer.elapsed_ns(),
+          compute_ns.fetch_add(compute_timer.stop(),
                                std::memory_order_relaxed);
           executed.fetch_add(1, std::memory_order_relaxed);
         }

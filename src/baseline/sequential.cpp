@@ -17,6 +17,7 @@ void SequentialExecutor::run(event::PhaseId num_phases,
   const std::uint32_t n = instance_.n();
 
   support::Stopwatch wall;
+  support::SampledStopwatch compute_timer(0);
   // Messages waiting for each vertex within the current phase. Edges go
   // from lower to higher internal index, so a single ascending sweep
   // delivers everything before it is consumed.
@@ -43,10 +44,10 @@ void SequentialExecutor::run(event::PhaseId num_phases,
                                  : event::InputBundle{};
       pending[v].reset();
 
-      support::Stopwatch compute_timer;
+      compute_timer.start();
       core::ExecutionResult result =
           core::execute_vertex(instance_, v, p, bundle);
-      stats_.compute_ns += compute_timer.elapsed_ns();
+      stats_.compute_ns += compute_timer.stop();
       ++stats_.executed_pairs;
 
       for (core::ExecutionResult::Delivery& d : result.deliveries) {

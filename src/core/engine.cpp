@@ -145,6 +145,39 @@ Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
       unit_of_[y] = u;
     }
   }
+  // The lane layout: every (receiver, sender) unit pair that a program edge
+  // joins, sender 0 standing for any predecessor before the block.
+  const auto units = static_cast<std::uint32_t>(unit_bounds_.size() - 1);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> joined;
+  for (std::uint32_t y = 1; y < unit_of_.size(); ++y) {
+    const std::uint32_t to = unit_of_[y];
+    const graph::VertexId v = program.numbering.vertex_at[y + offset_];
+    for (const graph::Edge& e : program.dag.in_edges(v)) {
+      const std::uint32_t pred = program.numbering.index_of[e.from];
+      const std::uint32_t from = pred <= offset_ ? 0 : unit_of_[pred - offset_];
+      if (from != to) {
+        joined.emplace_back(to, from);
+      }
+    }
+  }
+  std::sort(joined.begin(), joined.end());
+  joined.erase(std::unique(joined.begin(), joined.end()), joined.end());
+  in_lanes_.assign(units + 2, 0);
+  out_lanes_.assign(units + 2, 0);
+  for (const auto& [to, from] : joined) {
+    ++in_lanes_[to + 1];
+    ++out_lanes_[from + 1];
+  }
+  for (std::uint32_t u = 1; u < units + 2; ++u) {
+    in_lanes_[u] += in_lanes_[u - 1];
+    out_lanes_[u] += out_lanes_[u - 1];
+  }
+  lanes_from_.resize(joined.size());
+  std::vector<std::uint32_t> next(out_lanes_.begin(), out_lanes_.end() - 1);
+  for (std::uint32_t k = 0; k < joined.size(); ++k) {
+    lanes_from_[next[joined[k].second]++] = {joined[k].first, k};
+  }
+  unit_lanes_.assign(units + 1, nullptr);
 }
 
 Engine::~Engine() {
@@ -186,15 +219,15 @@ void Engine::start() {
   {
     // No worker exists yet; taking the lock here is free and keeps the
     // scheduler_-under-mutex_ contract unconditional for the analysis.
+    // The payload-free transitions only adopt signal-source bundles into
+    // the scheduler's pool, so it needs no warm bundles.
     conc::MutexLock lock(mutex_);
-    scheduler_.reserve_steady_state(
-        std::min<std::size_t>(window, 64),
-        std::min<std::size_t>(2 * scheduler_.n(), 65536));
+    scheduler_.reserve_steady_state(std::min<std::size_t>(window, 64), 0);
   }
   wall_.restart();
   workers_.reserve(options_.threads);
   for (std::size_t i = 0; i < options_.threads; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
+    workers_.emplace_back([this, i] { worker_main(i + 1); });
   }
 }
 
@@ -302,18 +335,46 @@ void Engine::start_phase(const std::vector<event::ExternalEvent>& events,
              " does not belong to block (", offset_, ", ", block_end_, "]");
     d.to_index -= offset_;
   }
-  // Address each delivery to its unit, framed exactly as a worker frames
-  // a finish.
-  env_injected_.clear();
+  // Frame each delivery into its unit's injected lane of the phase's block,
+  // exactly as a worker frames its output, before the lock is taken.
+  LaneBlock& block = env_lanes();
   const std::span<Scheduler::Delivery> deliveries(remote);
   for (std::size_t i = 0; i < deliveries.size();) {
-    i = frame_stretch(deliveries, i, deliveries[i].to_index, env_injected_);
+    const std::uint32_t local = deliveries[i].to_index;
+    const std::uint32_t unit = unit_of_[local];
+    event::InputBundle& lane = block.lanes[lane_index(0, unit)];
+    if (lane.empty()) {
+      env_targets_.push_back(unit);
+    }
+    i = frame_stretch(deliveries, i, local, lane);
   }
-  start_phase_bundles(std::span<Scheduler::Delivery>(env_injected_));
+  start_phase_bundles();
 }
 
-void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
+Engine::LaneBlock& Engine::env_lanes() {
+  if (env_lanes_ == nullptr) {
+    lane_blocks_.push_back(std::make_unique<LaneBlock>());
+    lane_blocks_.back()->lanes.resize(lanes_from_.size());
+    env_lanes_ = lane_blocks_.back().get();
+  }
+  return *env_lanes_;
+}
+
+std::uint32_t Engine::lane_index(std::uint32_t from, std::uint32_t to) const {
+  const auto first = lanes_from_.begin() + out_lanes_[from];
+  const auto last = lanes_from_.begin() + out_lanes_[from + 1];
+  const auto it = std::lower_bound(
+      first, last, to, [](const std::pair<std::uint32_t, std::uint32_t>& lane,
+                          std::uint32_t unit) { return lane.first < unit; });
+  DF_DCHECK(it != last && it->first == to, "no lane from unit ", from,
+            " to unit ", to);
+  return it->second;
+}
+
+void Engine::start_phase_bundles() {
   env_ready_.clear();
+  LaneBlock* const block = &env_lanes();
+  env_timer_.start();
   // Starting a phase can also *complete* it (block mode: an empty block,
   // or a phase whose in-block work is finished by the injected deliveries
   // alone — e.g. sink-only blocks with no local sources). Both scheduler
@@ -327,7 +388,7 @@ void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
     // slots are free, so a closed loop refills the window admit_batch_
     // phases per wake-up. The waiter records itself under mutex_ before
     // every wait, and every transition that frees a slot is a phase
-    // retirement whose note_retirement() reads that record in the same
+    // retirement whose note_transition() reads that record in the same
     // lock hold, so the wait cannot miss its wake-up even with
     // max_inflight_phases == 1. Written as an explicit loop (not a
     // wait-with-predicate lambda) because the predicate reads the
@@ -343,20 +404,37 @@ void Engine::start_phase_bundles(std::span<Scheduler::Delivery> injected) {
     }
     const event::PhaseId p = scheduler_.pmax() + 1;
     const event::PhaseId completed_before = scheduler_.completed_through();
+    if (phase_lanes_.size() < p - completed_before) {
+      // The ring is full: grow it, keeping every active phase's block.
+      std::vector<LaneBlock*> grown(
+          std::max<std::size_t>(4, 2 * phase_lanes_.size()));
+      for (event::PhaseId q = completed_before + 1; q < p; ++q) {
+        grown[q % grown.size()] = phase_lanes_[q % phase_lanes_.size()];
+      }
+      phase_lanes_ = std::move(grown);
+    }
+    phase_lanes_[p % phase_lanes_.size()] = block;
     scheduler_.start_phase(p, std::span<event::InputBundle>(env_bundles_),
-                           injected, env_ready_);
-    retired = note_retirement(completed_before);
+                           std::span<const std::uint32_t>(env_targets_),
+                           env_ready_);
+    retired = note_transition(completed_before, env_ready_);
     max_inflight_ = std::max<std::uint64_t>(max_inflight_,
                                             scheduler_.active_phase_count());
+    env_lanes_ = nullptr;
+    if (!free_lanes_.empty()) {
+      env_lanes_ = free_lanes_.back();
+      free_lanes_.pop_back();
+    }
   }
-  retire(env_ready_, retired);
+  env_targets_.clear();
+  retire(env_ready_, retired, env_timer_);
 }
 
 void Engine::wait_all_complete() {
   conc::UniqueLock lock(mutex_);
   // Explicit loop: the predicate reads the guarded scheduler_. Recorded
   // before every wait, so the retirement that completes the last started
-  // phase notifies, and none before it does (note_retirement).
+  // phase notifies, and none before it does (note_transition).
   while (!scheduler_.all_started_phases_complete()) {
     completion_waiting_ = true;
     progress_cv_.wait(lock);
@@ -426,6 +504,13 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
              "snapshot_state with phases in flight (", scheduler_.pmax(),
              " started, ", scheduler_.completed_through(),
              " complete); call quiesce() first");
+    // Every reader clears its lanes before its finish, so once every phase
+    // has retired no lane holds a message.
+    for (const std::unique_ptr<LaneBlock>& block : lane_blocks_) {
+      for (const event::InputBundle& lane : block->lanes) {
+        DF_CHECK(lane.empty(), "a retired phase left a message in a lane");
+      }
+    }
     completed = scheduler_.completed_through();
   }
   auto ar = support::StateArchive::saver();
@@ -505,9 +590,20 @@ event::PhaseId Engine::completed_phases() const {
   return scheduler_.completed_through();
 }
 
-Engine::Retirement Engine::note_retirement(event::PhaseId completed_before) {
+Engine::Retirement Engine::note_transition(
+    event::PhaseId completed_before,
+    std::span<const Scheduler::ReadyPair> issued) {
+  // A retired phase's readers have all cleared their lanes before their
+  // finishes, so its block is empty and can serve a later phase.
+  const event::PhaseId completed = scheduler_.completed_through();
+  for (event::PhaseId q = completed_before + 1; q <= completed; ++q) {
+    free_lanes_.push_back(phase_lanes_[q % phase_lanes_.size()]);
+  }
+  for (const Scheduler::ReadyPair& pair : issued) {
+    unit_lanes_[pair.vertex] = phase_lanes_[pair.phase % phase_lanes_.size()];
+  }
   Retirement retired;
-  if (scheduler_.completed_through() == completed_before) {
+  if (completed == completed_before) {
     return retired;
   }
   // Phase retirement is the only transition that shrinks the in-flight
@@ -528,7 +624,8 @@ Engine::Retirement Engine::note_retirement(event::PhaseId completed_before) {
 }
 
 void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
-                    Retirement retired) {
+                    Retirement retired,
+                    const support::SampledStopwatch& timer) {
   if (retired.wake_progress) {
     // Notifying after the transition's lock release cannot lose the
     // wake-up: the waiter recorded itself and began waiting within one
@@ -547,19 +644,23 @@ void Engine::retire(std::vector<Scheduler::ReadyPair>& ready,
   // and it must never be able to deadlock against engine-internal waiters
   // (see DESIGN.md, "Two-level parallelism").
   if (retired.completed_now != 0 && options_.on_phase_complete != nullptr) {
-    const support::Stopwatch hook_timer;
+    const std::uint64_t start_ns =
+        timer.timed() ? support::SampledStopwatch::now_ns() : 0;
     options_.on_phase_complete(retired.completed_now);
-    hook_ns_.add(hook_timer.elapsed_ns());
+    if (timer.timed()) {
+      hook_ns_.add(support::SampledStopwatch::kEvery *
+                   (support::SampledStopwatch::now_ns() - start_ns));
+    }
   }
 }
 
 std::size_t Engine::frame_stretch(std::span<Scheduler::Delivery> deliveries,
                                   std::size_t i, std::uint32_t local,
-                                  std::vector<Scheduler::Delivery>& out) const {
-  // The scheduler appends each finish's deliveries to a unit's bundle in
-  // order, so the run stays contiguous there. Each input port has a single
-  // writer, so keeping every stretch in order keeps every port's messages
-  // in emission order.
+                                  event::InputBundle& lane) const {
+  // A lane has one writer per phase, which frames all its output for the
+  // lane's unit in one pass, so runs never interleave. Each input port has
+  // a single writer, so keeping every stretch in order keeps every port's
+  // messages in emission order.
   std::size_t end = i + 1;
   while (end < deliveries.size() &&
          deliveries[end].to_index == deliveries[i].to_index) {
@@ -568,13 +669,13 @@ std::size_t Engine::frame_stretch(std::span<Scheduler::Delivery> deliveries,
   const std::uint32_t unit = unit_of_[local];
   const std::uint32_t first = unit_bounds_[unit - 1] + 1;
   if (unit_bounds_[unit] != first) {
-    out.push_back(Scheduler::Delivery{
-        unit, static_cast<graph::Port>(local - first),
+    lane.push_back(event::Message{
+        static_cast<graph::Port>(local - first),
         event::Value(static_cast<std::int64_t>(end - i))});
   }
   for (; i < end; ++i) {
-    out.push_back(Scheduler::Delivery{unit, deliveries[i].to_port,
-                                      std::move(deliveries[i].value)});
+    lane.push_back(
+        event::Message{deliveries[i].to_port, std::move(deliveries[i].value)});
   }
   return end;
 }
@@ -583,7 +684,8 @@ ExecutionResult& Engine::execute_member(std::uint32_t local,
                                         event::PhaseId phase,
                                         const event::InputBundle& bundle,
                                         UnitScratch& scratch) {
-  support::Stopwatch compute_timer;
+  const std::uint64_t start_ns =
+      scratch.timed ? support::SampledStopwatch::now_ns() : 0;
   ExecutionResult& result = scratch.result;
   try {
     // The scheduler speaks block-local indices; the instance is always
@@ -601,7 +703,9 @@ ExecutionResult& Engine::execute_member(std::uint32_t local,
     result.deliveries.clear();
     result.sink_records.clear();
   }
-  scratch.compute_ns += compute_timer.elapsed_ns();
+  if (scratch.timed) {
+    scratch.compute_ns += support::SampledStopwatch::now_ns() - start_ns;
+  }
   ++scratch.executed;
   // Delivered-message accounting is pre-routing: cross-boundary messages
   // count here and are reclassified remote by the transport's stats fold.
@@ -609,16 +713,42 @@ ExecutionResult& Engine::execute_member(std::uint32_t local,
   return result;
 }
 
+void Engine::decode_runs(event::InputBundle& input, std::uint32_t unit,
+                         UnitScratch& scratch) const {
+  // Each run is a header (port = member offset, value = run length)
+  // followed by that many payload messages on their real ports.
+  const std::uint32_t members = unit_bounds_[unit] - unit_bounds_[unit - 1];
+  for (std::size_t i = 0; i < input.size();) {
+    const std::uint32_t member = input[i].port;
+    const auto length = static_cast<std::size_t>(input[i].value.as_int());
+    DF_CHECK(member < members && length >= 1 && length < input.size() - i,
+             "malformed run header in unit ", unit);
+    event::InputBundle& in = scratch.members[member];
+    for (std::size_t k = i + 1; k <= i + length; ++k) {
+      in.push_back(std::move(input[k]));
+    }
+    i += length + 1;
+  }
+  input.clear();
+}
+
 void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
   const event::PhaseId phase = pair.phase;
-  const std::uint32_t first = unit_bounds_[pair.vertex - 1] + 1;
-  const std::uint32_t last = unit_bounds_[pair.vertex];
-  std::vector<Scheduler::Delivery>& out = scratch.out;
-  out.clear();
+  const std::uint32_t unit = pair.vertex;
+  const std::uint32_t first = unit_bounds_[unit - 1] + 1;
+  const std::uint32_t last = unit_bounds_[unit];
+  LaneBlock& block = *unit_lanes_[unit];
+  // The unit's input, in ascending sender order: the bundle the pair
+  // carries (a signal-source unit's events; such a unit has no lanes), then
+  // its lanes, the injected one first.
+  const std::span<event::InputBundle> lanes(
+      block.lanes.begin() + in_lanes_[unit],
+      block.lanes.begin() + in_lanes_[unit + 1]);
+  scratch.targets.clear();
   // Routes one member's output by target: later members of this unit get
   // it straight into their bundles, later units of this engine get it
-  // framed into `out` for the finish, and the egress hook gets what lies
-  // past the block — in member order and, per member, emission order.
+  // framed into the lane for them, and the egress hook gets what lies past
+  // the block — in member order and, per member, emission order.
   const auto route = [&](ExecutionResult& result) {
     std::span<Scheduler::Delivery> deliveries(result.deliveries);
     for (std::size_t i = 0; i < deliveries.size();) {
@@ -635,7 +765,12 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
         ++i;
         continue;
       }
-      i = frame_stretch(deliveries, i, local, out);
+      const std::uint32_t target = unit_of_[local];
+      event::InputBundle& lane = block.lanes[lane_index(unit, target)];
+      if (lane.empty()) {
+        scratch.targets.push_back(target);
+      }
+      i = frame_stretch(deliveries, i, local, lane);
     }
     if (scratch.sinks.empty()) {
       scratch.sinks = std::move(result.sink_records);
@@ -645,24 +780,33 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
     }
   };
   if (first == last) {
-    // A one-member unit carries plain messages: run on its bundle.
-    route(execute_member(first, phase, pair.bundle, scratch));
-  } else {
-    // Decode the unit's bundle into its members' bundles: each run is a
-    // header (port = member offset, value = run length) followed by that
-    // many payload messages on their real ports.
-    event::InputBundle& framed = pair.bundle;
-    for (std::size_t i = 0; i < framed.size();) {
-      const std::uint32_t member = framed[i].port;
-      const auto length = static_cast<std::size_t>(framed[i].value.as_int());
-      DF_CHECK(member <= last - first && length >= 1 &&
-                   length < framed.size() - i,
-               "malformed run header in unit ", pair.vertex);
-      event::InputBundle& in = scratch.members[member];
-      for (std::size_t k = i + 1; k <= i + length; ++k) {
-        in.push_back(std::move(framed[k]));
+    // A one-member unit's input carries plain messages. With one non-empty
+    // source it runs on that source directly; otherwise it runs on their
+    // concatenation.
+    event::InputBundle* input = &pair.bundle;
+    std::size_t sources = 0;
+    for (event::InputBundle& lane : lanes) {
+      if (!lane.empty()) {
+        input = &lane;
+        ++sources;
       }
-      i += length + 1;
+    }
+    if (sources > 1) {
+      event::InputBundle& joined = scratch.members[0];
+      for (event::InputBundle& lane : lanes) {
+        std::move(lane.begin(), lane.end(), std::back_inserter(joined));
+      }
+      input = &joined;
+    }
+    route(execute_member(first, phase, *input, scratch));
+    input->clear();
+    for (event::InputBundle& lane : lanes) {
+      lane.clear();
+    }
+  } else {
+    decode_runs(pair.bundle, unit, scratch);
+    for (event::InputBundle& lane : lanes) {
+      decode_runs(lane, unit, scratch);
     }
     for (std::uint32_t y = first; y <= last; ++y) {
       event::InputBundle& in = scratch.members[y - first];
@@ -682,15 +826,17 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
   }
 }
 
-void Engine::worker_main() {
+void Engine::worker_main(std::uint64_t seed) {
   // Listing 1: dequeue, execute outside the lock, then update the sets
   // under the lock. The ready buffer and the unit executor's scratch are
-  // reused across iterations, and the executed pair's bundle is recycled
-  // into the scheduler's pool, so the locked bookkeeping path allocates
-  // nothing at steady state.
+  // reused across iterations, and the unit's output waits in lanes that
+  // keep their capacity, so the locked bookkeeping path allocates nothing
+  // at steady state.
   std::vector<Scheduler::ReadyPair> ready;
   UnitScratch scratch;
   scratch.members.resize(max_unit_size_);
+  // Times a random 1 in 16 unit pairs (ExecStats: sampled estimates).
+  support::SampledStopwatch pair_timer(seed);
   // One of the pairs this worker's own finish readied, run next without
   // the round trip through run_queue_ (DESIGN.md, "Engine deviations from
   // the paper's listings").
@@ -707,30 +853,44 @@ void Engine::worker_main() {
         break;  // closed and drained
       }
     }
-    support::Stopwatch pair_timer;
+    pair_timer.start();
+    scratch.timed = pair_timer.timed();
     scratch.compute_ns = 0;
     scratch.executed = 0;
     scratch.messages = 0;
     run_unit(*item, scratch);
     executed_pairs_.add(scratch.executed);
     messages_delivered_.add(scratch.messages);
-    compute_ns_.add(scratch.compute_ns);
+    // Read the clock around the lock only on a timed pair.
+    const auto now = [&scratch] {
+      return scratch.timed ? support::SampledStopwatch::now_ns() : 0;
+    };
+    const std::uint64_t waiting = now();
+    std::uint64_t acquired = 0;
+    std::uint64_t released = 0;
     Retirement retired;
     {
       conc::MutexLock lock(mutex_);
+      acquired = now();
       const event::PhaseId completed_before = scheduler_.completed_through();
       scheduler_.finish_execution(
           item->vertex, item->phase,
-          std::span<Scheduler::Delivery>(scratch.out),
-          std::move(item->bundle), ready);
-      retired = note_retirement(completed_before);
+          std::span<const std::uint32_t>(scratch.targets), ready);
+      retired = note_transition(completed_before, ready);
+      released = now();
     }
     if (!ready.empty()) {
       local = std::move(ready.back());
       ready.pop_back();
     }
-    retire(ready, retired);
-    bookkeeping_ns_.add(pair_timer.elapsed_ns() - scratch.compute_ns);
+    retire(ready, retired, pair_timer);
+    if (scratch.timed) {
+      constexpr std::uint64_t kEvery = support::SampledStopwatch::kEvery;
+      compute_ns_.add(kEvery * scratch.compute_ns);
+      bookkeeping_ns_.add(pair_timer.stop() - kEvery * scratch.compute_ns);
+      lock_wait_ns_.add(kEvery * (acquired - waiting));
+      lock_hold_ns_.add(kEvery * (released - acquired));
+    }
     scheduled_pairs_.add(1);
   }
 }
@@ -745,6 +905,8 @@ ExecStats Engine::stats() const {
   stats.compute_ns = compute_ns_.value();
   stats.bookkeeping_ns = bookkeeping_ns_.value();
   stats.hook_ns = hook_ns_.value();
+  stats.lock_wait_ns = lock_wait_ns_.value();
+  stats.lock_hold_ns = lock_hold_ns_.value();
   stats.wall_seconds = wall_seconds_;
   stats.queue_parks = run_queue_.parks();
   {

@@ -12,7 +12,11 @@
 //     API (start / start_phase / finish) lets applications start phases as
 //     real event batches arrive (event/phase.hpp assembles those);
 //   * one global lock guards all scheduler state; module execution happens
-//     outside the lock with the sealed input bundle from the queue item.
+//     outside the lock. Under the lock a finish only tells the scheduler
+//     which units received input: the messages themselves travel in
+//     per-phase *lanes*, one per pair of units a program edge joins,
+//     written by the sending unit's worker before it takes the lock and
+//     read by the receiving unit's worker once the pair is issued.
 //
 // Deviations from the listings, documented in DESIGN.md:
 //   * termination: the paper's loops never exit; we close the run queue
@@ -41,15 +45,24 @@
 //     a unit's members for one phase in numbering order under the
 //     sequential executor's Δ rule (DESIGN.md, "Unit scheduling"). Members
 //     of a multi-member unit learn their inputs from run headers inside the
-//     unit's bundle. Where coarsening cannot pay — the graph is too small
+//     unit's lanes. Where coarsening cannot pay — the graph is too small
 //     for the pool, or the phase window is narrower than the unit count —
 //     every vertex is its own unit and the engine schedules exactly as the
-//     listings do.
+//     listings do;
+//   * lanes: the paper's finish moves each message into its recipient's
+//     set entry under the lock. Here the scheduler holds set membership
+//     only, and a unit's input waits in the phase's lanes, one per sending
+//     unit, which its worker reads in ascending sender order (DESIGN.md,
+//     "Lanes"). Each lane has one writer and one reader, ordered by the
+//     global lock; lanes are the engine's one unguarded hand-off;
+//   * sampled timers: a worker times a random 1 in 16 of its unit pairs
+//     (support::SampledStopwatch), so ExecStats' *_ns fields are estimates.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
@@ -208,8 +221,8 @@ class Engine final : public Executor {
  private:
   /// Listing 1: dequeue a pair (or take the local next pair), execute it
   /// outside the lock, apply the finish under mutex_, keep one readied pair
-  /// and retire the rest.
-  void worker_main();
+  /// and retire the rest. `seed` seeds the worker's sampled timers.
+  void worker_main(std::uint64_t seed);
   /// What a scheduler transition hands to retire(): its new
   /// completed-through value, or 0 if it retired no phase, and whether a
   /// recorded progress_cv_ waiter can now proceed.
@@ -218,11 +231,14 @@ class Engine final : public Executor {
     bool wake_progress = false;
   };
   /// Called under mutex_ right after every scheduler transition, with the
-  /// completed-through value from before it. Only a phase retirement frees
-  /// window room or completes the started phases, so only then does it
-  /// check the recorded waiters; it claims (clears) each one whose
-  /// condition now holds, so later retirements do not wake it again.
-  Retirement note_retirement(event::PhaseId completed_before)
+  /// completed-through value from before it and the pairs it issued. It
+  /// points each issued pair at its phase's lane block and recycles the
+  /// blocks of the phases it retired. Only a phase retirement frees window
+  /// room or completes the started phases, so only then does it check the
+  /// recorded waiters; it claims (clears) each one whose condition now
+  /// holds, so later retirements do not wake it again.
+  Retirement note_transition(event::PhaseId completed_before,
+                             std::span<const Scheduler::ReadyPair> issued)
       DF_REQUIRES(mutex_);
   /// The single phase-retire site, called outside every engine lock after
   /// each scheduler transition (phase start, finish). It notifies
@@ -231,14 +247,15 @@ class Engine final : public Executor {
   /// run queue with one lock acquisition, clearing it for reuse, and, last,
   /// fires on_phase_complete if a phase retired — after the enqueue, so a
   /// hook blocked on a channel send never starves the pool of the pairs
-  /// just issued.
-  void retire(std::vector<Scheduler::ReadyPair>& ready, Retirement retired);
+  /// just issued. `timer` decides whether the hook is timed.
+  void retire(std::vector<Scheduler::ReadyPair>& ready, Retirement retired,
+              const support::SampledStopwatch& timer);
   /// Blocks until every started phase has completed (finish, quiesce).
   void wait_all_complete();
   /// Shared tail of the start_phase overloads: env_bundles_ holds one laid
-  /// out bundle per signal-source unit; `injected` carries block-mode
-  /// remote deliveries already addressed to units.
-  void start_phase_bundles(std::span<Scheduler::Delivery> injected = {});
+  /// out bundle per signal-source unit, and env_targets_ the units whose
+  /// injected lanes of env_lanes() hold block-mode remote deliveries.
+  void start_phase_bundles();
   /// Checks `events` against the block's source range and lays out
   /// env_bundles_: one bundle per signal-source unit, sized for its events
   /// plus, in a multi-member unit, one run header per member with events.
@@ -247,35 +264,54 @@ class Engine final : public Executor {
   /// The slot lay_out_source_bundles reserved for event i of the batch.
   event::Message& event_slot(std::size_t i);
   /// Moves the stretch of consecutive deliveries that starts at `i` and
-  /// shares its to_index (local vertex `local`) into `out`, addressed to
-  /// that vertex's unit and, when the unit has more than one member,
-  /// behind a run header: port = the member's offset in its unit, value =
-  /// the stretch length. Returns the index past the stretch.
+  /// shares its to_index (local vertex `local`) into `lane`, behind a run
+  /// header when the vertex's unit has more than one member: port = the
+  /// member's offset in its unit, value = the stretch length. Returns the
+  /// index past the stretch.
   std::size_t frame_stretch(std::span<Scheduler::Delivery> deliveries,
                             std::size_t i, std::uint32_t local,
-                            std::vector<Scheduler::Delivery>& out) const;
+                            event::InputBundle& lane) const;
+
+  /// One phase's lanes (DESIGN.md, "Lanes"): lanes[k] is lane k of the
+  /// layout below, cleared by its reader, so a block whose phase retired
+  /// is empty and is reused for a later phase.
+  struct LaneBlock {
+    std::vector<event::InputBundle> lanes;
+  };
+  /// Lane (sender unit `from`, receiver unit `to`); from = 0 is the
+  /// injected lane of a block-mode phase start.
+  std::uint32_t lane_index(std::uint32_t from, std::uint32_t to) const;
+  /// The environment's block for the next phase start, allocated on first
+  /// use; env_lanes_ holds it until a start hands it to its phase.
+  LaneBlock& env_lanes();
 
   /// Per-worker scratch of the unit executor, reused across pairs.
   struct UnitScratch {
     std::vector<event::InputBundle> members;  // one bundle per member
     ExecutionResult result;  // the member being routed; capacity reused
     std::vector<SinkRecord> sinks;
-    /// The unit's deliveries for later units of this engine, framed for
-    /// the scheduler; the finish moves the values out and the capacity is
-    /// reused by the next unit.
-    std::vector<Scheduler::Delivery> out;
+    /// The later units of this engine the unit wrote lanes to: what the
+    /// payload-free finish tells the scheduler.
+    std::vector<std::uint32_t> targets;
+    bool timed = false;  // whether this pair's members are timed
     std::uint64_t compute_ns = 0;
     std::uint64_t executed = 0;
     std::uint64_t messages = 0;
   };
-  /// The unit executor: runs unit pair `pair` — every member that is a
-  /// signal source or received input, in numbering order — and leaves the
-  /// deliveries for later units of this engine in `scratch.out`, framed for
-  /// the scheduler. Deliveries inside the unit go straight to the later
-  /// member's bundle and deliveries past the block go to the egress hook.
-  /// Records the unit's sink output with one batch. Called from the worker
-  /// loop outside any engine lock.
+  /// The unit executor: runs unit pair `pair` on its input — the bundle
+  /// the pair carries (a signal-source unit's events) or its lanes, which
+  /// it reads in ascending sender order and clears — running every member
+  /// that is a signal source or received input, in numbering order.
+  /// Deliveries inside the unit go straight to the later member's bundle,
+  /// deliveries to a later unit of this engine into the lane for it (noted
+  /// in `scratch.targets`), and deliveries past the block to the egress
+  /// hook. Records the unit's sink output with one batch. Called from the
+  /// worker loop outside any engine lock.
   void run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch);
+  /// Moves the runs of a multi-member unit's framed `input` into
+  /// `scratch.members` and clears `input`.
+  void decode_runs(event::InputBundle& input, std::uint32_t unit,
+                   UnitScratch& scratch) const;
   /// Executes local vertex `local` at its global index into
   /// `scratch.result`. A throwing module records the first error and
   /// produces nothing.
@@ -316,6 +352,16 @@ class Engine final : public Executor {
   std::uint32_t signal_sources_ = 0;  // vertex-level, local prefix 1..S
   std::uint32_t source_units_ = 0;    // units covering 1..S
   std::uint32_t max_unit_size_ = 1;
+  // The lane layout (immutable after construction): one lane per pair of
+  // units that some program edge joins, plus an injected lane (sender 0)
+  // per unit with a predecessor before the block. Lanes are numbered by
+  // receiver, then ascending sender, so unit t reads lanes
+  // in_lanes_[t] .. in_lanes_[t + 1] - 1 in sender order. Sender s finds
+  // its lanes in lanes_from_[out_lanes_[s] .. out_lanes_[s + 1] - 1] as
+  // (receiver, lane), in ascending receiver order.
+  std::vector<std::uint32_t> in_lanes_;   // [0..U+1]
+  std::vector<std::uint32_t> out_lanes_;  // [0..U+1]
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> lanes_from_;
 
   // Environment-thread scratch (start_phase is called by one thread only):
   // reused across phases so steady-state phase starts stay allocation-light.
@@ -323,14 +369,19 @@ class Engine final : public Executor {
   std::vector<std::uint32_t> env_indices_;
   std::vector<std::size_t> env_counts_;
   std::vector<std::size_t> env_cursor_;
-  std::vector<Scheduler::Delivery> env_injected_;
+  std::vector<std::uint32_t> env_targets_;
   std::vector<Scheduler::ReadyPair> env_ready_;
+  support::SampledStopwatch env_timer_{0};
+  // Every lane block, allocated by the environment in the run (never at
+  // construction or start), and the one reserved for its next phase.
+  std::vector<std::unique_ptr<LaneBlock>> lane_blocks_;
+  LaneBlock* env_lanes_ = nullptr;
 
   mutable conc::Mutex mutex_;  // the paper's single global lock
   conc::CondVar progress_cv_;
   // Progress waiters (DESIGN.md, "Wake only when the waiter can proceed").
   // A thread records what it waits for under mutex_ right before each
-  // progress_cv_ wait, and note_retirement() notifies only once that
+  // progress_cv_ wait, and note_transition() notifies only once that
   // holds. An admission wait, entered only on a full window, needs
   // admit_batch_ = max(1, W / 8) free slots; a completion wait needs every
   // started phase complete.
@@ -339,6 +390,16 @@ class Engine final : public Executor {
   bool completion_waiting_ DF_GUARDED_BY(mutex_) = false;
   std::uint64_t window_waits_ DF_GUARDED_BY(mutex_) = 0;
   std::uint64_t progress_wakeups_ DF_GUARDED_BY(mutex_) = 0;
+  // Lane blocks of the active phases: phase p's is at
+  // p % phase_lanes_.size(), and the ring grows while it is full. Blocks
+  // of retired phases wait in free_lanes_ for a later phase.
+  std::vector<LaneBlock*> phase_lanes_ DF_GUARDED_BY(mutex_);
+  std::vector<LaneBlock*> free_lanes_ DF_GUARDED_BY(mutex_);
+  // unit_lanes_[u] is the lane block of unit u's issued pair. Written under
+  // mutex_ when the pair is issued, read without it by the worker running
+  // the pair, which received it through run_queue_ or its own local next
+  // pair after that lock hold; the next write follows that pair's finish.
+  std::vector<LaneBlock*> unit_lanes_;
   conc::BlockingQueue<Scheduler::ReadyPair> run_queue_;
   std::vector<std::thread> workers_;
   bool started_ = false;
@@ -362,6 +423,8 @@ class Engine final : public Executor {
   conc::ShardedCounter compute_ns_;
   conc::ShardedCounter bookkeeping_ns_;
   conc::ShardedCounter hook_ns_;
+  conc::ShardedCounter lock_wait_ns_;
+  conc::ShardedCounter lock_hold_ns_;
   std::uint64_t max_inflight_ DF_GUARDED_BY(mutex_) = 0;
   /// Restarted by start(); finish() stores its reading in wall_seconds_.
   /// Both run on the thread driving the engine, like start_phase.

@@ -73,6 +73,11 @@ class CallbackFeed final : public PhaseFeed {
 /// transport that hook is the egress flush: wire encode and channel send,
 /// which on the socket channel only queues the frame for the channel's
 /// writer thread. hook_ns reports the hook's time on its own.
+///
+/// The *_ns fields are sampled estimates (support::SampledStopwatch): an
+/// engine worker times a random 1 in 16 of its unit pairs, a baseline 1 in
+/// 16 of its vertex executions, and each timed one counts 16 times. They
+/// are exact only in expectation, so read them over thousands of pairs.
 struct ExecStats {
   /// Vertex-phase pairs executed (module calls), whatever the unit plan.
   std::uint64_t executed_pairs = 0;
@@ -106,6 +111,11 @@ struct ExecStats {
   /// Acquisitions of the engine's global lock that spun out and blocked
   /// (conc::Mutex::lock_waits; DESIGN.md, "Spin before parking").
   std::uint64_t lock_waits = 0;
+  /// Sampled time workers spent waiting for the global lock, spin
+  /// included, and holding it for their finishes (DESIGN.md,
+  /// "Lock-hold-time reasoning"); 0 for executors without one.
+  std::uint64_t lock_wait_ns = 0;
+  std::uint64_t lock_hold_ns = 0;
   // Legacy dispatch counters, always 0: no executor steals work, and
   // `parks` predates the run-queue count above — queue_parks is the real
   // one. Kept only because the benchmark of record (benchmark/suite.cpp)

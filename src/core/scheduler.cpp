@@ -114,12 +114,12 @@ std::uint32_t Scheduler::x(event::PhaseId p) const {
 void Scheduler::start_phase(event::PhaseId p,
                             std::span<event::InputBundle> bundles,
                             std::vector<ReadyPair>& out_ready) {
-  start_phase(p, bundles, std::span<Delivery>{}, out_ready);
+  start_phase(p, bundles, std::span<const std::uint32_t>{}, out_ready);
 }
 
 void Scheduler::start_phase(event::PhaseId p,
                             std::span<event::InputBundle> bundles,
-                            std::span<Delivery> injected,
+                            std::span<const std::uint32_t> injected,
                             std::vector<ReadyPair>& out_ready) {
   // Listing 2, statements 11-19.
   DF_CHECK(p == pmax_ + 1, "phases must start in order: expected ", pmax_ + 1,
@@ -144,22 +144,15 @@ void Scheduler::start_phase(event::PhaseId p,
     affected_.push_back(s);
   }
 
-  // Remote deliveries enter partial exactly like finish_execution's
-  // delivery loop — as if a virtual index-0 vertex finished before any
-  // local pair.
-  for (Delivery& d : injected) {
-    DF_CHECK(d.to_index > signal_sources_ && d.to_index <= n_,
+  // Remote input enters partial exactly like a finish's recipients — as if
+  // a virtual index-0 vertex finished before any local pair.
+  for (const std::uint32_t v : injected) {
+    DF_CHECK(v > signal_sources_ && v <= n_,
              "injected delivery must target a non-source block vertex, got ",
-             d.to_index);
-    if (!bit_test(slot.partial_bits, d.to_index)) {
-      slot.bundle[d.to_index] = pool_.acquire();
-      bit_set(slot.partial_bits, d.to_index);
-      ++slot.partial_count;
-      bit_set(slot.pending_bits, d.to_index);
-      ++slot.pending_count;
+             v);
+    if (mark_received(slot, v)) {
+      slot.bundle[v] = kInputElsewhere;
     }
-    pool_.at(slot.bundle[d.to_index])
-        .push_back(event::Message{d.to_port, std::move(d.value)});
   }
 
   if (!injected.empty() || signal_sources_ == 0) {
@@ -178,6 +171,38 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
                                  std::span<Delivery> deliveries,
                                  event::InputBundle recycled,
                                  std::vector<ReadyPair>& out_ready) {
+  PhaseSlot& slot = begin_finish(vertex, p);
+  // The executed bundle's buffer goes back to the pool.
+  pool_.donate(std::move(recycled));
+  // Statements 8-11: new messages put successors into the partial set.
+  for (Delivery& d : deliveries) {
+    DF_CHECK(d.to_index > vertex,
+             "messages must flow to higher-indexed vertices");
+    if (mark_received(slot, d.to_index)) {
+      slot.bundle[d.to_index] = pool_.acquire();
+    }
+    pool_.at(slot.bundle[d.to_index])
+        .push_back(event::Message{d.to_port, std::move(d.value)});
+  }
+  end_finish(slot, vertex, out_ready);
+}
+
+void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
+                                 std::span<const std::uint32_t> recipients,
+                                 std::vector<ReadyPair>& out_ready) {
+  PhaseSlot& slot = begin_finish(vertex, p);
+  // Statements 8-11, without the messages.
+  for (const std::uint32_t v : recipients) {
+    DF_CHECK(v > vertex, "messages must flow to higher-indexed vertices");
+    if (mark_received(slot, v)) {
+      slot.bundle[v] = kInputElsewhere;
+    }
+  }
+  end_finish(slot, vertex, out_ready);
+}
+
+Scheduler::PhaseSlot& Scheduler::begin_finish(std::uint32_t vertex,
+                                              event::PhaseId p) {
   // Listing 1, statements 4-31.
   DF_CHECK(vertex >= 1 && vertex <= n_, "vertex index out of range");
   VertexState& vs = vertices_[vertex];
@@ -185,35 +210,31 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
            "finish_execution for a pair that was not issued: vertex ", vertex,
            " phase ", p);
   // Statements 5-7: remove (v,p) from full/ready (the full entry was taken
-  // when the pair was issued; here we clear the ready occupancy). The
-  // executed bundle's buffer goes back to the pool.
+  // when the pair was issued; here we clear the ready occupancy).
   vs.in_ready = false;
-  pool_.donate(std::move(recycled));
+  return phase_slot(p);
+}
 
-  // Statements 8-11: new messages put successors into the partial set.
-  PhaseSlot& slot = phase_slot(p);
-  for (Delivery& d : deliveries) {
-    DF_CHECK(d.to_index > vertex,
-             "messages must flow to higher-indexed vertices");
-    if (!bit_test(slot.partial_bits, d.to_index)) {
-      // The recipient cannot already be full/ready/executing for p: that
-      // would require all its predecessors (including `vertex`) to have
-      // finished p. For the same reason it cannot sit at or below the
-      // promotion bound m(x_p).
-      DF_DCHECK(!bit_test(slot.pending_bits, d.to_index),
-                "delivery to a vertex already past partial in this phase");
-      DF_DCHECK(d.to_index > slot.promoted_bound,
-                "delivery below the promotion bound");
-      slot.bundle[d.to_index] = pool_.acquire();
-      bit_set(slot.partial_bits, d.to_index);
-      ++slot.partial_count;
-      bit_set(slot.pending_bits, d.to_index);
-      ++slot.pending_count;
-    }
-    pool_.at(slot.bundle[d.to_index])
-        .push_back(event::Message{d.to_port, std::move(d.value)});
+bool Scheduler::mark_received(PhaseSlot& slot, std::uint32_t v) {
+  if (bit_test(slot.partial_bits, v)) {
+    return false;
   }
+  // The recipient cannot already be full/ready/executing for p: that would
+  // require all its predecessors (including the sender) to have finished
+  // p. For the same reason it cannot sit at or below the promotion bound
+  // m(x_p).
+  DF_DCHECK(!bit_test(slot.pending_bits, v),
+            "delivery to a vertex already past partial in this phase");
+  DF_DCHECK(v > slot.promoted_bound, "delivery below the promotion bound");
+  bit_set(slot.partial_bits, v);
+  ++slot.partial_count;
+  bit_set(slot.pending_bits, v);
+  ++slot.pending_count;
+  return true;
+}
 
+void Scheduler::end_finish(PhaseSlot& slot, std::uint32_t vertex,
+                           std::vector<ReadyPair>& out_ready) {
   // (v,p) is finished: drop it from the pending index behind x_p.
   DF_CHECK(bit_test(slot.pending_bits, vertex),
            "finished vertex was not pending");
@@ -223,7 +244,7 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
 
   // Statements 12-26: only phase p's pending set changed, so the frontier
   // pass starts at p and stops at the first x that does not change.
-  advance_frontier(p);
+  advance_frontier(slot.id);
   // Statements 27-30: issue newly ready pairs.
   collect_ready(out_ready);
 }
@@ -346,7 +367,9 @@ void Scheduler::collect_ready(std::vector<ReadyPair>& out_ready) {
     slot.bundle[v] = kNoBundle;
     vs.in_ready = true;
     vs.ready_phase = p;
-    out_ready.push_back(ReadyPair{v, p, pool_.take(idx)});
+    out_ready.push_back(ReadyPair{
+        v, p,
+        idx == kInputElsewhere ? event::InputBundle{} : pool_.take(idx)});
   }
   affected_.clear();
 }

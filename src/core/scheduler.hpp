@@ -34,6 +34,17 @@
 // referenced by index from a per-slot bundle table. Steady-state transitions
 // perform zero heap allocations: callers hand executed bundles back so
 // their capacity recirculates through the pool.
+//
+// Two forms of each transition. The payload forms carry the messages:
+// finish_execution moves each delivery into its recipient's pooled bundle,
+// and the issued pair's bundle holds them. The vertex-level replays
+// (trace::trace_schedule, the benchmark's scheduler row) and the tests use
+// them. The payload-free forms take only the recipients: they mark
+// partial and pending exactly as the payload forms do, through the same
+// code, and issue such a pair with an empty bundle, because its messages
+// travel outside the scheduler. core::Engine uses them, with per-phase
+// lanes outside the lock (DESIGN.md, "Lanes"). Signal-source bundles go
+// through the scheduler by handle in both forms.
 #pragma once
 
 #include <cstdint>
@@ -110,29 +121,39 @@ class Scheduler {
   void start_phase(event::PhaseId p, std::span<event::InputBundle> bundles,
                    std::vector<ReadyPair>& out_ready);
 
-  /// Block-scoped form: additionally injects `injected` (deliveries from
-  /// outside this scheduler's index space, e.g. reassembled remote frames)
-  /// into phase p as if a virtual index-0 vertex had finished first —
-  /// every target enters partial exactly like an in-graph delivery, before
-  /// any local pair of the phase executes. Targets must lie above the
-  /// signal-source prefix (remote traffic never addresses a true source).
-  /// When the phase starts with no signal sources, or when injection may
-  /// have completed vertices' bundles (all-remote-predecessor vertices),
-  /// the frontier/promotion/retire/collect pass runs immediately so such
-  /// pairs are issued — and a phase with no work at all retires on the
-  /// spot instead of waiting for a finish_execution that will never come.
+  /// Payload-free block-scoped form: additionally marks the vertices in
+  /// `injected` as having received input from outside this scheduler's
+  /// index space (e.g. reassembled remote frames) in phase p, as if a
+  /// virtual index-0 vertex had finished first — every target enters
+  /// partial exactly like an in-graph recipient, before any local pair of
+  /// the phase executes, and is issued with an empty bundle. Targets must
+  /// lie above the signal-source prefix (remote traffic never addresses a
+  /// true source). When the phase starts with no signal sources, or when
+  /// injection may have completed vertices' inputs (all-remote-predecessor
+  /// vertices), the frontier/promotion/retire/collect pass runs
+  /// immediately so such pairs are issued — and a phase with no work at
+  /// all retires on the spot instead of waiting for a finish that will
+  /// never come.
   void start_phase(event::PhaseId p, std::span<event::InputBundle> bundles,
-                   std::span<Delivery> injected,
+                   std::span<const std::uint32_t> injected,
                    std::vector<ReadyPair>& out_ready);
 
-  /// Worker side (Listing 1, statements 4-31): records that (vertex, p)
-  /// finished executing and produced `deliveries` (moved from). Appends
-  /// pairs that became ready to `out_ready` (not cleared). `recycled` is the
-  /// executed pair's input bundle, donated back to the pool so steady-state
-  /// bookkeeping allocates nothing; pass {} if unavailable.
+  /// Worker side (Listing 1, statements 4-31), payload form: records that
+  /// (vertex, p) finished executing and produced `deliveries` (moved from).
+  /// Appends pairs that became ready to `out_ready` (not cleared).
+  /// `recycled` is the executed pair's input bundle, donated back to the
+  /// pool so steady-state bookkeeping allocates nothing; pass {} if
+  /// unavailable.
   void finish_execution(std::uint32_t vertex, event::PhaseId p,
                         std::span<Delivery> deliveries,
                         event::InputBundle recycled,
+                        std::vector<ReadyPair>& out_ready);
+
+  /// Payload-free form: the same transition, told only which vertices
+  /// (`recipients`, each above `vertex`; repeats are harmless) received
+  /// messages. Each newly partial recipient is issued with an empty bundle.
+  void finish_execution(std::uint32_t vertex, event::PhaseId p,
+                        std::span<const std::uint32_t> recipients,
                         std::vector<ReadyPair>& out_ready);
 
   event::PhaseId pmax() const { return pmax_; }
@@ -187,7 +208,8 @@ class Scheduler {
   /// `partial` is a bitset of vertices accumulating messages; promotion
   /// scans the window (promoted_bound, m(x)] exactly once per phase because
   /// both bounds are monotone. `bundle` maps vertex -> pooled bundle index
-  /// for pairs currently partial or full-but-unissued.
+  /// for pairs currently partial or full-but-unissued (kInputElsewhere
+  /// for those marked by a payload-free transition).
   struct PhaseSlot {
     event::PhaseId id = 0;
     std::uint32_t x = 0;
@@ -197,7 +219,8 @@ class Scheduler {
     std::uint32_t promoted_bound = 0;    // vertices <= this already promoted
     std::vector<std::uint64_t> pending_bits;
     std::vector<std::uint64_t> partial_bits;
-    std::vector<std::uint32_t> bundle;  // [0..n], kNoBundle when absent
+    // [0..n]: a pool index, kNoBundle when absent, or kInputElsewhere
+    std::vector<std::uint32_t> bundle;
   };
 
   using VertexState = VertexSchedState;
@@ -236,6 +259,18 @@ class Scheduler {
   /// insertions never land below the current minimum: deliveries go to
   /// higher indices than the finishing vertex, which is itself pending).
   std::uint32_t min_pending(PhaseSlot& slot);
+
+  /// Statements 8-11 for one recipient v of phase `slot`: puts (v, p) into
+  /// partial and pending unless it is there already. Returns true if it was
+  /// not; the caller then assigns its bundle-table entry.
+  bool mark_received(PhaseSlot& slot, std::uint32_t v);
+
+  /// The finish's head and tail, shared by both forms: checks that
+  /// (vertex, p) was issued and clears its ready occupancy; then drops it
+  /// from pending, runs the frontier pass and issues newly ready pairs.
+  PhaseSlot& begin_finish(std::uint32_t vertex, event::PhaseId p);
+  void end_finish(PhaseSlot& slot, std::uint32_t vertex,
+                  std::vector<ReadyPair>& out_ready);
 
   /// Statements 1.12-1.23: recompute x_i = min(min pending_i - 1, x_{i-1})
   /// for the active phases from `p` on, and return the ring ordinal one

@@ -14,6 +14,10 @@ namespace df::core {
 
 /// Bundle-table sentinel: no pooled bundle assigned to this vertex.
 inline constexpr std::uint32_t kNoBundle = 0xffffffffu;
+/// Bundle-table marker of a pair that received input through a
+/// payload-free transition: its messages travel outside the scheduler, and
+/// it is issued with an empty bundle.
+inline constexpr std::uint32_t kInputElsewhere = 0xfffffffeu;
 
 inline bool bit_test(const std::vector<std::uint64_t>& bits,
                      std::uint32_t v) {

@@ -699,6 +699,8 @@ void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
   total.progress_wakeups += gen.progress_wakeups;
   total.queue_parks += gen.queue_parks;
   total.lock_waits += gen.lock_waits;
+  total.lock_wait_ns += gen.lock_wait_ns;
+  total.lock_hold_ns += gen.lock_hold_ns;
   total.phases_completed =
       std::max(total.phases_completed, gen.phases_completed);
   total.max_inflight_phases =
@@ -1354,6 +1356,8 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
     stats_.progress_wakeups += state.stats.progress_wakeups;
     stats_.queue_parks += state.stats.queue_parks;
     stats_.lock_waits += state.stats.lock_waits;
+    stats_.lock_wait_ns += state.stats.lock_wait_ns;
+    stats_.lock_hold_ns += state.stats.lock_hold_ns;
     stats_.phases_completed =
         std::min(stats_.phases_completed, state.stats.phases_completed);
     stats_.max_inflight_phases =

@@ -10,6 +10,12 @@
 // a few phases active; deep-window seeds run 200 phases with 64+ active and
 // finish the oldest and newest phases often, so the frontier pass's early
 // exit is checked against slots far beyond the ones a transition touched.
+// A third, payload-free flat scheduler (the engine's forms) is told only
+// the distinct recipients of each finish; its snapshots and issued
+// (vertex, phase) sequences must equal the others' after every transition.
+// Block-mode seeds signal only a prefix of the sources and inject remote
+// input at every phase start, which only the payload-free start takes, so
+// there it is diffed against the reference alone.
 //
 // Layer 2 — zero-allocation steady state: a counting global operator
 // new/delete pair measures heap traffic inside scheduler transitions.
@@ -82,26 +88,44 @@ class ReferenceScheduler {
   using Delivery = Scheduler::Delivery;
   using Snapshot = Scheduler::Snapshot;
 
-  explicit ReferenceScheduler(std::vector<std::uint32_t> m)
-      : m_(std::move(m)), n_(static_cast<std::uint32_t>(m_.size() - 1)) {
+  /// Vertices 1..signal_sources receive the phase signal; the rest of
+  /// 1..m(0) run only when injected input reaches them (block mode).
+  ReferenceScheduler(std::vector<std::uint32_t> m,
+                     std::uint32_t signal_sources)
+      : m_(std::move(m)), n_(static_cast<std::uint32_t>(m_.size() - 1)),
+        signal_sources_(signal_sources) {
     vertices_.resize(n_ + 1);
   }
 
+  /// `injected` enters partial as if a virtual vertex 0 finished before
+  /// any pair of the phase; then x, promotion and retirement are
+  /// re-evaluated (a no-op unless something was injected or nothing is
+  /// signalled).
   std::vector<ReadyPair> start_phase(event::PhaseId p,
-                                     std::vector<event::InputBundle> bundles) {
+                                     std::vector<event::InputBundle> bundles,
+                                     std::vector<Delivery> injected = {}) {
     DF_CHECK(p == pmax_ + 1, "phases must start in order");
-    DF_CHECK(bundles.size() == m_[0], "need one bundle per source vertex");
+    DF_CHECK(bundles.size() == signal_sources_,
+             "need one bundle per signalled source");
     pmax_ = p;
     PhaseState state;
     state.id = p;
     phases_.push_back(std::move(state));
     PhaseState& ps = phases_.back();
     std::set<std::uint32_t> affected;
-    for (std::uint32_t s = 1; s <= m_[0]; ++s) {
+    for (std::uint32_t s = 1; s <= signal_sources_; ++s) {
       vertices_[s].full.emplace(p, std::move(bundles[s - 1]));
       ps.pending.insert(s);
       affected.insert(s);
     }
+    for (Delivery& d : injected) {
+      ps.partial[d.to_index].push_back(
+          event::Message{d.to_port, std::move(d.value)});
+      ps.pending.insert(d.to_index);
+    }
+    update_x_from(p);
+    promote_newly_full(p, affected);
+    retire_completed();
     return collect_ready(affected);
   }
 
@@ -240,6 +264,7 @@ class ReferenceScheduler {
 
   std::vector<std::uint32_t> m_;
   std::uint32_t n_;
+  std::uint32_t signal_sources_;
   event::PhaseId pmax_ = 0;
   event::PhaseId completed_through_ = 0;
   std::deque<PhaseState> phases_;
@@ -263,6 +288,31 @@ std::vector<Scheduler::ReadyPair> start_phase_vec(
   std::vector<Scheduler::ReadyPair> out;
   scheduler.start_phase(p, std::span<event::InputBundle>(bundles), out);
   return out;
+}
+
+/// The distinct recipients of `deliveries`: what a payload-free transition
+/// is told.
+std::vector<std::uint32_t> recipients_of(
+    const std::vector<Scheduler::Delivery>& deliveries) {
+  std::vector<std::uint32_t> recipients;
+  for (const Scheduler::Delivery& d : deliveries) {
+    recipients.push_back(d.to_index);
+  }
+  std::sort(recipients.begin(), recipients.end());
+  recipients.erase(std::unique(recipients.begin(), recipients.end()),
+                   recipients.end());
+  return recipients;
+}
+
+/// Same issued (vertex, phase) sequence; the payload-free side carries no
+/// messages, so bundles are not compared.
+void expect_same_issue_order(const std::vector<Scheduler::ReadyPair>& lean,
+                             const std::vector<Scheduler::ReadyPair>& ref) {
+  ASSERT_EQ(lean.size(), ref.size());
+  for (std::size_t i = 0; i < lean.size(); ++i) {
+    EXPECT_EQ(lean[i].vertex, ref[i].vertex);
+    EXPECT_EQ(lean[i].phase, ref[i].phase);
+  }
 }
 
 void expect_same_ready(const std::vector<Scheduler::ReadyPair>& flat,
@@ -290,6 +340,9 @@ struct DiffShape {
   std::uint32_t vertex_spread;  // vertices = min_vertices + seed % spread
   event::PhaseId phases;
   std::size_t deep_active;  // 0 = shallow
+  /// Signal a random prefix of the sources and inject remote input into
+  /// random non-signalled vertices at every phase start.
+  bool block_mode = false;
 };
 
 /// Index into `issued` of the next pair to execute: uniformly random for a
@@ -332,12 +385,12 @@ double start_probability(const DiffShape& shape, double shallow,
 }
 
 /// Random source bundles for one phase, identical for both schedulers.
-void random_bundles(const Numbering& numbering, support::Rng& rng,
+void random_bundles(std::uint32_t sources, support::Rng& rng,
                     std::vector<event::InputBundle>& bundles,
                     std::vector<event::InputBundle>& bundles_copy) {
-  bundles.assign(numbering.m[0], event::InputBundle{});
-  bundles_copy.assign(numbering.m[0], event::InputBundle{});
-  for (std::uint32_t s = 0; s < numbering.m[0]; ++s) {
+  bundles.assign(sources, event::InputBundle{});
+  bundles_copy.assign(sources, event::InputBundle{});
+  for (std::uint32_t s = 0; s < sources; ++s) {
     if (rng.next_bernoulli(0.5)) {
       const double payload = rng.next_normal();
       bundles[s].push_back(event::Message{0, event::Value(payload)});
@@ -346,9 +399,11 @@ void random_bundles(const Numbering& numbering, support::Rng& rng,
   }
 }
 
-/// Per-pair differential: every finish goes through finish_execution on the
-/// flat side and the reference side alike; after *every* transition the
-/// snapshots and issued ready batches must match.
+/// Per-pair differential: every finish goes through the payload form of
+/// finish_execution on the flat side, the payload-free form on the lean
+/// side and the reference's own; after *every* transition the snapshots
+/// and issued ready batches must match. In block mode only the lean side
+/// and the reference run (the payload start takes no injection).
 void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
   support::Rng rng(seed);
 
@@ -358,9 +413,15 @@ void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
       0.3, rng);
   const Numbering numbering = graph::compute_satisfactory_numbering(dag);
   const auto succs = internal_successors(dag, numbering);
+  const std::uint32_t n = numbering.size();
+  const std::uint32_t signalled =
+      shape.block_mode
+          ? static_cast<std::uint32_t>(rng.next_below(numbering.m[0] + 1))
+          : numbering.m[0];
 
   Scheduler flat(numbering.m);
-  ReferenceScheduler reference(numbering.m);
+  Scheduler lean(numbering.m, signalled);
+  ReferenceScheduler reference(numbering.m, signalled);
 
   struct Issued {
     std::uint32_t vertex;
@@ -372,8 +433,14 @@ void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
   std::size_t deepest = 0;
 
   const auto absorb = [&](std::vector<Scheduler::ReadyPair> flat_ready,
+                          const std::vector<Scheduler::ReadyPair>& lean_ready,
                           std::vector<Scheduler::ReadyPair> ref_ready) {
-    expect_same_ready(flat_ready, ref_ready);
+    expect_same_issue_order(lean_ready, ref_ready);
+    if (shape.block_mode) {
+      flat_ready = std::move(ref_ready);  // the pairs to run next
+    } else {
+      expect_same_ready(flat_ready, ref_ready);
+    }
     for (auto& pair : flat_ready) {
       issued.push_back(
           Issued{pair.vertex, pair.phase, std::move(pair.bundle)});
@@ -387,12 +454,30 @@ void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
         started < shape.phases &&
         (issued.empty() ||
          rng.next_bernoulli(
-             start_probability(shape, 0.35, flat.active_phase_count())));
+             start_probability(shape, 0.35, lean.active_phase_count())));
     if (start_now) {
       ++started;
-      random_bundles(numbering, rng, bundles, bundles_copy);
-      absorb(start_phase_vec(flat, started, std::move(bundles)),
-             reference.start_phase(started, std::move(bundles_copy)));
+      random_bundles(signalled, rng, bundles, bundles_copy);
+      std::vector<event::InputBundle> lean_bundles = bundles_copy;
+      std::vector<Scheduler::Delivery> injected;
+      for (std::uint32_t v = signalled + 1;
+           shape.block_mode && v <= n; ++v) {
+        if (rng.next_bernoulli(0.3)) {
+          injected.push_back(
+              Scheduler::Delivery{v, 0, event::Value(rng.next_normal())});
+        }
+      }
+      const std::vector<std::uint32_t> injected_to = recipients_of(injected);
+      std::vector<Scheduler::ReadyPair> lean_ready;
+      lean.start_phase(started, std::span<event::InputBundle>(lean_bundles),
+                       std::span<const std::uint32_t>(injected_to),
+                       lean_ready);
+      absorb(shape.block_mode ? std::vector<Scheduler::ReadyPair>{}
+                              : start_phase_vec(flat, started,
+                                                std::move(bundles)),
+             lean_ready,
+             reference.start_phase(started, std::move(bundles_copy),
+                                   std::move(injected)));
     } else {
       const std::size_t pick = pick_issued(issued, shape, rng);
       Issued pair = std::move(issued[pick]);
@@ -409,25 +494,41 @@ void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
               Scheduler::Delivery{w, 0, event::Value(payload)});
         }
       }
-      // Flat side goes through the buffer-reuse API with bundle recycling;
-      // reference side through the plain vector API.
+      // Flat side goes through the buffer-reuse API with bundle recycling,
+      // lean side through the payload-free form, reference side through
+      // the plain vector API.
+      const std::vector<std::uint32_t> recipients = recipients_of(deliveries);
+      std::vector<Scheduler::ReadyPair> lean_ready;
+      lean.finish_execution(pair.vertex, pair.phase,
+                            std::span<const std::uint32_t>(recipients),
+                            lean_ready);
       std::vector<Scheduler::ReadyPair> flat_ready;
-      flat.finish_execution(pair.vertex, pair.phase,
-                            std::span<Scheduler::Delivery>(deliveries),
-                            std::move(pair.bundle), flat_ready);
-      absorb(std::move(flat_ready),
+      if (!shape.block_mode) {
+        flat.finish_execution(pair.vertex, pair.phase,
+                              std::span<Scheduler::Delivery>(deliveries),
+                              std::move(pair.bundle), flat_ready);
+      }
+      absorb(std::move(flat_ready), lean_ready,
              reference.finish_execution(pair.vertex, pair.phase,
                                         std::move(deliveries_copy)));
     }
-    deepest = std::max(deepest, flat.active_phase_count());
-    ASSERT_EQ(flat.snapshot(), reference.snapshot())
-        << "snapshot divergence (seed " << seed << ")";
+    deepest = std::max(deepest, lean.active_phase_count());
+    ASSERT_EQ(lean.snapshot(), reference.snapshot())
+        << "payload-free snapshot divergence (seed " << seed << ")";
+    if (!shape.block_mode) {
+      ASSERT_EQ(flat.snapshot(), reference.snapshot())
+          << "snapshot divergence (seed " << seed << ")";
+    }
   }
 
-  EXPECT_TRUE(flat.all_started_phases_complete());
+  EXPECT_TRUE(lean.all_started_phases_complete());
   EXPECT_TRUE(reference.all_started_phases_complete());
-  EXPECT_EQ(flat.completed_through(), shape.phases);
+  EXPECT_EQ(lean.completed_through(), shape.phases);
   EXPECT_EQ(reference.completed_through(), shape.phases);
+  if (!shape.block_mode) {
+    EXPECT_TRUE(flat.all_started_phases_complete());
+    EXPECT_EQ(flat.completed_through(), shape.phases);
+  }
   EXPECT_GE(deepest, shape.deep_active) << "the window never got deep";
 }
 
@@ -449,6 +550,20 @@ TEST_P(FlatVsReferenceDeepWindow, IdenticalSnapshotsAfterEveryTransition) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceDeepWindow,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+class PayloadFreeBlockMode : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(PayloadFreeBlockMode, IdenticalSnapshotsAfterEveryTransition) {
+  run_per_pair_differential(GetParam(), DiffShape{5, 27, 10, 0, true});
+}
+
+TEST_P(PayloadFreeBlockMode, DeepWindowIdenticalSnapshots) {
+  run_per_pair_differential(GetParam(), DiffShape{5, 12, 200, 64, true});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PayloadFreeBlockMode,
+                         ::testing::Range<std::uint64_t>(0, 16));
 
 // --- layer 2: zero-allocation steady state ----------------------------------
 

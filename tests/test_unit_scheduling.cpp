@@ -7,6 +7,7 @@
 // runs it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -303,6 +304,96 @@ TEST(UnitEdgeCases, RemoteOnlyFedMembersInsideBlockUnits) {
   }
   EXPECT_GT(remote_only_in_shared_unit, 0U)
       << "no remote-only-fed vertex shared a unit";
+}
+
+/// The benchmark's engine-dense shape: 8 layers of 8 zero-grain busy-work
+/// vertices, vertex i of a layer reading vertices i and i + 1 (mod 8) of
+/// the layer before. Every vertex emits with probability 0.7, so a message
+/// left in a lane would reach a later phase as a stale input value.
+core::Program layered_program() {
+  constexpr std::uint32_t kWidth = 8;
+  spec::GraphBuilder b;
+  std::vector<graph::VertexId> ids;
+  for (std::uint32_t layer = 0; layer < 8; ++layer) {
+    for (std::uint32_t i = 0; i < kWidth; ++i) {
+      ids.push_back(b.add(
+          "v" + std::to_string(layer * kWidth + i),
+          layer == 0 ? model::factory_of<model::BusyWorkSource>(
+                           std::uint64_t{0}, 0.7)
+                     : model::factory_of<model::BusyWorkModule>(
+                           std::uint64_t{0}, std::size_t{2}, 0.7)));
+    }
+  }
+  for (std::uint32_t layer = 1; layer < 8; ++layer) {
+    for (std::uint32_t i = 0; i < kWidth; ++i) {
+      const graph::VertexId to = ids[layer * kWidth + i];
+      b.connect(ids[(layer - 1) * kWidth + i], 0, to, 0);
+      b.connect(ids[(layer - 1) * kWidth + (i + 1) % kWidth], 0, to, 1);
+    }
+  }
+  return std::move(b).build(31);
+}
+
+// Lanes (DESIGN.md, "Lanes") live in per-phase blocks that are reused once
+// their phase retires. At least 8 x W phases run at every window, so every
+// block serves many phases. A reader that left a message in a lane would
+// feed it to a later phase, and snapshot_state() refuses a quiescent engine
+// whose lanes are not all empty.
+TEST(Lanes, ReusedAcrossWindowsAndThreadCounts) {
+  const core::Program program = layered_program();
+  // At 3 workers the graph runs as 6 units, and two of them take input
+  // from two other units: they read two lanes a phase.
+  const Bounds units = core::plan_units(64, 8, 3, 64);
+  ASSERT_EQ(units.size(), 7U);
+  std::size_t two_sender_units = 0;
+  for (std::uint32_t u = 1; u < units.size(); ++u) {
+    std::vector<std::uint32_t> senders;
+    for (std::uint32_t y = units[u - 1] + 1; y <= units[u]; ++y) {
+      for (const graph::Edge& e :
+           program.dag.in_edges(program.numbering.vertex_at[y])) {
+        const std::uint32_t pred = program.numbering.index_of[e.from];
+        const auto unit = static_cast<std::uint32_t>(
+            std::lower_bound(units.begin(), units.end(), pred) -
+            units.begin());
+        if (unit != u) {
+          senders.push_back(unit);
+        }
+      }
+    }
+    std::sort(senders.begin(), senders.end());
+    senders.erase(std::unique(senders.begin(), senders.end()),
+                  senders.end());
+    two_sender_units += senders.size() == 2 ? 1 : 0;
+  }
+  EXPECT_EQ(two_sender_units, 2U);
+
+  for (const std::size_t window : {0, 1, 2, 3, 64}) {
+    const event::PhaseId phases = 8 * std::max<event::PhaseId>(window, 8);
+    baseline::SequentialExecutor sequential(program);
+    sequential.run(phases, nullptr);
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " window=" + std::to_string(window);
+      core::EngineOptions options;
+      options.threads = threads;
+      options.max_inflight_phases = window;
+      core::Engine engine(program, options);
+      engine.start();
+      for (event::PhaseId p = 1; p <= phases; ++p) {
+        engine.start_phase({});
+      }
+      engine.quiesce();
+      EXPECT_NO_THROW(engine.snapshot_state()) << where;
+      engine.finish();
+      const auto report =
+          trace::compare_sinks(sequential.sinks(), engine.sinks());
+      EXPECT_TRUE(report.equivalent) << where << "\n" << report.summary();
+      EXPECT_GT(report.reference_records, 0U) << where;
+      EXPECT_EQ(engine.stats().executed_pairs,
+                sequential.stats().executed_pairs)
+          << where;
+    }
+  }
 }
 
 }  // namespace
