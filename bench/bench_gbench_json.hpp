@@ -34,6 +34,13 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
       if (slots != run.counters.end()) {
         line.metric("slots_per_pair", static_cast<double>(slots->second));
       }
+      // Rows that process a known number of events per iteration report
+      // the time per event (the run's time unit is ns by default).
+      const auto events = run.counters.find("events_per_op");
+      if (events != run.counters.end() && events->second.value > 0) {
+        line.metric("ns_per_event",
+                    run.GetAdjustedRealTime() / events->second.value);
+      }
       line.emit();
     }
   }

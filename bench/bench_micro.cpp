@@ -2,11 +2,14 @@
 // (google-benchmark): run-queue operations, lock acquisition, scheduler
 // bookkeeping per pair, rng and value plumbing. These quantify the
 // "computations performed to maintain the data structures" that the paper's
-// speedup prediction is conditioned on.
+// speedup prediction is conditioned on. BM_parse_event_csv times the step
+// before any phase runs: reading recorded streams into timestamped events.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <deque>
 #include <mutex>
+#include <string>
 
 #include "bench_gbench_json.hpp"
 
@@ -16,6 +19,7 @@
 #include "event/value.hpp"
 #include "graph/generators.hpp"
 #include "graph/numbering.hpp"
+#include "spec/event_csv.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -201,6 +205,42 @@ void BM_value_copy_double(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_value_copy_double);
+
+/// Event CSV ingestion in the shape of the benchmark's engine-events
+/// workload: 32 double-valued streams s00..s31, each reporting with
+/// probability 1/2 per phase (at least one per phase), one timestamp per
+/// phase, 8192 phases. Its JSON row reports `ns_per_event`.
+void BM_parse_event_csv(benchmark::State& state) {
+  constexpr std::uint32_t kStreams = 32;
+  constexpr std::uint64_t kPhases = 8192;
+  graph::Dag dag;
+  char line[64];
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    std::snprintf(line, sizeof line, "s%02u", s);
+    dag.add_vertex(line);
+  }
+  support::Rng rng(7);
+  std::string csv = "timestamp,vertex,port,type,value\n";
+  for (std::uint64_t p = 1; p <= kPhases; ++p) {
+    const auto forced = static_cast<std::uint32_t>(rng.next_below(kStreams));
+    for (std::uint32_t s = 0; s < kStreams; ++s) {
+      if (s == forced || rng.next_bernoulli(0.5)) {
+        std::snprintf(line, sizeof line, "%llu,s%02u,0,double,%.6f\n",
+                      static_cast<unsigned long long>(p), s,
+                      rng.next_normal(10.0 + s, 1.0));
+        csv += line;
+      }
+    }
+  }
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const auto parsed = spec::parse_event_csv(csv, dag);
+    events = parsed.size();
+    benchmark::DoNotOptimize(parsed.data());
+  }
+  state.counters["events_per_op"] = static_cast<double>(events);
+}
+BENCHMARK(BM_parse_event_csv)->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

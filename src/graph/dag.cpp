@@ -44,14 +44,18 @@ const std::string& Dag::name(VertexId v) const {
   return names_[v];
 }
 
-VertexId Dag::vertex(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  DF_CHECK(it != by_name_.end(), "unknown vertex name '", name, "'");
-  return it->second;
+VertexId Dag::vertex(std::string_view name) const {
+  const std::optional<VertexId> id = find_vertex(name);
+  DF_CHECK(id.has_value(), "unknown vertex name '", name, "'");
+  return *id;
 }
 
-bool Dag::has_vertex(const std::string& name) const {
-  return by_name_.find(name) != by_name_.end();
+std::optional<VertexId> Dag::find_vertex(std::string_view name) const {
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 const std::vector<Edge>& Dag::in_edges(VertexId v) const {

@@ -6,8 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace df::graph {
@@ -42,8 +45,9 @@ class Dag {
 
   const std::string& name(VertexId v) const;
   /// Looks up a vertex id by name; checks that the name exists.
-  VertexId vertex(const std::string& name) const;
-  bool has_vertex(const std::string& name) const;
+  VertexId vertex(std::string_view name) const;
+  /// Looks up a vertex id by name; nullopt when no vertex has that name.
+  std::optional<VertexId> find_vertex(std::string_view name) const;
 
   const std::vector<Edge>& edges() const { return edges_; }
   /// Incoming edges of v, ordered by to_port.
@@ -71,8 +75,18 @@ class Dag {
   void validate() const;
 
  private:
+  /// Hashes std::string and std::string_view alike, so find_vertex probes
+  /// by_name_ without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::map<std::string, VertexId> by_name_;
+  std::unordered_map<std::string, VertexId, NameHash, std::equal_to<>>
+      by_name_;
   std::vector<Edge> edges_;
   std::vector<std::vector<Edge>> in_edges_;
   std::vector<std::vector<Edge>> out_edges_;

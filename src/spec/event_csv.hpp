@@ -13,10 +13,28 @@
 // `vertex` is the specification vertex id; `type` is one of
 // bool|int|double|string. Rows must be non-decreasing in timestamp (the
 // paper's arrival model); equal timestamps form one phase.
+//
+// The grammar, exactly:
+//   - Lines end at '\n' (a final '\n' opens no empty line) and are numbered
+//     from 1, blank and comment lines included. Each line is trimmed of the
+//     C locale's whitespace (support::trim, so a CRLF line end reads like
+//     LF); a line that is then empty or starts with '#' is skipped.
+//   - A row has exactly 5 comma-separated fields, each trimmed the same way.
+//     There is no quoting: a vertex name or string value holds no ',' or
+//     line break and no leading or trailing whitespace, and
+//     write_event_csv refuses one that does.
+//   - Numbers (timestamp, port, int and double values) follow the one
+//     number grammar of support::parse_int/parse_uint/parse_double
+//     (support/strings.hpp); bool values follow support::parse_bool.
+//   - A row's checks run in this order, and the first that fails throws
+//     check_error naming the line: field count; timestamp (a non-numeric
+//     one is the header, allowed on the first row only); non-decreasing
+//     timestamps; unknown vertex; port <= 0xffff; value type and value.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "event/phase.hpp"
@@ -25,11 +43,13 @@
 namespace df::spec {
 
 /// Parses CSV text into timestamped events, resolving vertex names through
-/// `dag`. Throws via DF_CHECK with the offending line number on bad input.
-std::vector<event::TimestampedEvent> parse_event_csv(const std::string& text,
+/// `dag`, in one pass over `text`. Throws via DF_CHECK with the offending
+/// line number on bad input.
+std::vector<event::TimestampedEvent> parse_event_csv(std::string_view text,
                                                      const graph::Dag& dag);
 
-/// Reads a CSV file from disk.
+/// Reads a CSV file from disk; a path that cannot be opened or read (a
+/// directory, say) throws check_error naming it.
 std::vector<event::TimestampedEvent> load_event_csv_file(
     const std::string& path, const graph::Dag& dag);
 
@@ -38,7 +58,10 @@ std::vector<event::TimestampedEvent> load_event_csv_file(
 std::vector<std::vector<event::ExternalEvent>> assemble_batches(
     const std::vector<event::TimestampedEvent>& events);
 
-/// Writes events back out in the same format (round-trip support).
+/// Writes events back out in the same format (round-trip support). Throws
+/// check_error for a vertex name or string value the reader would not read
+/// back: one that holds ',', '\n' or '\r', or has leading or trailing
+/// whitespace.
 void write_event_csv(std::ostream& out,
                      const std::vector<event::TimestampedEvent>& events,
                      const graph::Dag& dag);

@@ -1,9 +1,7 @@
 #include "spec/spec.hpp"
 
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 
 #include "support/check.hpp"
 #include "support/strings.hpp"
@@ -84,11 +82,7 @@ ComputationSpec parse_spec(const std::string& xml_text) {
 }
 
 ComputationSpec load_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  DF_CHECK(in.good(), "cannot open specification file '", path, "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_spec(buffer.str());
+  return parse_spec(support::read_file(path, "specification file"));
 }
 
 core::Program ComputationSpec::to_program(

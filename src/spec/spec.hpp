@@ -72,7 +72,8 @@ struct ComputationSpec {
 /// actionable messages on malformed input.
 ComputationSpec parse_spec(const std::string& xml_text);
 
-/// Reads a specification from a file path.
+/// Reads a specification from a file path; a path that cannot be opened or
+/// read (a directory, say) throws check_error naming it.
 ComputationSpec load_spec_file(const std::string& path);
 
 }  // namespace df::spec

@@ -1,32 +1,64 @@
 #include "support/strings.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <fstream>
+
+#include "support/check.hpp"
 
 namespace df::support {
 
-std::vector<std::string> split(std::string_view text, char delimiter) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == delimiter) {
-      parts.emplace_back(text.substr(start, i - start));
-      start = i + 1;
+namespace {
+
+/// The C locale's std::isspace set: space, \t, \n, \v, \f, \r.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// The grammar in strings.hpp: leading whitespace, one '+' that does not
+/// precede a '-', then a from_chars body that reaches the end of `text`.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  std::size_t begin = 0;
+  while (begin < text.size() && is_space(text[begin])) {
+    ++begin;
+  }
+  if (begin < text.size() && text[begin] == '+') {
+    ++begin;
+    if (begin < text.size() && text[begin] == '-') {
+      return std::nullopt;
     }
   }
-  return parts;
+  const char* last = text.data() + text.size();
+  T value{};
+  const auto [end, error] = std::from_chars(text.data() + begin, last, value);
+  if (error != std::errc{} || end != last) {
+    return std::nullopt;
+  }
+  return value;
 }
+
+/// ASCII case-insensitive equality against an all-lowercase `lower`.
+bool equals_lowered(std::string_view text, std::string_view lower) {
+  if (text.size() != lower.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if ((c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) !=
+        lower[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 std::string_view trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin])) != 0) {
+  while (begin < end && is_space(text[begin])) {
     ++begin;
   }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1])) != 0) {
+  while (end > begin && is_space(text[end - 1])) {
     --end;
   }
   return text.substr(begin, end - begin);
@@ -37,85 +69,42 @@ bool starts_with(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::optional<std::int64_t> parse_int(std::string_view text) {
-  if (text.empty()) {
-    return std::nullopt;
-  }
-  std::string owned(text);
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(owned.c_str(), &end, 10);
-  if (errno != 0 || end != owned.c_str() + owned.size()) {
-    return std::nullopt;
-  }
-  return static_cast<std::int64_t>(value);
+  return parse_number<std::int64_t>(text);
 }
 
 std::optional<std::uint64_t> parse_uint(std::string_view text) {
-  // strtoull skips leading whitespace and then negates a '-' number into a
-  // huge unsigned one, so the sign is looked for past that whitespace.
-  const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
-  if (first == std::string_view::npos || text[first] == '-') {
-    return std::nullopt;
-  }
-  std::string owned(text);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(owned.c_str(), &end, 10);
-  if (errno != 0 || end != owned.c_str() + owned.size()) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(value);
+  return parse_number<std::uint64_t>(text);
 }
 
 std::optional<double> parse_double(std::string_view text) {
-  if (text.empty()) {
-    return std::nullopt;
-  }
-  std::string owned(text);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(owned.c_str(), &end);
-  if (errno != 0 || end != owned.c_str() + owned.size()) {
-    return std::nullopt;
-  }
-  return value;
+  return parse_number<double>(text);
 }
 
 std::optional<bool> parse_bool(std::string_view text) {
-  const std::string lowered = to_lower(trim(text));
-  if (lowered == "true" || lowered == "1" || lowered == "yes") {
+  const std::string_view word = trim(text);
+  if (equals_lowered(word, "true") || word == "1" ||
+      equals_lowered(word, "yes")) {
     return true;
   }
-  if (lowered == "false" || lowered == "0" || lowered == "no") {
+  if (equals_lowered(word, "false") || word == "0" ||
+      equals_lowered(word, "no")) {
     return false;
   }
   return std::nullopt;
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+std::string read_file(const std::string& path, std::string_view what) {
+  std::ifstream in(path, std::ios::binary);
+  DF_CHECK(in.is_open(), "cannot open ", what, " '", path, "'");
+  // istream::read turns a failing read(2), e.g. EISDIR, into badbit.
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
-  return out;
-}
-
-std::string join(const std::vector<std::string>& items,
-                 std::string_view separator) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) {
-      out += separator;
-    }
-    out += items[i];
-  }
-  return out;
+  DF_CHECK(!in.bad(), "cannot read ", what, " '", path, "'");
+  return text;
 }
 
 }  // namespace df::support

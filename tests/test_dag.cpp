@@ -18,8 +18,8 @@ TEST(Dag, AddVertexAssignsDenseIds) {
   EXPECT_EQ(dag.vertex_count(), 2U);
   EXPECT_EQ(dag.name(0), "a");
   EXPECT_EQ(dag.vertex("b"), 1U);
-  EXPECT_TRUE(dag.has_vertex("a"));
-  EXPECT_FALSE(dag.has_vertex("zzz"));
+  EXPECT_EQ(dag.find_vertex("a"), std::optional<VertexId>(0));
+  EXPECT_FALSE(dag.find_vertex("zzz").has_value());
 }
 
 TEST(Dag, RejectsDuplicateAndEmptyNames) {

@@ -1,7 +1,12 @@
 // Tests for timestamped-event CSV ingestion.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "baseline/sequential.hpp"
 #include "core/executor.hpp"
@@ -83,12 +88,27 @@ TEST(EventCsv, AssembleBatchesGroupsEqualTimestamps) {
 
 TEST(EventCsv, RoundTripsThroughWriter) {
   const graph::Dag dag = sensor_dag();
-  const auto events = parse_event_csv(
+  auto events = parse_event_csv(
       "10,flood,0,double,0.125\n"
       "12,wind,0,int,-3\n"
       "12,wind,1,bool,false\n"
       "15,flood,0,string,high\n",
       dag);
+  const event::Value edge_values[] = {
+      event::Value(std::numeric_limits<double>::denorm_min()),
+      event::Value(1e-310),
+      event::Value(0.0),
+      event::Value(-0.0),
+      event::Value(std::numeric_limits<double>::infinity()),
+      event::Value(-std::numeric_limits<double>::infinity()),
+      event::Value(std::numeric_limits<double>::quiet_NaN()),
+      event::Value(std::numeric_limits<std::int64_t>::min()),
+      event::Value(std::numeric_limits<std::int64_t>::max()),
+      event::Value(std::string()),
+  };
+  for (const event::Value& value : edge_values) {
+    events.push_back({20, {dag.vertex("wind"), 2, value}});
+  }
   std::ostringstream out;
   write_event_csv(out, events, dag);
   const auto reparsed = parse_event_csv(out.str(), dag);
@@ -97,7 +117,44 @@ TEST(EventCsv, RoundTripsThroughWriter) {
     EXPECT_EQ(reparsed[i].timestamp, events[i].timestamp);
     EXPECT_EQ(reparsed[i].event.vertex, events[i].event.vertex);
     EXPECT_EQ(reparsed[i].event.port, events[i].event.port);
-    EXPECT_EQ(reparsed[i].event.value, events[i].event.value);
+    const event::Value& want = events[i].event.value;
+    const event::Value& got = reparsed[i].event.value;
+    if (want.is_double()) {  // by bit pattern: NaN and -0.0 included
+      ASSERT_TRUE(got.is_double()) << "row " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.as_double()),
+                std::bit_cast<std::uint64_t>(want.as_double()))
+          << "row " << i << ": " << want.as_double() << " read back as "
+          << got.as_double();
+    } else {
+      EXPECT_EQ(got, want) << "row " << i;
+    }
+  }
+}
+
+TEST(EventCsv, WriterRefusesStringsItCannotReadBack) {
+  const graph::Dag dag = sensor_dag();
+  for (const char* text :
+       {" padded ", "x\r", "a,b", "line\nbreak", "\tlead", "trail\v"}) {
+    const std::vector<event::TimestampedEvent> events = {
+        {1, {dag.vertex("flood"), 0, event::Value(text)}}};
+    std::ostringstream out;
+    EXPECT_THROW(write_event_csv(out, events, dag), support::check_error)
+        << "string value '" << text << "'";
+  }
+}
+
+TEST(EventCsv, WriterRefusesVertexNamesItCannotReadBack) {
+  // Spec ids may hold commas and padding, which the reader would split or
+  // trim away.
+  graph::Dag dag;
+  dag.add_vertex("a,b");
+  dag.add_vertex(" padded");
+  for (const char* name : {"a,b", " padded"}) {
+    const std::vector<event::TimestampedEvent> events = {
+        {1, {dag.vertex(name), 0, event::Value(1.5)}}};
+    std::ostringstream out;
+    EXPECT_THROW(write_event_csv(out, events, dag), support::check_error)
+        << "vertex name '" << name << "'";
   }
 }
 
@@ -128,6 +185,14 @@ TEST(EventCsv, DrivesAnExecutorEndToEnd) {
 TEST(EventCsv, MissingFileFails) {
   const graph::Dag dag = sensor_dag();
   EXPECT_THROW(load_event_csv_file("/no/such/file.csv", dag),
+               support::check_error);
+}
+
+TEST(EventCsv, DirectoryPathFails) {
+  // A directory opens like a file but cannot be read: that is an error, not
+  // an empty event file.
+  const graph::Dag dag = sensor_dag();
+  EXPECT_THROW(load_event_csv_file(::testing::TempDir(), dag),
                support::check_error);
 }
 

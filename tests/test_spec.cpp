@@ -99,6 +99,12 @@ TEST(Spec, LoadSpecFileReadsDisk) {
   EXPECT_THROW(load_spec_file(path), support::check_error);
 }
 
+TEST(Spec, LoadSpecFileRejectsDirectory) {
+  // A directory opens like a file but cannot be read: that is an error, not
+  // an empty specification.
+  EXPECT_THROW(load_spec_file(::testing::TempDir()), support::check_error);
+}
+
 TEST(Spec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_spec("<bogus/>"), support::check_error);
   EXPECT_THROW(parse_spec("<computation/>"), support::check_error);

@@ -1,6 +1,14 @@
 // Unit tests for strings, CLI flags, tables, check macros and the stopwatch.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/stopwatch.hpp"
@@ -10,27 +18,17 @@
 namespace df::support {
 namespace {
 
-TEST(Strings, SplitPreservesEmptyFields) {
-  const auto parts = split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4U);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
 TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim("  hello \t\n"), "hello");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim("x"), "x");
+  EXPECT_EQ(trim("\v\f x y\r"), "x y");
 }
 
 TEST(Strings, PrefixSuffix) {
   EXPECT_TRUE(starts_with("deltaflow", "delta"));
   EXPECT_FALSE(starts_with("de", "delta"));
-  EXPECT_TRUE(ends_with("deltaflow", "flow"));
-  EXPECT_FALSE(ends_with("ow", "flow"));
 }
 
 TEST(Strings, ParseIntStrict) {
@@ -64,13 +62,138 @@ TEST(Strings, ParseBoolForms) {
   EXPECT_EQ(parse_bool("FALSE"), false);
   EXPECT_EQ(parse_bool("1"), true);
   EXPECT_EQ(parse_bool(" no "), false);
+  EXPECT_EQ(parse_bool("YeS"), true);
+  EXPECT_EQ(parse_bool("\tTrUe\r\n"), true);
   EXPECT_FALSE(parse_bool("maybe").has_value());
+  EXPECT_FALSE(parse_bool("").has_value());
+  EXPECT_FALSE(parse_bool("tru").has_value());
+  EXPECT_FALSE(parse_bool("truex").has_value());
+  EXPECT_FALSE(parse_bool("01").has_value());
 }
 
-TEST(Strings, JoinAndLower) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(to_lower("DeltaFlow"), "deltaflow");
+// The number grammar of support/strings.hpp, one spelling per row. The
+// rows marked "changed" read differently under the strtoll/strtoull/strtod
+// grammar it replaced; every other row reads as it did there.
+TEST(Strings, NumberGrammarTable) {
+  using std::nullopt;
+  const std::string nul_int("4\0" "2", 3);
+  const std::string nul_double("1\0" ".5", 4);
+  const std::optional<std::int64_t> kInt64Max =
+      std::numeric_limits<std::int64_t>::max();
+  const std::optional<std::int64_t> kInt64Min =
+      std::numeric_limits<std::int64_t>::min();
+
+  const std::vector<std::pair<std::string, std::optional<std::int64_t>>>
+      ints = {
+          {"42", 42},
+          {"-7", -7},
+          {"+5", 5},
+          {"-0", 0},
+          {"007", 7},
+          {" 7", 7},
+          {"\t\n\v\f\r 7", 7},
+          {"9223372036854775807", kInt64Max},
+          {"-9223372036854775808", kInt64Min},
+          {"", nullopt},
+          {"   ", nullopt},
+          {"+", nullopt},
+          {"-", nullopt},
+          {"7 ", nullopt},
+          {"42x", nullopt},
+          {"4.2", nullopt},
+          {"1e3", nullopt},
+          {"0x10", nullopt},
+          {"+-5", nullopt},
+          {"++5", nullopt},
+          {"--5", nullopt},
+          {"+ 5", nullopt},
+          {"- 5", nullopt},
+          {nul_int, nullopt},
+          {"9223372036854775808", nullopt},
+          {"-9223372036854775809", nullopt},
+          {"1234567890123456789012345", nullopt},
+      };
+  for (const auto& [text, want] : ints) {
+    EXPECT_EQ(parse_int(text), want) << "parse_int('" << text << "')";
+  }
+
+  const std::vector<std::pair<std::string, std::optional<std::uint64_t>>>
+      uints = {
+          {"42", 42U},
+          {"+5", 5U},
+          {" 7", 7U},
+          {"18446744073709551615",
+           std::numeric_limits<std::uint64_t>::max()},
+          {"", nullopt},
+          {"7 ", nullopt},
+          {"-1", nullopt},
+          {"-0", nullopt},
+          {" -0", nullopt},
+          {"\t-2", nullopt},
+          {"+-1", nullopt},
+          {"0x10", nullopt},
+          {"18446744073709551616", nullopt},
+          {"1234567890123456789012345", nullopt},
+      };
+  for (const auto& [text, want] : uints) {
+    EXPECT_EQ(parse_uint(text), want) << "parse_uint('" << text << "')";
+  }
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, std::optional<double>>> doubles = {
+      {"3.5", 3.5},
+      {"-1e3", -1000.0},
+      {"+2.5", 2.5},
+      {" 1.5", 1.5},
+      {".5", 0.5},
+      {"5.", 5.0},
+      {"-0", -0.0},
+      {"1E+5", 1e5},
+      {"1234567890123456789012345", 1234567890123456789012345.0},
+      {"1.7976931348623157e308", std::numeric_limits<double>::max()},
+      {"2.2250738585072014e-308", std::numeric_limits<double>::min()},
+      {"inf", inf},
+      {"+inf", inf},
+      {"-Infinity", -inf},
+      {"INF", inf},
+      {"nan", nan},
+      {"NaN", nan},
+      {"-nan", -nan},
+      {"", nullopt},
+      {" ", nullopt},
+      {"1.5 ", nullopt},
+      {"3.5kg", nullopt},
+      {"1e", nullopt},
+      {"1e+", nullopt},
+      {"infinit", nullopt},
+      {"+-1", nullopt},
+      {nul_double, nullopt},
+      {"1e400", nullopt},
+      {"-1e400", nullopt},
+      {"1e-400", nullopt},
+      {"1e-324", nullopt},
+      // changed: hex floats no longer parse (strtod read 8, 16 and -8).
+      {"0x1p3", nullopt},
+      {"0x10", nullopt},
+      {"-0x1p3", nullopt},
+      // changed: subnormals parse (strtod rejected them with ERANGE).
+      {"1e-310", 1e-310},
+      {"9.9999999999999694e-311", 9.9999999999999694e-311},
+      {"4.9e-324", std::numeric_limits<double>::denorm_min()},
+      // changed: a NaN's payload is dropped (strtod kept 123).
+      {"nan(123)", nan},
+  };
+  for (const auto& [text, want] : doubles) {
+    const std::optional<double> got = parse_double(text);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "parse_double('" << text
+                                                 << "')";
+    if (got.has_value()) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+                std::bit_cast<std::uint64_t>(*want))
+          << "parse_double('" << text << "') read " << *got;
+    }
+  }
 }
 
 TEST(Cli, ParsesAllForms) {
