@@ -93,7 +93,7 @@ BENCHMARK(BM_scheduler_pair_bookkeeping)->Arg(8)->Arg(64)->Arg(512);
 
 /// Same workload through the flat buffer-reuse API the engine uses: spans
 /// for deliveries, a caller-owned ready buffer, and the executed bundle
-/// recycled into the scheduler's pool (zero allocations at steady state).
+/// recycled into its inbox (zero allocations at steady state).
 void BM_scheduler_pair_bookkeeping_reuse(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const graph::Dag dag = graph::chain(n);
@@ -145,7 +145,7 @@ void BM_scheduler_pair_bookkeeping_window(benchmark::State& state) {
       graph::compute_satisfactory_numbering(dag);
   std::uint64_t pairs = 0;
   core::Scheduler scheduler(numbering.m);
-  scheduler.reserve_steady_state(window, window * 2);
+  scheduler.reserve_steady_state(window);
   std::vector<event::InputBundle> bundles(1);
   std::deque<core::Scheduler::ReadyPair> queue;
   std::vector<core::Scheduler::ReadyPair> ready;

@@ -4,16 +4,23 @@
 //
 // Usage:
 //   graph_tools <spec.xml> [--machines=K] [--dot]
+//
+// Unknown flags exit with status 2; an unreadable or malformed spec or
+// flag value exits with status 1 and its message on stderr.
 #include <cstdio>
 
 #include "graph/dot.hpp"
 #include "graph/numbering.hpp"
 #include "graph/partition.hpp"
 #include "spec/spec.hpp"
+#include "spec/xml.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace df;
   const support::CliFlags flags(argc, argv);
   if (flags.positional().empty()) {
@@ -66,4 +73,19 @@ int main(int argc, char** argv) {
     std::printf("%s", graph::to_dot(dag, numbering).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A missing or malformed spec, or a malformed flag value, ends the run
+  // with its message and status 1 instead of an abort.
+  try {
+    return run(argc, argv);
+  } catch (const df::support::check_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  } catch (const df::spec::xml_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+  return 1;
 }

@@ -10,7 +10,9 @@
 // --threads configures the worker pool: for --executor=engine the single
 // engine's thread count, for --executor=transport the per-partition
 // engines' (two-level parallelism: machines x threads workers in total).
-// Unknown flags are rejected with exit status 2.
+// Unknown flags are rejected with exit status 2; an unreadable or malformed
+// spec, event CSV or flag value exits with status 1 and its message on
+// stderr.
 //
 // With --verify, the run is repeated on the sequential reference and the
 // sink streams are compared (serializability check). With --events, the
@@ -28,11 +30,15 @@
 #include "distrib/transport.hpp"
 #include "spec/event_csv.hpp"
 #include "spec/spec.hpp"
+#include "spec/xml.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "trace/report.hpp"
 #include "trace/serializability.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace df;
   const support::CliFlags flags(argc, argv);
   if (flags.positional().empty()) {
@@ -135,4 +141,19 @@ int main(int argc, char** argv) {
     return report.equivalent ? 0 : 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A missing or malformed spec or event file, or a malformed flag value,
+  // ends the run with its message and status 1 instead of an abort.
+  try {
+    return run(argc, argv);
+  } catch (const df::support::check_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  } catch (const df::spec::xml_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+  return 1;
 }

@@ -219,10 +219,10 @@ void Engine::start() {
   {
     // No worker exists yet; taking the lock here is free and keeps the
     // scheduler_-under-mutex_ contract unconditional for the analysis.
-    // The payload-free transitions only adopt signal-source bundles into
-    // the scheduler's pool, so it needs no warm bundles.
+    // The payload-free transitions only swap signal-source bundles through
+    // the scheduler's inboxes, which therefore need no capacity.
     conc::MutexLock lock(mutex_);
-    scheduler_.reserve_steady_state(std::min<std::size_t>(window, 64), 0);
+    scheduler_.reserve_steady_state(std::min<std::size_t>(window, 64));
   }
   wall_.restart();
   workers_.reserve(options_.threads);

@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "support/check.hpp"
 
 namespace df::core {
+namespace {
+
+bool bit_test(const std::vector<std::uint64_t>& bits, std::uint32_t v) {
+  return (bits[v >> 6] >> (v & 63)) & 1u;
+}
+void bit_set(std::vector<std::uint64_t>& bits, std::uint32_t v) {
+  bits[v >> 6] |= std::uint64_t{1} << (v & 63);
+}
+void bit_clear(std::vector<std::uint64_t>& bits, std::uint32_t v) {
+  bits[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+}
+
+}  // namespace
 
 Scheduler::Scheduler(std::vector<std::uint32_t> m,
                      std::uint32_t signal_sources)
@@ -51,13 +65,7 @@ Scheduler::PhaseSlot& Scheduler::push_phase(event::PhaseId p) {
   }
   PhaseSlot& slot = ring_[(ring_head_ + ring_count_) % ring_.size()];
   ++ring_count_;
-  if (slot.pending_bits.size() != words_) {
-    // First use of this slot: allocate its arrays. Reused slots were left
-    // all-clear by retire_completed (their counts were checked to be zero).
-    slot.pending_bits.assign(words_, 0);
-    slot.partial_bits.assign(words_, 0);
-    slot.bundle.assign(n_ + 1, kNoBundle);
-  }
+  size_slot(slot);
   slot.id = p;
   slot.x = 0;
   slot.pending_count = 0;
@@ -67,20 +75,25 @@ Scheduler::PhaseSlot& Scheduler::push_phase(event::PhaseId p) {
   return slot;
 }
 
-void Scheduler::reserve_steady_state(std::size_t max_inflight_phases,
-                                     std::size_t live_bundles,
-                                     std::size_t bundle_capacity) {
+void Scheduler::size_slot(PhaseSlot& slot) const {
+  if (slot.pending_bits.size() != words_) {
+    // First use of this slot: allocate its arrays. Reused slots were left
+    // all-clear by retire_completed (their counts were checked to be zero),
+    // and their inboxes empty.
+    slot.pending_bits.assign(words_, 0);
+    slot.partial_bits.assign(words_, 0);
+    slot.inbox.resize(n_ + 1);
+  }
+}
+
+void Scheduler::reserve_steady_state(std::size_t max_inflight_phases) {
   DF_CHECK(ring_count_ == 0 && pmax_ == 0,
            "reserve_steady_state must precede the first start_phase");
   if (max_inflight_phases > ring_.size()) {
     ring_.resize(max_inflight_phases);
     ring_head_ = 0;
     for (PhaseSlot& slot : ring_) {
-      if (slot.pending_bits.size() != words_) {
-        slot.pending_bits.assign(words_, 0);
-        slot.partial_bits.assign(words_, 0);
-        slot.bundle.assign(n_ + 1, kNoBundle);
-      }
+      size_slot(slot);
     }
   }
   for (std::uint32_t v = 1; v <= n_; ++v) {
@@ -93,7 +106,6 @@ void Scheduler::reserve_steady_state(std::size_t max_inflight_phases,
   affected_.reserve(std::min<std::size_t>(
       (n_ + 1) * std::max<std::size_t>(1, max_inflight_phases),
       (n_ + 1) + 65536));
-  pool_.prewarm(live_bundles, bundle_capacity);
 }
 
 void Scheduler::resume_after(event::PhaseId p) {
@@ -132,12 +144,13 @@ void Scheduler::start_phase(event::PhaseId p,
   // Signal-source vertices are a prefix 1..S of the index space (the whole
   // 1..m(0) for a full program); each receives its external bundle plus the
   // implicit phase signal, entering the full set directly (x_p = 0 and
-  // 0 < v <= S <= m(0) = m(x_p)).
+  // 0 < v <= S <= m(0) = m(x_p)). The swap hands the caller the inbox's
+  // empty buffer, so nothing is freed here.
   for (std::uint32_t s = 1; s <= signal_sources_; ++s) {
     VertexState& vs = vertices_[s];
     DF_DCHECK(vs.full_empty() || vs.full_phases.back() < p,
               "duplicate phase start");
-    slot.bundle[s] = pool_.adopt(std::move(bundles[s - 1]));
+    std::swap(slot.inbox[s], bundles[s - 1]);
     bit_set(slot.pending_bits, s);
     ++slot.pending_count;
     vs.push_full(p);
@@ -150,9 +163,7 @@ void Scheduler::start_phase(event::PhaseId p,
     DF_CHECK(v > signal_sources_ && v <= n_,
              "injected delivery must target a non-source block vertex, got ",
              v);
-    if (mark_received(slot, v)) {
-      slot.bundle[v] = kInputElsewhere;
-    }
+    mark_received(slot, v);
   }
 
   if (!injected.empty() || signal_sources_ == 0) {
@@ -172,17 +183,17 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
                                  event::InputBundle recycled,
                                  std::vector<ReadyPair>& out_ready) {
   PhaseSlot& slot = begin_finish(vertex, p);
-  // The executed bundle's buffer goes back to the pool.
-  pool_.donate(std::move(recycled));
+  // The executed bundle's buffer goes back into the inbox it was issued
+  // from, which serves the vertex again when the slot is reused.
+  recycled.clear();
+  slot.inbox[vertex] = std::move(recycled);
   // Statements 8-11: new messages put successors into the partial set.
   for (Delivery& d : deliveries) {
     DF_CHECK(d.to_index > vertex,
              "messages must flow to higher-indexed vertices");
-    if (mark_received(slot, d.to_index)) {
-      slot.bundle[d.to_index] = pool_.acquire();
-    }
-    pool_.at(slot.bundle[d.to_index])
-        .push_back(event::Message{d.to_port, std::move(d.value)});
+    mark_received(slot, d.to_index);
+    slot.inbox[d.to_index].push_back(
+        event::Message{d.to_port, std::move(d.value)});
   }
   end_finish(slot, vertex, out_ready);
 }
@@ -194,9 +205,7 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
   // Statements 8-11, without the messages.
   for (const std::uint32_t v : recipients) {
     DF_CHECK(v > vertex, "messages must flow to higher-indexed vertices");
-    if (mark_received(slot, v)) {
-      slot.bundle[v] = kInputElsewhere;
-    }
+    mark_received(slot, v);
   }
   end_finish(slot, vertex, out_ready);
 }
@@ -215,9 +224,9 @@ Scheduler::PhaseSlot& Scheduler::begin_finish(std::uint32_t vertex,
   return phase_slot(p);
 }
 
-bool Scheduler::mark_received(PhaseSlot& slot, std::uint32_t v) {
+void Scheduler::mark_received(PhaseSlot& slot, std::uint32_t v) {
   if (bit_test(slot.partial_bits, v)) {
-    return false;
+    return;
   }
   // The recipient cannot already be full/ready/executing for p: that would
   // require all its predecessors (including the sender) to have finished
@@ -230,7 +239,6 @@ bool Scheduler::mark_received(PhaseSlot& slot, std::uint32_t v) {
   ++slot.partial_count;
   bit_set(slot.pending_bits, v);
   ++slot.pending_count;
-  return true;
 }
 
 void Scheduler::end_finish(PhaseSlot& slot, std::uint32_t vertex,
@@ -361,15 +369,10 @@ void Scheduler::collect_ready(std::vector<ReadyPair>& out_ready) {
       vs.full_phases.clear();  // keeps capacity
       vs.full_head = 0;
     }
-    PhaseSlot& slot = phase_slot(p);
-    const std::uint32_t idx = slot.bundle[v];
-    DF_CHECK(idx != kNoBundle, "full pair has no bundle");
-    slot.bundle[v] = kNoBundle;
     vs.in_ready = true;
     vs.ready_phase = p;
-    out_ready.push_back(ReadyPair{
-        v, p,
-        idx == kInputElsewhere ? event::InputBundle{} : pool_.take(idx)});
+    out_ready.push_back(
+        ReadyPair{v, p, std::move(phase_slot(p).inbox[v])});
   }
   affected_.clear();
 }
@@ -381,7 +384,7 @@ void Scheduler::retire_completed() {
              "complete phase still has pending pairs");
     DF_CHECK(slot.partial_count == 0,
              "complete phase still has partial pairs");
-    // pending_count == 0 implies every bundle was taken and both bitsets
+    // pending_count == 0 implies every inbox was issued and both bitsets
     // are all-clear, so the slot is reusable as-is.
     completed_through_ = slot.id;
     ring_head_ = (ring_head_ + 1) % ring_.size();

@@ -30,21 +30,22 @@
 // Each active phase occupies a slot in a ring of preallocated PhaseSlots;
 // pending and partial are bitsets over vertex indices with monotone scan
 // cursors (the minimum pending vertex and the promotion bound only move
-// forward within a phase's lifetime), and input bundles are pooled vectors
-// referenced by index from a per-slot bundle table. Steady-state transitions
-// perform zero heap allocations: callers hand executed bundles back so
-// their capacity recirculates through the pool.
+// forward within a phase's lifetime), and each slot keeps an inbox per
+// vertex: the input bundle its pair of that phase is issued with.
+// Steady-state transitions perform zero heap allocations: callers hand
+// executed bundles back, and each goes into the inbox it was issued from,
+// so its capacity serves the vertex again when the slot is reused.
 //
 // Two forms of each transition. The payload forms carry the messages:
-// finish_execution moves each delivery into its recipient's pooled bundle,
-// and the issued pair's bundle holds them. The vertex-level replays
+// finish_execution appends each delivery to its recipient's inbox, and
+// the issued pair's bundle holds them. The vertex-level replays
 // (trace::trace_schedule, the benchmark's scheduler row) and the tests use
 // them. The payload-free forms take only the recipients: they mark
 // partial and pending exactly as the payload forms do, through the same
-// code, and issue such a pair with an empty bundle, because its messages
+// code, and issue such a pair with its empty inbox, because its messages
 // travel outside the scheduler. core::Engine uses them, with per-phase
-// lanes outside the lock (DESIGN.md, "Lanes"). Signal-source bundles go
-// through the scheduler by handle in both forms.
+// lanes outside the lock (DESIGN.md, "Lanes"). Both start_phase forms swap
+// the signal-source bundles into their inboxes.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,6 @@
 #include <vector>
 
 #include "core/delivery.hpp"
-#include "core/scheduler_state.hpp"
 #include "event/message.hpp"
 #include "event/phase.hpp"
 #include "graph/numbering.hpp"
@@ -114,10 +114,12 @@ class Scheduler {
 
   /// Environment side (Listing 2 loop body): starts phase pmax+1. Source
   /// vertex i (1-based source ordinal, internal index == ordinal) receives
-  /// source_bundles[i-1] plus the implicit phase signal. Appends pairs that
+  /// bundles[i-1] plus the implicit phase signal. Appends pairs that
   /// became ready to `out_ready` (which is NOT cleared — the caller owns and
-  /// reuses the buffer). `p` must equal pmax() + 1. The bundles are moved
-  /// from; the span's backing vector can be reused by the caller.
+  /// reuses the buffer). `p` must equal pmax() + 1. Each bundle is swapped
+  /// with the source's inbox in the phase's slot, so bundles[i-1] comes
+  /// back empty (possibly with capacity) and the span's backing vector can
+  /// be reused by the caller.
   void start_phase(event::PhaseId p, std::span<event::InputBundle> bundles,
                    std::vector<ReadyPair>& out_ready);
 
@@ -139,10 +141,11 @@ class Scheduler {
                    std::vector<ReadyPair>& out_ready);
 
   /// Worker side (Listing 1, statements 4-31), payload form: records that
-  /// (vertex, p) finished executing and produced `deliveries` (moved from).
-  /// Appends pairs that became ready to `out_ready` (not cleared).
-  /// `recycled` is the executed pair's input bundle, donated back to the
-  /// pool so steady-state bookkeeping allocates nothing; pass {} if
+  /// (vertex, p) finished executing and produced `deliveries` (moved from),
+  /// each appended to its recipient's inbox. Appends pairs that became
+  /// ready to `out_ready` (not cleared). `recycled` is the executed pair's
+  /// input bundle: it goes back, cleared, into the inbox it was issued
+  /// from, so steady-state bookkeeping allocates nothing; pass {} if
   /// unavailable.
   void finish_execution(std::uint32_t vertex, event::PhaseId p,
                         std::span<Delivery> deliveries,
@@ -151,7 +154,7 @@ class Scheduler {
 
   /// Payload-free form: the same transition, told only which vertices
   /// (`recipients`, each above `vertex`; repeats are harmless) received
-  /// messages. Each newly partial recipient is issued with an empty bundle.
+  /// messages. Each newly partial recipient is issued with its empty inbox.
   void finish_execution(std::uint32_t vertex, event::PhaseId p,
                         std::span<const std::uint32_t> recipients,
                         std::vector<ReadyPair>& out_ready);
@@ -165,9 +168,6 @@ class Scheduler {
   /// x_p for any phase <= pmax: N for retired phases, 0 if never started.
   std::uint32_t x(event::PhaseId p) const;
 
-  /// Bundle-pool footprint (slots ever created); flat at steady state.
-  std::size_t bundle_pool_slots() const { return pool_.slot_count(); }
-
   /// Phase slots the frontier pass has visited over this scheduler's
   /// lifetime: the per-transition cost of statements 1.12-1.26. Tests pin
   /// it at O(phases whose frontier moved), independent of the window.
@@ -178,15 +178,12 @@ class Scheduler {
   /// block-local signal-source prefix was configured).
   std::uint32_t source_count() const { return signal_sources_; }
 
-  /// Pre-sizes every internal structure for a run with at most
-  /// `max_inflight_phases` active phases and up to `live_bundles` pairs
-  /// accumulating input simultaneously, each expecting around
-  /// `bundle_capacity` messages. Purely a warm-up: transitions behave
-  /// identically but reach the zero-allocation steady state immediately
-  /// instead of growing into it. Call before the first start_phase.
-  void reserve_steady_state(std::size_t max_inflight_phases,
-                            std::size_t live_bundles,
-                            std::size_t bundle_capacity = 4);
+  /// Pre-sizes the phase ring, the per-vertex full queues and the
+  /// transition scratch for a run with at most `max_inflight_phases`
+  /// active phases. Purely a warm-up: transitions behave identically, and
+  /// only the inboxes still grow into their capacity on the slots' first
+  /// uses. Call before the first start_phase.
+  void reserve_steady_state(std::size_t max_inflight_phases);
 
   Snapshot snapshot() const;
 
@@ -199,17 +196,14 @@ class Scheduler {
   void resume_after(event::PhaseId p);
 
  private:
-  // BundlePool, VertexSchedState, the bundle-table sentinel and the bitset
-  // helpers live in core/scheduler_state.hpp with their documentation.
-
   /// Per active phase state, flat. `pending` is partial ∪ full ∪ ready
   /// (vertices not yet finished for this phase) as a bitset; it drives the
   /// x computation (min pending - 1) through a forward-only word cursor.
   /// `partial` is a bitset of vertices accumulating messages; promotion
   /// scans the window (promoted_bound, m(x)] exactly once per phase because
-  /// both bounds are monotone. `bundle` maps vertex -> pooled bundle index
-  /// for pairs currently partial or full-but-unissued (kInputElsewhere
-  /// for those marked by a payload-free transition).
+  /// both bounds are monotone. `inbox[v]` is (v, p)'s input bundle: filled
+  /// while the pair is partial or full, moved out when it is issued, and
+  /// given its capacity back when it finishes.
   struct PhaseSlot {
     event::PhaseId id = 0;
     std::uint32_t x = 0;
@@ -219,11 +213,35 @@ class Scheduler {
     std::uint32_t promoted_bound = 0;    // vertices <= this already promoted
     std::vector<std::uint64_t> pending_bits;
     std::vector<std::uint64_t> partial_bits;
-    // [0..n]: a pool index, kNoBundle when absent, or kInputElsewhere
-    std::vector<std::uint32_t> bundle;
+    std::vector<event::InputBundle> inbox;  // [0..n]
   };
 
-  using VertexState = VertexSchedState;
+  /// Per vertex: phases whose pairs are full but not yet issued, in
+  /// ascending order (a pair can only become full for phases later than
+  /// any already-full phase — see the promotion scan), stored as a flat
+  /// queue with a head offset; plus the at-most-one issued-but-unfinished
+  /// pair.
+  struct VertexState {
+    std::vector<event::PhaseId> full_phases;
+    std::uint32_t full_head = 0;
+    bool in_ready = false;
+    event::PhaseId ready_phase = 0;
+
+    bool full_empty() const { return full_head == full_phases.size(); }
+    event::PhaseId full_front() const { return full_phases[full_head]; }
+    /// Appends a phase, first compacting the consumed prefix so the
+    /// queue's footprint stays at the live count (bounded by the phase
+    /// window) instead of growing with the phase index.
+    void push_full(event::PhaseId p) {
+      if (full_head > 0) {
+        full_phases.erase(full_phases.begin(),
+                          full_phases.begin() +
+                              static_cast<std::ptrdiff_t>(full_head));
+        full_head = 0;
+      }
+      full_phases.push_back(p);
+    }
+  };
 
   std::vector<std::uint32_t> m_;
   std::uint32_t n_;
@@ -241,7 +259,6 @@ class Scheduler {
   event::PhaseId first_active_ = 0;  // id of the oldest active phase
 
   std::vector<VertexState> vertices_;  // [1..n], slot 0 unused
-  BundlePool pool_;
   std::vector<std::uint32_t> affected_;  // reusable scratch for transitions
   std::uint64_t frontier_visits_ = 0;
 
@@ -254,6 +271,8 @@ class Scheduler {
   PhaseSlot& phase_slot(event::PhaseId p);
   const PhaseSlot* find_phase(event::PhaseId p) const;
   PhaseSlot& push_phase(event::PhaseId p);
+  /// Gives a never-used slot its arrays; reused slots keep theirs.
+  void size_slot(PhaseSlot& slot) const;
 
   /// Smallest pending vertex; advances the slot's word cursor (valid because
   /// insertions never land below the current minimum: deliveries go to
@@ -261,9 +280,8 @@ class Scheduler {
   std::uint32_t min_pending(PhaseSlot& slot);
 
   /// Statements 8-11 for one recipient v of phase `slot`: puts (v, p) into
-  /// partial and pending unless it is there already. Returns true if it was
-  /// not; the caller then assigns its bundle-table entry.
-  bool mark_received(PhaseSlot& slot, std::uint32_t v);
+  /// partial and pending unless it is there already.
+  void mark_received(PhaseSlot& slot, std::uint32_t v);
 
   /// The finish's head and tail, shared by both forms: checks that
   /// (vertex, p) was issued and clears its ready occupancy; then drops it
@@ -296,7 +314,7 @@ class Scheduler {
 
   /// Statements 1.27-1.30 / 2.16-2.19: for each affected vertex (sorted,
   /// deduplicated), if it has no issued pair and a non-empty full set,
-  /// issue its minimum phase.
+  /// issue its minimum phase with that phase's inbox.
   void collect_ready(std::vector<ReadyPair>& out_ready);
 
   /// Retires completed phases from the front of the window.

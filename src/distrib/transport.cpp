@@ -682,29 +682,36 @@ struct PartitionCheckpoint {
   std::size_t sink_records = 0;               // partition sink store size
 };
 
+/// Sums `part`'s additive counters into `total` and keeps the larger
+/// max_inflight_phases. `units` and `phases_completed` are the caller's:
+/// how they combine depends on what is folded (generations or blocks).
+void add_exec_counters(core::ExecStats& total, const core::ExecStats& part) {
+  total.executed_pairs += part.executed_pairs;
+  total.scheduled_pairs += part.scheduled_pairs;
+  total.messages_delivered += part.messages_delivered;
+  total.sink_records += part.sink_records;
+  total.compute_ns += part.compute_ns;
+  total.bookkeeping_ns += part.bookkeeping_ns;
+  total.hook_ns += part.hook_ns;
+  total.window_waits += part.window_waits;
+  total.progress_wakeups += part.progress_wakeups;
+  total.queue_parks += part.queue_parks;
+  total.lock_waits += part.lock_waits;
+  total.lock_wait_ns += part.lock_wait_ns;
+  total.lock_hold_ns += part.lock_hold_ns;
+  total.max_inflight_phases =
+      std::max(total.max_inflight_phases, part.max_inflight_phases);
+}
+
 /// Adds one generation's engine stats into the partition's accumulator.
 /// Across a restart the re-executed work is counted again on purpose: the
 /// exec stats report work *performed* — exactly-once applies to sink
 /// output and wire effects, not to effort.
 void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
-  total.executed_pairs += gen.executed_pairs;
-  total.scheduled_pairs += gen.scheduled_pairs;
+  add_exec_counters(total, gen);
   total.units = gen.units;  // every generation runs the same plan
-  total.messages_delivered += gen.messages_delivered;
-  total.sink_records += gen.sink_records;
-  total.compute_ns += gen.compute_ns;
-  total.bookkeeping_ns += gen.bookkeeping_ns;
-  total.hook_ns += gen.hook_ns;
-  total.window_waits += gen.window_waits;
-  total.progress_wakeups += gen.progress_wakeups;
-  total.queue_parks += gen.queue_parks;
-  total.lock_waits += gen.lock_waits;
-  total.lock_wait_ns += gen.lock_wait_ns;
-  total.lock_hold_ns += gen.lock_hold_ns;
   total.phases_completed =
       std::max(total.phases_completed, gen.phases_completed);
-  total.max_inflight_phases =
-      std::max(total.max_inflight_phases, gen.max_inflight_phases);
 }
 
 }  // namespace
@@ -1344,24 +1351,10 @@ void TransportEngine::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
   stats_.phases_completed = num_phases;
   for (EngineState& state : states) {
     block_stats_.push_back(state.stats);
-    stats_.executed_pairs += state.stats.executed_pairs;
-    stats_.scheduled_pairs += state.stats.scheduled_pairs;
+    add_exec_counters(stats_, state.stats);
     stats_.units += state.stats.units;
-    stats_.messages_delivered += state.stats.messages_delivered;
-    stats_.sink_records += state.stats.sink_records;
-    stats_.compute_ns += state.stats.compute_ns;
-    stats_.bookkeeping_ns += state.stats.bookkeeping_ns;
-    stats_.hook_ns += state.stats.hook_ns;
-    stats_.window_waits += state.stats.window_waits;
-    stats_.progress_wakeups += state.stats.progress_wakeups;
-    stats_.queue_parks += state.stats.queue_parks;
-    stats_.lock_waits += state.stats.lock_waits;
-    stats_.lock_wait_ns += state.stats.lock_wait_ns;
-    stats_.lock_hold_ns += state.stats.lock_hold_ns;
     stats_.phases_completed =
         std::min(stats_.phases_completed, state.stats.phases_completed);
-    stats_.max_inflight_phases =
-        std::max(stats_.max_inflight_phases, state.stats.max_inflight_phases);
     transport_stats_.frames_sent += state.tstats.frames_sent;
     transport_stats_.frames_received += state.tstats.frames_received;
     transport_stats_.bytes_sent += state.tstats.bytes_sent;

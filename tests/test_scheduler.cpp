@@ -347,7 +347,7 @@ TEST(FrontierPass, DeepWindowChainVisitsConstantSlotsPerFinish) {
   const Dag dag = graph::chain(kVertices);
   const Numbering numbering = graph::compute_satisfactory_numbering(dag);
   Scheduler scheduler(numbering.m);
-  scheduler.reserve_steady_state(kWindow, kWindow * 2);
+  scheduler.reserve_steady_state(kWindow);
 
   std::deque<Scheduler::ReadyPair> queue;  // FIFO, like the run queue
   std::vector<Scheduler::ReadyPair> ready;
