@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -17,6 +18,17 @@ namespace {
 /// A run header names its member by a 16-bit port, which caps a unit's
 /// size; the cap only bites past 2^16 vertices per unit.
 constexpr std::uint64_t kMaxUnitMembers = std::uint64_t{1} << 16;
+
+/// The units of `bounds` that end at or before S. Every plan splits at S,
+/// so they cover exactly the signal-source prefix.
+std::uint32_t count_source_units(const std::vector<std::uint32_t>& bounds,
+                                 std::uint32_t signal_sources) {
+  return static_cast<std::uint32_t>(
+      std::count_if(bounds.begin() + 1, bounds.end(),
+                    [signal_sources](std::uint32_t bound) {
+                      return bound <= signal_sources;
+                    }));
+}
 
 /// Appends `count` count-balanced contiguous units covering local indices
 /// (lo, hi] to `bounds`.
@@ -72,6 +84,204 @@ std::vector<std::uint32_t> plan_units(std::uint32_t vertices,
   return bounds;
 }
 
+namespace {
+
+/// Adds to a counter that only the calling thread writes.
+void bump(std::atomic<std::uint64_t>& total, std::uint64_t by) {
+  total.store(total.load(std::memory_order_relaxed) + by,
+              std::memory_order_relaxed);
+}
+
+/// The re-cut's period model; both the search and predicted_period_ns
+/// evaluate it here, so a plan's period reads the same from both.
+double period_of(std::uint64_t costliest_unit, std::uint64_t total,
+                 std::uint64_t units, std::uint64_t overhead_ns,
+                 std::size_t threads) {
+  return std::max(static_cast<double>(costliest_unit + overhead_ns),
+                  static_cast<double>(total + units * overhead_ns) /
+                      static_cast<double>(threads));
+}
+
+/// Min-max contiguous cuts of one range of a plan (the signal-source
+/// prefix or the rest) into k units, none above kMaxUnitMembers members:
+/// the chains-on-chains partitioning problem (Pinar and Aykanat, JPDC
+/// 2004), solved by bisecting on the bottleneck with a greedy probe.
+class RangeCut {
+ public:
+  explicit RangeCut(std::span<const std::uint64_t> costs)
+      : prefix_(costs.size() + 1, 0) {
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+      prefix_[i + 1] = prefix_[i] + costs[i];
+      max_cost_ = std::max(max_cost_, costs[i]);
+    }
+  }
+
+  std::uint64_t size() const { return prefix_.size() - 1; }
+  /// The fewest units the member cap allows (0 for an empty range).
+  std::uint64_t min_units() const {
+    return (size() + kMaxUnitMembers - 1) / kMaxUnitMembers;
+  }
+
+  /// The least possible cost of the costliest unit over cuts into exactly
+  /// k units, min_units() <= k <= size(). Computed for ascending k and
+  /// kept: it never rises with k, so each k bisects below the last.
+  std::uint64_t bottleneck(std::uint64_t k) {
+    while (bottleneck_.size() <= k - min_units()) {
+      const std::uint64_t units = min_units() + bottleneck_.size();
+      const std::uint64_t total = prefix_.back();
+      std::uint64_t lo = std::max(max_cost_, (total + units - 1) / units);
+      std::uint64_t hi = bottleneck_.empty() ? total : bottleneck_.back();
+      while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (fits(mid, units)) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      bottleneck_.push_back(hi);
+    }
+    return bottleneck_[k - min_units()];
+  }
+
+  /// Appends the bounds of a cut into exactly k units, none costing more
+  /// than bottleneck(k), shifted by `base`. Each unit takes the longest
+  /// run that fits while leaving one vertex for every later unit; the
+  /// greedy stays ahead of any feasible cut, so the last unit fits too.
+  void cut(std::uint64_t k, std::uint32_t base,
+           std::vector<std::uint32_t>& bounds) {
+    const std::uint64_t bound = bottleneck(k);
+    std::uint64_t i = 0;
+    for (std::uint64_t unit = 1; unit <= k; ++unit) {
+      i = reach(i, bound, size() - (k - unit));
+      bounds.push_back(base + static_cast<std::uint32_t>(i));
+    }
+    DF_CHECK(i == size(), "weighted cut left vertices uncovered");
+  }
+
+ private:
+  /// The furthest end j <= limit of a unit starting after vertex i whose
+  /// cost stays within `bound` and whose size within the member cap.
+  std::uint64_t reach(std::uint64_t i, std::uint64_t bound,
+                      std::uint64_t limit) const {
+    const std::uint64_t last = std::min(limit, i + kMaxUnitMembers);
+    const auto it = std::upper_bound(prefix_.begin() + i + 1,
+                                     prefix_.begin() + last + 1,
+                                     prefix_[i] + bound);
+    return static_cast<std::uint64_t>(it - prefix_.begin()) - 1;
+  }
+
+  /// Whether at most k units, none costing more than `bound`, cover the
+  /// range: the greedy that makes every unit as long as it can.
+  bool fits(std::uint64_t bound, std::uint64_t k) const {
+    std::uint64_t units = 0;
+    for (std::uint64_t i = 0; i < size();) {
+      const std::uint64_t next = reach(i, bound, size());
+      if (next == i || ++units > k) {
+        return false;
+      }
+      i = next;
+    }
+    return true;
+  }
+
+  std::vector<std::uint64_t> prefix_;
+  std::uint64_t max_cost_ = 0;
+  std::vector<std::uint64_t> bottleneck_;  // [k - min_units()]
+};
+
+}  // namespace
+
+std::vector<std::uint32_t> plan_units(std::span<const std::uint64_t> costs,
+                                      std::uint32_t signal_sources,
+                                      std::uint64_t overhead_ns,
+                                      std::size_t threads,
+                                      std::size_t max_inflight_phases) {
+  DF_CHECK(signal_sources <= costs.size(), "signal sources (",
+           signal_sources, ") exceed the scheduled vertices (", costs.size(),
+           ")");
+  DF_CHECK(threads >= 1, "a plan needs at least one worker");
+  // The signal-source prefix and the rest are cut apart, as in the
+  // starting plan.
+  RangeCut sources(costs.first(signal_sources));
+  RangeCut rest(costs.subspan(signal_sources));
+  const std::uint64_t vertices = costs.size();
+  const std::uint64_t most =
+      max_inflight_phases == 0
+          ? vertices
+          : std::min<std::uint64_t>(vertices, max_inflight_phases);
+  std::uint64_t total = 0;
+  std::uint64_t costliest = 0;
+  for (const std::uint64_t cost : costs) {
+    total += cost;
+    costliest = std::max(costliest, cost);
+  }
+  double best = std::numeric_limits<double>::infinity();
+  std::uint64_t best_sources = 0;
+  std::uint64_t best_rest = 0;
+  for (std::uint64_t units = threads; units <= most; ++units) {
+    // No cut of this many units, or of more, beats this bound: the unit
+    // holding the costliest member, and the work spread over the workers,
+    // which grows with the unit count.
+    if (period_of(costliest, total, units, overhead_ns, threads) >= best) {
+      break;
+    }
+    if (units < rest.min_units()) {
+      continue;
+    }
+    // k source units and units - k for the rest, each range getting at
+    // least its member-cap minimum and at most one unit per vertex.
+    const std::uint64_t lo = std::max(
+        sources.min_units(), units > rest.size() ? units - rest.size() : 0);
+    const std::uint64_t hi =
+        std::min(sources.size(), units - rest.min_units());
+    for (std::uint64_t k = lo; k <= hi; ++k) {
+      const std::uint64_t costliest_unit =
+          std::max(k == 0 ? 0 : sources.bottleneck(k),
+                   k == units ? 0 : rest.bottleneck(units - k));
+      const double period =
+          period_of(costliest_unit, total, units, overhead_ns, threads);
+      if (period < best) {
+        best = period;
+        best_sources = k;
+        best_rest = units - k;
+      }
+    }
+  }
+  std::vector<std::uint32_t> bounds;
+  if (best_sources + best_rest == 0) {
+    return bounds;
+  }
+  bounds.push_back(0);
+  if (best_sources != 0) {
+    sources.cut(best_sources, 0, bounds);
+  }
+  if (best_rest != 0) {
+    rest.cut(best_rest, signal_sources, bounds);
+  }
+  return bounds;
+}
+
+double predicted_period_ns(std::span<const std::uint64_t> costs,
+                           std::span<const std::uint32_t> bounds,
+                           std::uint64_t overhead_ns, std::size_t threads) {
+  DF_CHECK(!bounds.empty() && bounds.front() == 0 &&
+               bounds.back() == costs.size(),
+           "unit bounds must run from 0 to the vertex count");
+  std::uint64_t total = 0;
+  std::uint64_t costliest_unit = 0;
+  for (std::size_t u = 1; u < bounds.size(); ++u) {
+    std::uint64_t unit = 0;
+    for (std::uint32_t y = bounds[u - 1]; y < bounds[u]; ++y) {
+      unit += costs[y];
+    }
+    total += unit;
+    costliest_unit = std::max(costliest_unit, unit);
+  }
+  return period_of(costliest_unit, total, bounds.size() - 1, overhead_ns,
+                   threads);
+}
+
 Engine::BlockPlan Engine::plan_scope(const Program& program,
                                      const EngineOptions& options) {
   BlockPlan plan;
@@ -109,13 +319,7 @@ Engine::BlockPlan Engine::plan_scope(const Program& program,
                           options.threads, options.max_inflight_phases);
   plan.m = graph::block_local_m(program.dag, program.numbering, begin, end,
                                 plan.units);
-  // The plan splits at S, so the units ending at or before it cover
-  // exactly the signal-source prefix.
-  plan.source_units = static_cast<std::uint32_t>(
-      std::count_if(plan.units.begin() + 1, plan.units.end(),
-                    [&plan](std::uint32_t bound) {
-                      return bound <= plan.signal_sources;
-                    }));
+  plan.source_units = count_source_units(plan.units, plan.signal_sources);
   return plan;
 }
 
@@ -130,16 +334,19 @@ Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
       block_end_(plan.block_end),
       unit_bounds_(std::move(plan.units)),
       signal_sources_(plan.signal_sources),
-      source_units_(plan.source_units),
       admit_batch_(std::max<std::size_t>(1, options_.max_inflight_phases / 8)) {
   sink_target_ = options_.block.has_value() && options_.block->sinks != nullptr
                      ? options_.block->sinks
                      : &sinks_;
   DF_CHECK(options_.threads >= 1, "engine needs at least one worker thread");
+  lay_out_units();
+}
+
+void Engine::lay_out_units() {
+  const Program& program = instance_.program();
+  source_units_ = count_source_units(unit_bounds_, signal_sources_);
   unit_of_.assign(unit_bounds_.back() + 1, 0);
   for (std::uint32_t u = 1; u < unit_bounds_.size(); ++u) {
-    const std::uint32_t size = unit_bounds_[u] - unit_bounds_[u - 1];
-    max_unit_size_ = std::max(max_unit_size_, size);
     for (std::uint32_t y = unit_bounds_[u - 1] + 1; y <= unit_bounds_[u];
          ++y) {
       unit_of_[y] = u;
@@ -204,40 +411,132 @@ Engine::~Engine() {
   }
 }
 
+std::size_t Engine::reserved_window() const {
+  // Unbounded windows get a representative depth; the structures still
+  // grow organically past it.
+  const std::size_t window = options_.max_inflight_phases == 0
+                                 ? 64
+                                 : options_.max_inflight_phases;
+  return std::min<std::size_t>(window, 64);
+}
+
 void Engine::start() {
   if (started_) {
     return;
   }
   started_ = true;
   // Warm the scheduler's flat structures to the run's expected footprint so
-  // the locked bookkeeping path is allocation-free from the first phase
-  // (unbounded windows get a representative depth; the structures still
-  // grow organically past it).
-  const std::size_t window = options_.max_inflight_phases == 0
-                                 ? 64
-                                 : options_.max_inflight_phases;
+  // the locked bookkeeping path is allocation-free from the first phase.
   {
     // No worker exists yet; taking the lock here is free and keeps the
     // scheduler_-under-mutex_ contract unconditional for the analysis.
     // The payload-free transitions only swap signal-source bundles through
     // the scheduler's inboxes, which therefore need no capacity.
     conc::MutexLock lock(mutex_);
-    scheduler_.reserve_steady_state(std::min<std::size_t>(window, 64));
+    scheduler_.reserve_steady_state(reserved_window());
   }
   wall_.restart();
   workers_.reserve(options_.threads);
   for (std::size_t i = 0; i < options_.threads; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i + 1); });
+    samples_.push_back(std::make_unique<Sample>(unit_bounds_.back()));
+    workers_.emplace_back(
+        [this, i, &sample = *samples_.back()] { worker_main(i + 1, sample); });
   }
+}
+
+void Engine::maybe_recut() {
+  if (!recut_pending_) {
+    return;
+  }
+  // Relaxed loads: the counts only decide when to cut, and a stale one
+  // only delays the cut by a phase.
+  const std::uint64_t started = recut_phases_++;
+  for (std::size_t u = 1; u < unit_bounds_.size() && started < kRecutPhases;
+       ++u) {
+    std::uint64_t pairs = 0;
+    for (const std::unique_ptr<Sample>& sample : samples_) {
+      pairs += sample->vertices[unit_bounds_[u - 1] + 1].unit_pairs.load(
+          std::memory_order_relaxed);
+    }
+    if (pairs < kRecutPairs) {
+      return;
+    }
+  }
+  recut_pending_ = false;
+  std::size_t in_flight = 0;
+  {
+    conc::MutexLock lock(mutex_);
+    in_flight = scheduler_.active_phase_count();
+  }
+  // Timed pairs come from every phase this engine started, and the phases
+  // in flight ran about half their pairs.
+  const double phases =
+      std::max(1.0, static_cast<double>(started) -
+                        static_cast<double>(in_flight) / 2.0);
+  // A stretch holds about two clock reads of its own: the one that ends
+  // its module call, and the halves of the reads that open it and the
+  // next. Untimed pairs pay neither, so each stretch sheds them.
+  constexpr int kReads = 64;
+  const std::uint64_t first_read = support::SampledStopwatch::now_ns();
+  for (int i = 2; i < kReads; ++i) {
+    support::SampledStopwatch::now_ns();
+  }
+  const std::uint64_t read_ns =
+      (support::SampledStopwatch::now_ns() - first_read) / (kReads - 1);
+  const std::uint32_t vertices = unit_bounds_.back();
+  std::vector<std::uint64_t> costs(vertices);
+  std::uint64_t pairs = 0;
+  std::uint64_t overhead_ns = 0;
+  for (const std::unique_ptr<Sample>& sample : samples_) {
+    pairs += sample->pairs.load(std::memory_order_relaxed);
+    overhead_ns += sample->overhead_ns.load(std::memory_order_relaxed);
+  }
+  overhead_ns /= std::max<std::uint64_t>(pairs, 1);
+  for (std::uint32_t y = 1; y <= vertices; ++y) {
+    std::uint64_t stretch_ns = 0;
+    std::uint64_t reads_ns = 0;
+    for (const std::unique_ptr<Sample>& sample : samples_) {
+      const Sample::Vertex& v = sample->vertices[y];
+      stretch_ns += v.stretch_ns.load(std::memory_order_relaxed);
+      reads_ns += 2 * read_ns * v.stretches.load(std::memory_order_relaxed);
+    }
+    costs[y - 1] = static_cast<std::uint64_t>(
+        static_cast<double>(support::SampledStopwatch::kEvery *
+                            (stretch_ns - std::min(stretch_ns, reads_ns))) /
+        phases);
+  }
+  std::vector<std::uint32_t> bounds =
+      plan_units(costs, signal_sources_, overhead_ns, options_.threads,
+                 options_.max_inflight_phases);
+  if (bounds.empty() || bounds == unit_bounds_) {
+    return;
+  }
+  // Between phases the scheduler holds nothing but the completed phase and
+  // every lane is empty, so the new plan needs only fresh tables: the
+  // restore_state seam.
+  wait_all_complete();
+  std::vector<std::uint32_t> m = graph::block_local_m(
+      instance_.program().dag, instance_.program().numbering, offset_ + 1,
+      block_end_, bounds);
+  conc::MutexLock lock(mutex_);
+  unit_bounds_ = std::move(bounds);
+  lay_out_units();
+  for (const std::unique_ptr<LaneBlock>& block : lane_blocks_) {
+    block->lanes.resize(lanes_from_.size());
+  }
+  const event::PhaseId resumed = scheduler_.completed_through();
+  scheduler_ = Scheduler(std::move(m), source_units_);
+  scheduler_.reserve_steady_state(reserved_window());
+  scheduler_.resume_after(resumed);
 }
 
 void Engine::lay_out_source_bundles(
     const std::vector<event::ExternalEvent>& events) {
   // Group the batch into per-unit input bundles (Listing 2's "phase
   // signal" is implicit: every source gets a pair, with or without events).
-  // Resolve indices once, then lay each bundle out at its final size so it
-  // is built with at most one allocation.
-  env_bundles_.clear();
+  // Resolve indices once, then lay each bundle out at its final size in
+  // the buffer the last phase start swapped back, which allocates only
+  // while the buffers grow to the largest batches.
   env_bundles_.resize(source_units_);
   env_indices_.clear();
   for (const event::ExternalEvent& ev : events) {
@@ -276,10 +575,11 @@ void Engine::lay_out_source_bundles(
         size += env_counts_[s - 1];
       }
     }
+    event::InputBundle& bundle = env_bundles_[u - 1];
+    bundle.clear();
     if (size == 0) {
       continue;
     }
-    event::InputBundle& bundle = env_bundles_[u - 1];
     bundle.resize(size);
     for (std::uint32_t s = first; header != 0 && s <= last; ++s) {
       if (env_counts_[s - 1] != 0) {
@@ -298,6 +598,7 @@ event::Message& Engine::event_slot(std::size_t i) {
 
 void Engine::start_phase(const std::vector<event::ExternalEvent>& events) {
   DF_CHECK(started_ && !finished_, "start_phase outside start()/finish()");
+  maybe_recut();
   lay_out_source_bundles(events);
   for (std::size_t i = 0; i < events.size(); ++i) {
     event_slot(i) = event::Message{events[i].port, events[i].value};
@@ -307,6 +608,7 @@ void Engine::start_phase(const std::vector<event::ExternalEvent>& events) {
 
 void Engine::start_phase(std::vector<event::ExternalEvent>&& events) {
   DF_CHECK(started_ && !finished_, "start_phase outside start()/finish()");
+  maybe_recut();
   lay_out_source_bundles(events);
   for (std::size_t i = 0; i < events.size(); ++i) {
     event_slot(i) =
@@ -320,6 +622,7 @@ void Engine::start_phase(const std::vector<event::ExternalEvent>& events,
   DF_CHECK(started_ && !finished_, "start_phase outside start()/finish()");
   DF_CHECK(options_.block.has_value(),
            "remote-injection start_phase requires a block-scoped engine");
+  maybe_recut();
   lay_out_source_bundles(events);
   for (std::size_t i = 0; i < events.size(); ++i) {
     event_slot(i) = event::Message{events[i].port, events[i].value};
@@ -680,12 +983,31 @@ std::size_t Engine::frame_stretch(std::span<Scheduler::Delivery> deliveries,
   return end;
 }
 
+void Engine::end_member(UnitScratch& scratch, std::uint64_t now_ns) {
+  if (scratch.member == 0) {
+    return;
+  }
+  const std::uint64_t stretch = now_ns - scratch.member_start_ns;
+  Sample::Vertex& member = scratch.sample->vertices[scratch.member];
+  bump(member.stretch_ns, stretch);
+  bump(member.stretches, 1);
+  scratch.member_ns += stretch;
+  scratch.member = 0;
+}
+
 ExecutionResult& Engine::execute_member(std::uint32_t local,
                                         event::PhaseId phase,
                                         const event::InputBundle& bundle,
                                         UnitScratch& scratch) {
   const std::uint64_t start_ns =
       scratch.timed ? support::SampledStopwatch::now_ns() : 0;
+  if (scratch.timed) {
+    // A member's stretch runs from its call to the next member's, so it
+    // covers the routing of its output too.
+    end_member(scratch, start_ns);
+    scratch.member = local;
+    scratch.member_start_ns = start_ns;
+  }
   ExecutionResult& result = scratch.result;
   try {
     // The scheduler speaks block-local indices; the instance is always
@@ -738,6 +1060,10 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
   const std::uint32_t first = unit_bounds_[unit - 1] + 1;
   const std::uint32_t last = unit_bounds_[unit];
   LaneBlock& block = *unit_lanes_[unit];
+  scratch.first = first;
+  if (scratch.members.size() <= last - first) {
+    scratch.members.resize(last - first + 1);
+  }
   // The unit's input, in ascending sender order: the bundle the pair
   // carries (a signal-source unit's events; such a unit has no lanes), then
   // its lanes, the injected one first.
@@ -799,6 +1125,9 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
       input = &joined;
     }
     route(execute_member(first, phase, *input, scratch));
+    if (scratch.timed) {
+      end_member(scratch, support::SampledStopwatch::now_ns());
+    }
     input->clear();
     for (event::InputBundle& lane : lanes) {
       lane.clear();
@@ -818,6 +1147,9 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
       route(execute_member(y, phase, in, scratch));
       in.clear();
     }
+    if (scratch.timed) {
+      end_member(scratch, support::SampledStopwatch::now_ns());
+    }
   }
   if (!scratch.sinks.empty()) {
     sink_records_.add(scratch.sinks.size());
@@ -826,7 +1158,7 @@ void Engine::run_unit(Scheduler::ReadyPair& pair, UnitScratch& scratch) {
   }
 }
 
-void Engine::worker_main(std::uint64_t seed) {
+void Engine::worker_main(std::uint64_t seed, Sample& sample) {
   // Listing 1: dequeue, execute outside the lock, then update the sets
   // under the lock. The ready buffer and the unit executor's scratch are
   // reused across iterations, and the unit's output waits in lanes that
@@ -834,7 +1166,7 @@ void Engine::worker_main(std::uint64_t seed) {
   // at steady state.
   std::vector<Scheduler::ReadyPair> ready;
   UnitScratch scratch;
-  scratch.members.resize(max_unit_size_);
+  scratch.sample = &sample;
   // Times a random 1 in 16 unit pairs (ExecStats: sampled estimates).
   support::SampledStopwatch pair_timer(seed);
   // One of the pairs this worker's own finish readied, run next without
@@ -855,6 +1187,7 @@ void Engine::worker_main(std::uint64_t seed) {
     }
     pair_timer.start();
     scratch.timed = pair_timer.timed();
+    scratch.member_ns = 0;
     scratch.compute_ns = 0;
     scratch.executed = 0;
     scratch.messages = 0;
@@ -875,7 +1208,8 @@ void Engine::worker_main(std::uint64_t seed) {
       const event::PhaseId completed_before = scheduler_.completed_through();
       scheduler_.finish_execution(
           item->vertex, item->phase,
-          std::span<const std::uint32_t>(scratch.targets), ready);
+          std::span<const std::uint32_t>(scratch.targets),
+          std::move(item->bundle), ready);
       retired = note_transition(completed_before, ready);
       released = now();
     }
@@ -886,10 +1220,17 @@ void Engine::worker_main(std::uint64_t seed) {
     retire(ready, retired, pair_timer);
     if (scratch.timed) {
       constexpr std::uint64_t kEvery = support::SampledStopwatch::kEvery;
+      const std::uint64_t pair_ns = pair_timer.stop();
       compute_ns_.add(kEvery * scratch.compute_ns);
-      bookkeeping_ns_.add(pair_timer.stop() - kEvery * scratch.compute_ns);
+      bookkeeping_ns_.add(pair_ns - kEvery * scratch.compute_ns);
       lock_wait_ns_.add(kEvery * (acquired - waiting));
       lock_hold_ns_.add(kEvery * (released - acquired));
+      // The re-cut's sample. Once the finish retired the last started
+      // phase, the environment may be rewriting the plan, so this tail
+      // reads no plan table.
+      bump(sample.vertices[scratch.first].unit_pairs, 1);
+      bump(sample.pairs, 1);
+      bump(sample.overhead_ns, pair_ns / kEvery - scratch.member_ns);
     }
     scheduled_pairs_.add(1);
   }
@@ -899,7 +1240,6 @@ ExecStats Engine::stats() const {
   ExecStats stats;
   stats.executed_pairs = executed_pairs_.value();
   stats.scheduled_pairs = scheduled_pairs_.value();
-  stats.units = unit_bounds_.size() - 1;
   stats.messages_delivered = messages_delivered_.value();
   stats.sink_records = sink_records_.value();
   stats.compute_ns = compute_ns_.value();
@@ -911,6 +1251,8 @@ ExecStats Engine::stats() const {
   stats.queue_parks = run_queue_.parks();
   {
     conc::MutexLock lock(mutex_);
+    // The re-cut rewrites the plan under mutex_.
+    stats.units = unit_bounds_.size() - 1;
     stats.window_waits = window_waits_;
     stats.progress_wakeups = progress_wakeups_;
     stats.lock_waits = mutex_.lock_waits();

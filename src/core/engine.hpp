@@ -41,14 +41,16 @@
 //     reaches the kernel. ExecStats::lock_waits counts the lock
 //     acquisitions that blocked;
 //   * unit scheduling: the scheduler sees contiguous numbering runs
-//     ("units", about two per worker) as single vertices, and a worker runs
-//     a unit's members for one phase in numbering order under the
-//     sequential executor's Δ rule (DESIGN.md, "Unit scheduling"). Members
-//     of a multi-member unit learn their inputs from run headers inside the
-//     unit's lanes. Where coarsening cannot pay — the graph is too small
-//     for the pool, or the phase window is narrower than the unit count —
-//     every vertex is its own unit and the engine schedules exactly as the
-//     listings do;
+//     ("units") as single vertices, and a worker runs a unit's members for
+//     one phase in numbering order under the sequential executor's Δ rule
+//     (DESIGN.md, "Unit scheduling"). Members of a multi-member unit learn
+//     their inputs from run headers inside the unit's lanes. An engine
+//     starts on about two count-balanced units per worker, or, where that
+//     cannot pay (the graph is too small for the pool, or the phase window
+//     is narrower than the unit count), on one unit per vertex, scheduling
+//     exactly as the listings do. Once its sampled timings cover every
+//     unit, it re-cuts its units once, by measured member cost, to the
+//     plan with the least predicted phase period;
 //   * lanes: the paper's finish moves each message into its recipient's
 //     set entry under the lock. Here the scheduler holds set membership
 //     only, and a unit's input waits in the phase's lanes, one per sending
@@ -131,8 +133,8 @@ struct EngineOptions {
   std::function<void(event::PhaseId)> on_phase_complete{};
 };
 
-/// The engine's unit plan (DESIGN.md, "Unit scheduling"): cuts the
-/// `vertices` an engine schedules (a whole program, or its transport
+/// The engine's starting unit plan (DESIGN.md, "Unit scheduling"): cuts
+/// the `vertices` an engine schedules (a whole program, or its transport
 /// block), whose first `signal_sources` are environment-signalled, into
 /// contiguous units. Returns local bounds {0, b_1, ..., vertices}; unit k
 /// covers (b_{k-1}, b_k]. With U = 2 * threads the engine coarsens only
@@ -144,6 +146,29 @@ std::vector<std::uint32_t> plan_units(std::uint32_t vertices,
                                       std::uint32_t signal_sources,
                                       std::size_t threads,
                                       std::size_t max_inflight_phases);
+
+/// The re-cut's plan (DESIGN.md, "Unit scheduling"): `costs[y - 1]` is
+/// local vertex y's sampled member time per phase and `overhead_ns` the
+/// sampled engine time per unit pair outside members. Among U = threads ..
+/// min(vertices, max_inflight_phases) units (.. vertices when the window
+/// is unbounded), every split of U between the signal-source prefix and
+/// the rest, each range cut by the min-max contiguous split of its costs
+/// with no unit above 2^16 members, it returns the bounds of the plan with
+/// the least predicted_period_ns, the smallest U on ties; no bounds at all
+/// when no U is admissible.
+std::vector<std::uint32_t> plan_units(std::span<const std::uint64_t> costs,
+                                      std::uint32_t signal_sources,
+                                      std::uint64_t overhead_ns,
+                                      std::size_t threads,
+                                      std::size_t max_inflight_phases);
+
+/// The re-cut's model of a plan's phase period on `threads` workers: the
+/// costliest unit plus one pair's overhead, or the phase's whole work
+/// spread over the workers, whichever is larger:
+/// max(max_u (c_u + o), (sum_u c_u + U * o) / threads).
+double predicted_period_ns(std::span<const std::uint64_t> costs,
+                           std::span<const std::uint32_t> bounds,
+                           std::uint64_t overhead_ns, std::size_t threads);
 
 class Engine final : public Executor {
  public:
@@ -219,10 +244,30 @@ class Engine final : public Executor {
   const ProgramInstance& instance() const { return instance_; }
 
  private:
+  /// One worker's cost sample for the re-cut (DESIGN.md, "Unit
+  /// scheduling"), taken on its timed pairs. The worker is the only writer
+  /// and stores with relaxed atomics outside every engine lock; the
+  /// environment thread reads them, also relaxed, to decide when and how
+  /// to re-cut. Indexed by local vertex, so they outlive a re-cut.
+  struct Sample {
+    struct Vertex {
+      /// Its timed member stretches (module call and routing), in ns.
+      std::atomic<std::uint64_t> stretch_ns{0};
+      std::atomic<std::uint64_t> stretches{0};
+      /// Timed pairs of the unit it is the first member of.
+      std::atomic<std::uint64_t> unit_pairs{0};
+    };
+    explicit Sample(std::size_t vertices) : vertices(vertices + 1) {}
+    std::vector<Vertex> vertices;  // by local index
+    /// Timed pairs, and their time outside member stretches in ns.
+    std::atomic<std::uint64_t> pairs{0};
+    std::atomic<std::uint64_t> overhead_ns{0};
+  };
   /// Listing 1: dequeue a pair (or take the local next pair), execute it
   /// outside the lock, apply the finish under mutex_, keep one readied pair
-  /// and retire the rest. `seed` seeds the worker's sampled timers.
-  void worker_main(std::uint64_t seed);
+  /// and retire the rest. `seed` seeds the worker's sampled timers, whose
+  /// timed pairs feed `sample`.
+  void worker_main(std::uint64_t seed, Sample& sample);
   /// What a scheduler transition hands to retire(): its new
   /// completed-through value, or 0 if it retired no phase, and whether a
   /// recorded progress_cv_ waiter can now proceed.
@@ -250,8 +295,22 @@ class Engine final : public Executor {
   /// just issued. `timer` decides whether the hook is timed.
   void retire(std::vector<Scheduler::ReadyPair>& ready, Retirement retired,
               const support::SampledStopwatch& timer);
-  /// Blocks until every started phase has completed (finish, quiesce).
+  /// Blocks until every started phase has completed (finish, quiesce,
+  /// the re-cut).
   void wait_all_complete();
+  /// The re-cut, run by every start_phase before it lays anything out:
+  /// once every unit has kRecutPairs timed pairs, or kRecutPhases phases
+  /// have started, it derives each member's time per phase and the
+  /// per-pair overhead from the workers' samples and computes the
+  /// weighted plan. Only if that plan differs does it wait until every
+  /// started phase has completed and, under mutex_, install it with a
+  /// fresh scheduler resumed at the completed phase. Runs once per engine.
+  void maybe_recut();
+  /// Derives the tables of the plan in unit_bounds_: unit_of_,
+  /// source_units_, the lane layout and unit_lanes_. The constructor and
+  /// the re-cut call it; the re-cut holds mutex_, so the first pair issued
+  /// on the new plan is ordered after it.
+  void lay_out_units();
   /// Shared tail of the start_phase overloads: env_bundles_ holds one laid
   /// out bundle per signal-source unit, and env_targets_ the units whose
   /// injected lanes of env_lanes() hold block-mode remote deliveries.
@@ -287,13 +346,21 @@ class Engine final : public Executor {
 
   /// Per-worker scratch of the unit executor, reused across pairs.
   struct UnitScratch {
-    std::vector<event::InputBundle> members;  // one bundle per member
+    /// One bundle per member, grown to the largest unit the worker ran.
+    std::vector<event::InputBundle> members;
     ExecutionResult result;  // the member being routed; capacity reused
     std::vector<SinkRecord> sinks;
     /// The later units of this engine the unit wrote lanes to: what the
     /// payload-free finish tells the scheduler.
     std::vector<std::uint32_t> targets;
+    Sample* sample = nullptr;  // the worker's cost sample
+    std::uint32_t first = 0;   // the unit's first member (local index)
     bool timed = false;  // whether this pair's members are timed
+    // On a timed pair: the member whose stretch is open (0: none) and
+    // when it began, and the pair's member stretches so far.
+    std::uint32_t member = 0;
+    std::uint64_t member_start_ns = 0;
+    std::uint64_t member_ns = 0;
     std::uint64_t compute_ns = 0;
     std::uint64_t executed = 0;
     std::uint64_t messages = 0;
@@ -314,10 +381,14 @@ class Engine final : public Executor {
                    UnitScratch& scratch) const;
   /// Executes local vertex `local` at its global index into
   /// `scratch.result`. A throwing module records the first error and
-  /// produces nothing.
+  /// produces nothing. On a timed pair it closes the previous member's
+  /// stretch and opens this one's.
   ExecutionResult& execute_member(std::uint32_t local, event::PhaseId phase,
                                   const event::InputBundle& bundle,
                                   UnitScratch& scratch);
+  /// Closes the open member stretch of a timed pair at `now_ns` into the
+  /// worker's sample.
+  static void end_member(UnitScratch& scratch, std::uint64_t now_ns);
 
   /// Scheduling geometry resolved from options before member construction:
   /// the unit plan and its m-vector, how many leading local indices are
@@ -333,6 +404,8 @@ class Engine final : public Executor {
   };
   static BlockPlan plan_scope(const Program& program,
                               const EngineOptions& options);
+  /// Phases the scheduler's steady-state reservation is sized for.
+  std::size_t reserved_window() const;
   Engine(const Program& program, EngineOptions options, BlockPlan plan);
 
   ProgramInstance instance_;
@@ -344,27 +417,49 @@ class Engine final : public Executor {
   std::uint32_t offset_ = 0;     // block mode: global == local + offset_
   std::uint32_t block_end_ = 0;  // block mode: last owned global index
   SinkStore* sink_target_ = nullptr;  // where workers record (usually own)
-  // The unit plan (immutable after construction). unit_bounds_[u - 1] + 1
-  // .. unit_bounds_[u] are unit u's local vertices; unit_of_[y] is local
-  // vertex y's unit.
+  // The unit plan, written by the constructor and at most once more by the
+  // re-cut (maybe_recut), which rewrites it and every table below derived
+  // from it under mutex_ while no phase is in flight. Workers read these
+  // tables without the lock, but only while running a pair they got through
+  // run_queue_ or their own finish after that lock hold, so the queue's
+  // mutex or mutex_ orders every such read after the rewrite. The
+  // environment thread, which rewrites them, reads them freely.
+  // unit_bounds_[u - 1] + 1 .. unit_bounds_[u] are unit u's local vertices;
+  // unit_of_[y] is local vertex y's unit.
   std::vector<std::uint32_t> unit_bounds_;
   std::vector<std::uint32_t> unit_of_;
   std::uint32_t signal_sources_ = 0;  // vertex-level, local prefix 1..S
   std::uint32_t source_units_ = 0;    // units covering 1..S
-  std::uint32_t max_unit_size_ = 1;
-  // The lane layout (immutable after construction): one lane per pair of
-  // units that some program edge joins, plus an injected lane (sender 0)
-  // per unit with a predecessor before the block. Lanes are numbered by
-  // receiver, then ascending sender, so unit t reads lanes
-  // in_lanes_[t] .. in_lanes_[t + 1] - 1 in sender order. Sender s finds
-  // its lanes in lanes_from_[out_lanes_[s] .. out_lanes_[s + 1] - 1] as
-  // (receiver, lane), in ascending receiver order.
+  // The lane layout: one lane per pair of units that some program edge
+  // joins, plus an injected lane (sender 0) per unit with a predecessor
+  // before the block. Lanes are numbered by receiver, then ascending
+  // sender, so unit t reads lanes in_lanes_[t] .. in_lanes_[t + 1] - 1 in
+  // sender order. Sender s finds its lanes in
+  // lanes_from_[out_lanes_[s] .. out_lanes_[s + 1] - 1] as (receiver,
+  // lane), in ascending receiver order.
   std::vector<std::uint32_t> in_lanes_;   // [0..U+1]
   std::vector<std::uint32_t> out_lanes_;  // [0..U+1]
   std::vector<std::pair<std::uint32_t, std::uint32_t>> lanes_from_;
 
+  /// Timed pairs every unit needs before the re-cut (DESIGN.md, "Unit
+  /// scheduling"): about 512 of its pairs at 1 in 16. A unit that has not
+  /// reached them after kRecutPhases phases runs in fewer than about one
+  /// phase in four, and the re-cut goes ahead without it.
+  static constexpr std::uint64_t kRecutPairs = 32;
+  static constexpr std::uint64_t kRecutPhases =
+      4 * support::SampledStopwatch::kEvery * kRecutPairs;
+  // One cost sample per worker, made by start() before the workers.
+  std::vector<std::unique_ptr<Sample>> samples_;
+  // Environment thread only: whether the re-cut is still to come, and the
+  // phases started before it.
+  bool recut_pending_ = true;
+  std::uint64_t recut_phases_ = 0;
+
   // Environment-thread scratch (start_phase is called by one thread only):
-  // reused across phases so steady-state phase starts stay allocation-light.
+  // reused across phases so steady-state phase starts allocate nothing.
+  // env_bundles_[u - 1] is signal-source unit u's bundle; the scheduler's
+  // start_phase swaps it for the buffer that unit's executed pair gave
+  // back to the phase slot, which the next layout fills.
   std::vector<event::InputBundle> env_bundles_;
   std::vector<std::uint32_t> env_indices_;
   std::vector<std::size_t> env_counts_;

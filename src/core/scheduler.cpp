@@ -182,11 +182,7 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
                                  std::span<Delivery> deliveries,
                                  event::InputBundle recycled,
                                  std::vector<ReadyPair>& out_ready) {
-  PhaseSlot& slot = begin_finish(vertex, p);
-  // The executed bundle's buffer goes back into the inbox it was issued
-  // from, which serves the vertex again when the slot is reused.
-  recycled.clear();
-  slot.inbox[vertex] = std::move(recycled);
+  PhaseSlot& slot = begin_finish(vertex, p, std::move(recycled));
   // Statements 8-11: new messages put successors into the partial set.
   for (Delivery& d : deliveries) {
     DF_CHECK(d.to_index > vertex,
@@ -200,8 +196,9 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
 
 void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
                                  std::span<const std::uint32_t> recipients,
+                                 event::InputBundle recycled,
                                  std::vector<ReadyPair>& out_ready) {
-  PhaseSlot& slot = begin_finish(vertex, p);
+  PhaseSlot& slot = begin_finish(vertex, p, std::move(recycled));
   // Statements 8-11, without the messages.
   for (const std::uint32_t v : recipients) {
     DF_CHECK(v > vertex, "messages must flow to higher-indexed vertices");
@@ -211,7 +208,8 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
 }
 
 Scheduler::PhaseSlot& Scheduler::begin_finish(std::uint32_t vertex,
-                                              event::PhaseId p) {
+                                              event::PhaseId p,
+                                              event::InputBundle recycled) {
   // Listing 1, statements 4-31.
   DF_CHECK(vertex >= 1 && vertex <= n_, "vertex index out of range");
   VertexState& vs = vertices_[vertex];
@@ -221,7 +219,12 @@ Scheduler::PhaseSlot& Scheduler::begin_finish(std::uint32_t vertex,
   // Statements 5-7: remove (v,p) from full/ready (the full entry was taken
   // when the pair was issued; here we clear the ready occupancy).
   vs.in_ready = false;
-  return phase_slot(p);
+  // The executed bundle's buffer goes back into the inbox it was issued
+  // from, which serves the vertex again when the slot is reused.
+  PhaseSlot& slot = phase_slot(p);
+  recycled.clear();
+  slot.inbox[vertex] = std::move(recycled);
+  return slot;
 }
 
 void Scheduler::mark_received(PhaseSlot& slot, std::uint32_t v) {

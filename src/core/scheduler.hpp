@@ -45,7 +45,8 @@
 // code, and issue such a pair with its empty inbox, because its messages
 // travel outside the scheduler. core::Engine uses them, with per-phase
 // lanes outside the lock (DESIGN.md, "Lanes"). Both start_phase forms swap
-// the signal-source bundles into their inboxes.
+// the signal-source bundles into their inboxes, and both finish forms take
+// the executed bundle back into its inbox.
 #pragma once
 
 #include <cstdint>
@@ -155,8 +156,12 @@ class Scheduler {
   /// Payload-free form: the same transition, told only which vertices
   /// (`recipients`, each above `vertex`; repeats are harmless) received
   /// messages. Each newly partial recipient is issued with its empty inbox.
+  /// `recycled` goes back into the executed pair's inbox as in the payload
+  /// form: a signal-source pair's bundle, which start_phase swaps out of
+  /// that inbox again when the slot serves a later phase.
   void finish_execution(std::uint32_t vertex, event::PhaseId p,
                         std::span<const std::uint32_t> recipients,
+                        event::InputBundle recycled,
                         std::vector<ReadyPair>& out_ready);
 
   event::PhaseId pmax() const { return pmax_; }
@@ -284,9 +289,11 @@ class Scheduler {
   void mark_received(PhaseSlot& slot, std::uint32_t v);
 
   /// The finish's head and tail, shared by both forms: checks that
-  /// (vertex, p) was issued and clears its ready occupancy; then drops it
-  /// from pending, runs the frontier pass and issues newly ready pairs.
-  PhaseSlot& begin_finish(std::uint32_t vertex, event::PhaseId p);
+  /// (vertex, p) was issued, clears its ready occupancy and puts
+  /// `recycled`, cleared, into its inbox; then drops it from pending, runs
+  /// the frontier pass and issues newly ready pairs.
+  PhaseSlot& begin_finish(std::uint32_t vertex, event::PhaseId p,
+                          event::InputBundle recycled);
   void end_finish(PhaseSlot& slot, std::uint32_t vertex,
                   std::vector<ReadyPair>& out_ready);
 

@@ -26,9 +26,18 @@ InProcessChannel::InProcessChannel(std::size_t capacity_frames)
 }
 
 void InProcessChannel::send(std::span<const std::uint8_t> frame) {
+  std::vector<std::uint8_t> buffer;
+  {
+    conc::MutexLock lock(spare_mutex_);
+    if (!spare_.empty()) {
+      buffer = std::move(spare_.back());
+      spare_.pop_back();
+    }
+  }
+  buffer.assign(frame.begin(), frame.end());
   // A closed queue drops the frame: the receiver is gone or the run is
   // tearing down.
-  queue_.push(std::vector<std::uint8_t>(frame.begin(), frame.end()));
+  queue_.push(std::move(buffer));
 }
 
 void InProcessChannel::close_send() { queue_.close(); }
@@ -38,7 +47,11 @@ bool InProcessChannel::recv(std::vector<std::uint8_t>& frame) {
   if (!item) {
     return false;
   }
-  frame = std::move(*item);
+  std::swap(frame, *item);
+  if (item->capacity() != 0) {
+    conc::MutexLock lock(spare_mutex_);
+    spare_.push_back(std::move(*item));
+  }
   return true;
 }
 

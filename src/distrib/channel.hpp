@@ -72,6 +72,12 @@ class Channel {
 /// queue and the ingress queue. Either close wakes a blocked sender (whose
 /// frame then drops) and a blocked receiver; recv() still returns every
 /// frame queued before the close, then false.
+///
+/// Frame buffers circulate instead of being allocated per frame: recv()
+/// swaps the queued frame with the caller's buffer and keeps the caller's
+/// old buffer, and send() copies into a kept buffer. At most about
+/// capacity_frames buffers are kept, since a buffer is kept only per
+/// received frame and taken again per sent one.
 class InProcessChannel final : public Channel {
  public:
   /// Holds at most `capacity_frames` frames; 0 throws check_error (it would
@@ -85,6 +91,9 @@ class InProcessChannel final : public Channel {
 
  private:
   conc::BlockingQueue<std::vector<std::uint8_t>> queue_;
+  conc::Mutex spare_mutex_;
+  /// Buffers recv() took from its callers, for send() to fill.
+  std::vector<std::vector<std::uint8_t>> spare_ DF_GUARDED_BY(spare_mutex_);
 };
 
 /// Loopback-TCP channel: frames travel as u32 little-endian length prefixes

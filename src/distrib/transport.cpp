@@ -709,7 +709,9 @@ void add_exec_counters(core::ExecStats& total, const core::ExecStats& part) {
 /// output and wire effects, not to effort.
 void fold_exec_stats(core::ExecStats& total, const core::ExecStats& gen) {
   add_exec_counters(total, gen);
-  total.units = gen.units;  // every generation runs the same plan
+  // Each generation starts on the starting plan and re-cuts itself once;
+  // the latest generation's plan is the partition's.
+  total.units = gen.units;
   total.phases_completed =
       std::max(total.phases_completed, gen.phases_completed);
 }

@@ -34,6 +34,7 @@
 #include "model/logic.hpp"
 #include "model/sources.hpp"
 #include "random_program.hpp"
+#include "skewed_program.hpp"
 #include "spec/builder.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -171,6 +172,48 @@ TEST(EngineCheckpointCrossPlan, TwoThreadImageResumesAtOneAndFourThreads) {
         "restored at threads " + std::to_string(restore.threads) +
             ", window " + std::to_string(restore.window));
   }
+}
+
+// An image taken after the first engine re-cut its units by measured cost
+// (DESIGN.md, "Unit scheduling") resumes on a fresh engine, which starts
+// on the starting plan again, and matches the uninterrupted twin. At two
+// threads the skewed program starts on 4 units and every plan the re-cut
+// can choose has 2 or 3.
+TEST(EngineCheckpointCrossPlan, ImageTakenAfterTheRecutResumesOnTheStartingPlan) {
+  const Program program = testutil::skewed_program(50'000);
+  constexpr event::PhaseId kPhases = 1400;
+  constexpr event::PhaseId kCheckpoint = 1000;
+  EngineOptions options;
+  options.threads = 2;
+  Engine twin(program, options);
+  twin.run(kPhases, nullptr);
+
+  SinkStore combined;
+  std::vector<std::uint8_t> image;
+  {
+    Engine first(program, options);
+    first.start();
+    for (event::PhaseId p = 1; p <= kCheckpoint; ++p) {
+      first.start_phase(kNoEvents);
+    }
+    first.quiesce();
+    EXPECT_LT(first.stats().units, 4U) << "no re-cut before the checkpoint";
+    image = first.snapshot_state();
+    first.finish();
+    combined.record_batch(first.sinks().canonical());
+  }
+  Engine second(program, options);
+  EXPECT_EQ(second.stats().units, 4U) << "a fresh engine starts re-cut";
+  second.start();
+  second.restore_state(image);
+  for (event::PhaseId p = kCheckpoint + 1; p <= kPhases; ++p) {
+    second.start_phase(kNoEvents);
+  }
+  second.finish();
+  combined.record_batch(second.sinks().canonical());
+  const auto report = trace::compare_sinks(twin.sinks(), combined);
+  EXPECT_TRUE(report.equivalent) << report.summary();
+  EXPECT_GT(twin.sinks().size(), 0U);
 }
 
 // Stateful detectors and gates (zscore history, threshold level, majority's

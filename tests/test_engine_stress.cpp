@@ -15,6 +15,7 @@
 #include "model/sources.hpp"
 #include "model/stats_models.hpp"
 #include "random_program.hpp"
+#include "skewed_program.hpp"
 #include "spec/builder.hpp"
 #include "support/rng.hpp"
 #include "trace/serializability.hpp"
@@ -195,6 +196,57 @@ TEST(EngineStress, ProgressWaitersAcrossWindowsAndThreadCounts) {
                                  ", threads " + std::to_string(threads);
       EXPECT_EQ(engine.sinks().canonical(), expected) << config;
       EXPECT_LE(engine.stats().max_inflight_phases, window) << config;
+    }
+  }
+}
+
+// The unit re-cut (DESIGN.md, "Unit scheduling") on strongly skewed member
+// costs: once every unit has its timed pairs the engine drains, installs
+// the cost-cut plan and a fresh scheduler, and runs on. Every window and
+// thread count runs well past the re-cut and must match the sequential
+// reference in sinks and executed pairs, and snapshot afterwards. Wherever
+// the window admits a plan (some U >= max(threads, 2) units no more than
+// the window; the sources and the rest need a unit each), every plan the
+// rule can choose here has another unit count than the starting plan, so
+// the count shows that the re-cut happened; elsewhere the plan stays.
+TEST(EngineStress, RecutOnSkewedCostsMatchesReferenceAtEveryWindow) {
+  const Program program = testutil::skewed_program(50'000);
+  constexpr event::PhaseId kPhases = 1200;
+  baseline::SequentialExecutor reference(program);
+  reference.run(kPhases, nullptr);
+  const std::vector<SinkRecord> expected = reference.sinks().canonical();
+  ASSERT_GT(expected.size(), 100U) << "skewed workload was trivial";
+  for (const std::size_t window : {1UL, 2UL, 4UL, 16UL, 64UL}) {
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      const std::string config = "window " + std::to_string(window) +
+                                 ", threads " + std::to_string(threads);
+      EngineOptions options;
+      options.threads = threads;
+      options.max_inflight_phases = window;
+      const std::size_t starting_units =
+          plan_units(testutil::kSkewedVertices, testutil::kSkewedSources,
+                     threads, window)
+              .size() -
+          1;
+      Engine engine(program, options);
+      engine.start();
+      for (event::PhaseId p = 1; p <= kPhases; ++p) {
+        engine.start_phase({});
+      }
+      engine.quiesce();
+      EXPECT_NO_THROW(engine.snapshot_state()) << config;
+      engine.finish();
+      EXPECT_EQ(engine.sinks().canonical(), expected) << config;
+      const ExecStats stats = engine.stats();
+      EXPECT_EQ(stats.executed_pairs, reference.stats().executed_pairs)
+          << config;
+      if (std::max<std::size_t>(threads, 2) <= window) {
+        EXPECT_NE(stats.units, starting_units) << config;
+        EXPECT_LE(stats.units, window) << config;
+        EXPECT_GE(stats.units, threads) << config;
+      } else {
+        EXPECT_EQ(stats.units, starting_units) << config;
+      }
     }
   }
 }

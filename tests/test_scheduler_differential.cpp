@@ -508,7 +508,7 @@ void run_per_pair_differential(std::uint64_t seed, const DiffShape& shape) {
       const std::vector<std::uint32_t> recipients = recipients_of(deliveries);
       std::vector<Scheduler::ReadyPair> lean_ready;
       lean.finish_execution(pair.vertex, pair.phase,
-                            std::span<const std::uint32_t>(recipients),
+                            std::span<const std::uint32_t>(recipients), {},
                             lean_ready);
       std::vector<Scheduler::ReadyPair> flat_ready;
       if (!shape.block_mode) {

@@ -1,10 +1,12 @@
-// Unit plans (DESIGN.md, "Unit scheduling"): the engine's sizing rule
-// (core::plan_units) and the unit m-vector the scheduler runs on
-// (graph::block_local_m over unit bounds). Execution under unit plans is
-// tested in test_unit_scheduling.cpp.
+// Unit plans (DESIGN.md, "Unit scheduling"): the engine's starting plan
+// and the re-cut's weighted plan (core::plan_units), and the unit m-vector
+// the scheduler runs on (graph::block_local_m over unit bounds). Execution
+// under unit plans is tested in test_unit_scheduling.cpp, the re-cut of a
+// running engine in test_engine_stress.cpp and test_checkpoint.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -18,7 +20,9 @@ namespace df {
 namespace {
 
 using core::plan_units;
+using core::predicted_period_ns;
 using Bounds = std::vector<std::uint32_t>;
+using Costs = std::vector<std::uint64_t>;
 
 Bounds identity_bounds(std::uint32_t vertices) {
   Bounds bounds{0};
@@ -271,6 +275,186 @@ TEST(UnitPlan, EmptyBlockAndBadInput) {
   EXPECT_EQ(plan_units(0, 0, 4, 64), (Bounds{0}));
   EXPECT_EQ(plan_units(0, 0, 1, 0), (Bounds{0}));
   EXPECT_THROW(plan_units(4, 5, 1, 64), support::check_error);
+}
+
+// --- the re-cut's weighted plan ----------------------------------------------
+
+/// The fewest units a plan of `vertices` with `sources` signal sources can
+/// have: one per nonempty side of the split.
+std::size_t fewest_units(std::uint32_t vertices, std::uint32_t sources) {
+  return (sources > 0 ? 1 : 0) + (vertices > sources ? 1 : 0);
+}
+
+/// Checks the laws every weighted plan obeys: it runs from 0 to
+/// `vertices` in contiguous units of at most 2^16 members, splits at the
+/// sources, and has U units with threads <= U <= vertices, and U no more
+/// than a positive window.
+void expect_weighted_plan_laws(const Bounds& bounds, std::uint32_t vertices,
+                               std::uint32_t sources, std::size_t threads,
+                               std::size_t window) {
+  ASSERT_GE(bounds.size(), 2U);
+  EXPECT_EQ(bounds.front(), 0U);
+  EXPECT_EQ(bounds.back(), vertices);
+  bool split_at_sources = sources == 0;
+  for (std::size_t u = 1; u < bounds.size(); ++u) {
+    EXPECT_LT(bounds[u - 1], bounds[u]) << "unit " << u << " is empty";
+    EXPECT_LE(bounds[u] - bounds[u - 1], 65536U) << "unit " << u;
+    split_at_sources |= bounds[u] == sources;
+  }
+  EXPECT_TRUE(split_at_sources);
+  const std::size_t units = bounds.size() - 1;
+  EXPECT_GE(units, threads);
+  EXPECT_LE(units, vertices);
+  if (window > 0) {
+    EXPECT_LE(units, window);
+  }
+}
+
+/// Calls `visit` with every plan the re-cut chooses from: each contiguous
+/// cut of 1..vertices split at the sources into U units, threads <= U <=
+/// min(vertices, window), or <= vertices when the window is 0.
+template <typename Visit>
+void for_each_admissible_plan(std::uint32_t vertices, std::uint32_t sources,
+                              std::size_t threads, std::size_t window,
+                              Visit&& visit) {
+  const std::size_t most =
+      window == 0 ? vertices : std::min<std::size_t>(vertices, window);
+  // Bit i - 1 of `cuts` set: a unit ends at vertex i (1 <= i < vertices).
+  for (std::uint32_t cuts = 0; cuts < (1U << (vertices - 1)); ++cuts) {
+    if (sources > 0 && sources < vertices &&
+        ((cuts >> (sources - 1)) & 1U) == 0) {
+      continue;
+    }
+    Bounds bounds{0};
+    for (std::uint32_t i = 1; i < vertices; ++i) {
+      if ((cuts >> (i - 1)) & 1U) {
+        bounds.push_back(i);
+      }
+    }
+    bounds.push_back(vertices);
+    const std::size_t units = bounds.size() - 1;
+    if (units >= threads && units <= most) {
+      visit(bounds);
+    }
+  }
+}
+
+TEST(WeightedPlan, IsolatesAHeavyVertex) {
+  // Two 10 ns sources, then three 1 ns vertices and a 100 ns one; 2
+  // workers, 5 ns per pair. Two units read max(108, 66.5); three with the
+  // heavy vertex alone read max(105, 69); four cannot beat 105 and tie.
+  const Costs costs{10, 10, 1, 1, 1, 100};
+  EXPECT_EQ(plan_units(costs, 2, 5, 2, 64), (Bounds{0, 2, 5, 6}));
+  EXPECT_EQ(predicted_period_ns(costs, Bounds{0, 2, 5, 6}, 5, 2), 105.0);
+  EXPECT_EQ(predicted_period_ns(costs, Bounds{0, 2, 6}, 5, 2), 108.0);
+  // One worker: every unit adds a pair's overhead to the serial sum, so
+  // the fewest units win.
+  EXPECT_EQ(plan_units(costs, 2, 5, 1, 64), (Bounds{0, 2, 6}));
+}
+
+TEST(WeightedPlan, MatchesABruteForceSearchOnSmallRandomCosts) {
+  support::Rng rng(2024);
+  std::size_t plans = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto vertices = static_cast<std::uint32_t>(1 + rng.next_below(10));
+    const auto sources = static_cast<std::uint32_t>(
+        rng.next_below(vertices + 1));
+    const std::size_t threads = 1 + rng.next_below(4);
+    const std::size_t window =
+        rng.next_bernoulli(0.3) ? 0 : 1 + rng.next_below(vertices + 2);
+    const std::uint64_t overhead = rng.next_below(3000);
+    Costs costs(vertices);
+    for (std::uint64_t& cost : costs) {
+      cost = rng.next_bernoulli(0.2) ? 10000 + rng.next_below(30000)
+                                     : rng.next_below(3000);
+    }
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_units = 0;
+    for_each_admissible_plan(
+        vertices, sources, threads, window, [&](const Bounds& bounds) {
+          const double period =
+              predicted_period_ns(costs, bounds, overhead, threads);
+          const std::size_t units = bounds.size() - 1;
+          if (period < best || (period == best && units < best_units)) {
+            best = period;
+            best_units = units;
+          }
+        });
+    const Bounds plan = plan_units(costs, sources, overhead, threads, window);
+    const std::string where =
+        "trial " + std::to_string(trial) + ": " + std::to_string(vertices) +
+        " vertices, " + std::to_string(sources) + " sources, " +
+        std::to_string(threads) + " threads, window " +
+        std::to_string(window);
+    if (best_units == 0) {
+      EXPECT_TRUE(plan.empty()) << where;
+      EXPECT_GT(std::max(threads, fewest_units(vertices, sources)),
+                window == 0 ? vertices : std::min<std::size_t>(vertices, window))
+          << where;
+      continue;
+    }
+    ++plans;
+    ASSERT_FALSE(plan.empty()) << where;
+    expect_weighted_plan_laws(plan, vertices, sources, threads, window);
+    EXPECT_LE(predicted_period_ns(costs, plan, overhead, threads), best)
+        << where;
+    EXPECT_EQ(plan.size() - 1, best_units)
+        << where << ": not the fewest units at the least period";
+  }
+  EXPECT_GT(plans, 400U) << "the sweep mostly found no admissible plan";
+}
+
+TEST(WeightedPlan, LawsHoldOnLargerRandomCosts) {
+  support::Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto vertices = static_cast<std::uint32_t>(1 + rng.next_below(200));
+    const auto sources = static_cast<std::uint32_t>(
+        rng.next_below(vertices + 1));
+    const std::size_t threads = 1 + rng.next_below(4);
+    const std::size_t window =
+        std::vector<std::size_t>{0, 1, 2, 3, 8, 64}[rng.next_below(6)];
+    Costs costs(vertices);
+    for (std::uint64_t& cost : costs) {
+      cost = rng.next_below(rng.next_bernoulli(0.1) ? 100000 : 1000);
+    }
+    const Bounds plan =
+        plan_units(costs, sources, rng.next_below(5000), threads, window);
+    const std::size_t most =
+        window == 0 ? vertices : std::min<std::size_t>(vertices, window);
+    if (std::max(threads, fewest_units(vertices, sources)) > most) {
+      EXPECT_TRUE(plan.empty()) << "trial " << trial;
+    } else {
+      expect_weighted_plan_laws(plan, vertices, sources, threads, window);
+    }
+  }
+}
+
+TEST(WeightedPlan, NoUnitExceedsTheMemberCap) {
+  // Three and a bit units' worth of equal members: even one worker, for
+  // which one unit per side would be cheapest, gets cap-sized units.
+  const std::uint32_t vertices = 3 * 65536 + 5;
+  const Costs costs(vertices, 1);
+  for (const std::uint32_t sources : {0U, 65536U + 7U}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      const Bounds plan = plan_units(costs, sources, 1000, threads, 0);
+      expect_weighted_plan_laws(plan, vertices, sources, threads, 0);
+      // Four units are the fewest the cap allows on either split, and a
+      // fifth would only add its pair's overhead.
+      EXPECT_EQ(plan.size() - 1, 4U)
+          << sources << " sources, " << threads << " threads";
+    }
+  }
+}
+
+TEST(WeightedPlan, EmptyAndBadInput) {
+  EXPECT_TRUE(plan_units(Costs{}, 0, 100, 2, 64).empty());
+  // One unit cannot keep the sources apart from the rest.
+  EXPECT_TRUE(plan_units(Costs{5, 5}, 1, 100, 1, 1).empty());
+  EXPECT_EQ(plan_units(Costs{5, 5}, 1, 100, 1, 2), (Bounds{0, 1, 2}));
+  EXPECT_THROW(plan_units(Costs{5, 5}, 3, 100, 1, 2), support::check_error);
+  EXPECT_THROW(plan_units(Costs{5, 5}, 1, 100, 0, 2), support::check_error);
+  EXPECT_THROW(predicted_period_ns(Costs{5, 5}, Bounds{0, 1}, 100, 1),
+               support::check_error);
 }
 
 }  // namespace
